@@ -13,6 +13,15 @@ the retained set (box boundary and excisions) carry Dirichlet zeros, which
 models the sub-Markov case.  Implicit Euler keeps the discrete L^2(mu_h)
 contraction exact per step.
 
+Each step solves (M + dt A) u+ = M u, where the matrix is symmetric positive
+definite.  The first step tries Jacobi-preconditioned conjugate gradients,
+capped at _CG_PROBE_ITERS iterations.  If it converges, every step uses CG
+and nothing is factored; well-conditioned 3D grids go this way.  If it does
+not, the matrix is factored once by sparse LU with a symmetric minimum-degree
+ordering and no pivoting, and every step (the first included) uses that
+factor; stiff grids go this way.  The choice depends only on the iteration
+count, so results are deterministic.
+
 A simulation owns its state; independent simulations are safe to run
 concurrently.
 """
@@ -30,7 +39,7 @@ from .errors import NumericError, PreconditionError
 from .fields import ConstField, ScalarField
 from .grid import Grid
 
-_DIRECT_SOLVE_LIMIT = 80_000
+_CG_PROBE_ITERS = 40
 
 
 def _nonzero_axes(vector_field, m: int):
@@ -108,28 +117,38 @@ def symmetry_defect(diff, grid: Grid, n_trials: int = 5, seed: int = 0) -> float
 
 
 class _Stepper:
-    """One implicit-Euler step of (M + dt A) u+ = M u, factored once."""
+    """Implicit-Euler steps of (M + dt A) u+ = M u for the generator of diff
+    on grid; the solver is chosen on the first step (see the module doc)."""
 
-    def __init__(self, w, A, dt: float):
-        n = len(w)
-        S = (sp.diags(w) + dt * A).tocsc()
-        self._iterative = n > _DIRECT_SOLVE_LIMIT
-        if self._iterative:
-            self._S = S.tocsr()
-            self._precond = 1.0 / S.diagonal()
-        else:
-            self._lu = spla.splu(S)
-        self.w = w
+    def __init__(self, diff, grid: Grid, dt: float):
+        if not (np.isfinite(dt) and dt > 0):
+            raise PreconditionError("dt must be positive and finite")
+        self.dt = dt
+        self.w, A = assemble_generator(diff, grid)
+        self._S = (sp.diags(self.w) + dt * A).tocsr()
+        inv_diag = 1.0 / self._S.diagonal()
+        self._precond = spla.LinearOperator(self._S.shape, matvec=lambda x: inv_diag * x)
+        self._probing = True
+        self._lu = None
+
+    def n_steps(self, t: float) -> int:
+        return max(1, int(round(t / self.dt)))
 
     def step(self, u):
         b = self.w * u
-        if not self._iterative:
-            out = self._lu.solve(b)
-        else:
-            M = spla.LinearOperator(self._S.shape, matvec=lambda x: self._precond * x)
-            out, info = spla.cg(self._S, b, x0=u, rtol=1e-12, atol=0.0, M=M)
-            if info != 0:
+        if self._lu is None:
+            out, info = spla.cg(self._S, b, x0=u, rtol=1e-12, atol=0.0, M=self._precond,
+                                maxiter=_CG_PROBE_ITERS if self._probing else None)
+            if info > 0 and self._probing:
+                # S is symmetric positive definite: no pivoting is needed
+                self._lu = spla.splu(self._S.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                                     diag_pivot_thresh=0.0,
+                                     options={"SymmetricMode": True})
+            elif info != 0:
                 raise NumericError(f"conjugate-gradient solve failed (info={info})")
+            self._probing = False
+        if self._lu is not None:
+            out = self._lu.solve(b)
         if not np.all(np.isfinite(out)):
             raise NumericError("non-finite state after implicit-Euler step")
         return out
@@ -143,15 +162,11 @@ def evolve(diff, f0: ScalarField, grid: Grid, t_max: float, dt: float,
     samples are evenly spaced in step index and always include t = 0 and
     the final time.
     """
-    if dt <= 0:
-        raise PreconditionError("dt must be positive")
-    diff = as_diffusion(diff)
+    stepper = _Stepper(diff, grid, dt)
     u = f0.value_at(grid.points) if isinstance(f0, ScalarField) else np.asarray(f0, float).copy()
     if not np.all(np.isfinite(u)):
         raise PreconditionError("initial state must be finite on the grid")
-    w, A = assemble_generator(diff, grid)
-    stepper = _Stepper(w, A, dt)
-    nsteps = max(1, int(round(t_max / dt)))
+    nsteps = stepper.n_steps(t_max)
     sample_at = np.unique(np.linspace(0, nsteps, min(n_samples, nsteps + 1)).astype(int))
     times = []
     states = []
@@ -182,11 +197,7 @@ class ContractionTrace:
         return np.exp(2.0 * self.gamma * self.times) * self.I_values
 
     def passes(self, rel_tol: float = 1e-8) -> bool:
-        J = self.damped()
-        if len(J) < 2:
-            return True
-        increments = np.diff(J) / np.maximum(J[:-1], 1e-300)
-        return bool(np.max(increments) <= rel_tol)
+        return self.max_step_increase() <= rel_tol
 
     def max_step_increase(self) -> float:
         J = self.damped()
@@ -205,6 +216,7 @@ def contraction_trace(diff, W: ScalarField, f0: ScalarField, grid: Grid,
     suppress it.
     """
     diff = as_diffusion(diff)
+    stepper = _Stepper(diff, grid, dt)
     flag = None
     if precheck_corpus is not None:
         from .inequalities import funcineq_report
@@ -214,11 +226,10 @@ def contraction_trace(diff, W: ScalarField, f0: ScalarField, grid: Grid,
             if rep.ratio is not None and rep.ratio > 1.0 + precheck_tol:
                 flag = True
                 break
+    w = stepper.w
     u = f0.value_at(grid.points)
-    w, A = assemble_generator(diff, grid)
-    stepper = _Stepper(w, A, dt)
     w2 = W.value_at(grid.points) ** 2
-    nsteps = max(1, int(round(t_max / dt)))
+    nsteps = stepper.n_steps(t_max)
     times = np.arange(nsteps + 1) * dt
     I = np.empty(nsteps + 1)
     mass = np.empty(nsteps + 1)
@@ -240,17 +251,14 @@ def subcommutation_check(diff, W: ScalarField, f0: ScalarField, grid: Grid,
     Both evolutions share the grid and step sequence; a pass is a minimum
     above -(C1 h^2 + C2 dt) for scheme constants C1, C2.
     """
-    diff = as_diffusion(diff)
+    stepper = _Stepper(diff, grid, dt)
     pts = grid.points
     w2 = W.value_at(pts) ** 2
     u = f0.value_at(pts)
     v = w2 * u ** 2
     if t == 0.0:
         return 0.0
-    w, A = assemble_generator(diff, grid)
-    stepper = _Stepper(w, A, dt)
-    nsteps = max(1, int(round(t / dt)))
-    for _ in range(nsteps):
+    for _ in range(stepper.n_steps(t)):
         u = stepper.step(u)
         v = stepper.step(v)
     return float(np.min(np.exp(-2.0 * gamma * t) * v - w2 * u ** 2))

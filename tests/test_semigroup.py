@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import hardylab as hl
+from hardylab import semigroup
 from hardylab.errors import PreconditionError
 from hardylab.fields import (ComposeField, ConstField, FuncField,
                              SquareNormField, power_map)
@@ -181,6 +182,59 @@ def test_evolve_rejects_bad_dt(interval_grid):
     geo, grid = interval_grid
     with pytest.raises(PreconditionError):
         evolve(geo.diffusion, ConstField(0.0), grid, 0.1, 0.0)
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-3, float("nan")])
+def test_subcommutation_rejects_bad_dt(interval_grid, dt):
+    geo, grid = interval_grid
+    f0 = radial_bump(hl.CoordinateField(0), 0.2, 0.8)
+    with pytest.raises(PreconditionError):
+        subcommutation_check(geo.diffusion, ConstField(1.0), f0, grid, 0.05, dt)
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-3, float("nan")])
+def test_contraction_trace_rejects_bad_dt(interval_grid, dt):
+    geo, grid = interval_grid
+    f0 = radial_bump(hl.CoordinateField(0), 0.2, 0.8)
+    with pytest.raises(PreconditionError):
+        contraction_trace(geo.diffusion, ConstField(1.0), f0, grid, 0.05, dt)
+
+
+def _solver_after_one_step(diff, grid, dt):
+    stepper = semigroup._Stepper(diff, grid, dt)
+    stepper.step(np.ones(grid.n_nodes))
+    return "cg" if stepper._lu is None else "lu"
+
+
+def test_solver_choice_follows_cg_probe(interval_grid, eu3):
+    # a stiff 1D grid stalls the CG probe and factors; a 3D grid does not
+    geo, grid = interval_grid
+    assert _solver_after_one_step(geo.diffusion, grid, 1e-4) == "lu"
+    geo3, w3, _ = eu3
+    grid3 = hl.default_grid(geo3, w3, bounds=[(-2, 2)] * 3, n=16, excision_radius=0.25)
+    assert _solver_after_one_step(geo3.diffusion, grid3, 2e-3) == "cg"
+
+
+def test_cg_and_lu_paths_agree(eu3, monkeypatch):
+    geo, w, _ = eu3
+    grid = hl.default_grid(geo, w, bounds=[(-2, 2)] * 3, n=16, excision_radius=0.25)
+    W = ComposeField(power_map(0.5), w.psi)
+    f0 = radial_bump(w.psi, 0.6, 1.6)
+
+    def run():
+        _, states = evolve(geo.diffusion, f0, grid, t_max=0.05, dt=2e-3)
+        d = subcommutation_check(geo.diffusion, W, f0, grid, 0.05, 2e-3)
+        return _solver_after_one_step(geo.diffusion, grid, 2e-3), states, d
+
+    kind_cg, states_cg, d_cg = run()
+    monkeypatch.setattr(semigroup, "_CG_PROBE_ITERS", 1)
+    kind_lu, states_lu, d_lu = run()
+    assert (kind_cg, kind_lu) == ("cg", "lu")
+    assert np.max(np.abs(states_cg - states_lu)) <= 1e-10 * np.max(np.abs(states_lu))
+    # the defect is a near-cancelling difference of O(scale) terms, so it is
+    # compared on the scale that the subcommutation threshold uses
+    scale = float(np.max(W.value_at(grid.points) ** 2 * f0.value_at(grid.points) ** 2))
+    assert abs(d_cg - d_lu) <= 1e-10 * scale
 
 
 def test_generator_action_is_consistent(interval_grid):
