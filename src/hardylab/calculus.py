@@ -15,14 +15,12 @@ operations are pure, so concurrent evaluation over points is safe.
 
 from __future__ import annotations
 
-import weakref
-
 import numpy as np
 
 from .errors import DomainError, NumericError, PreconditionError
 from .fields import (ComposeField, FDField, FuncField, ProductField,
-                     ScalarField, SmoothMap, VectorField, as_points, squared,
-                     with_fd)
+                     ScalarField, SmoothMap, VectorField, as_points, memo,
+                     squared, with_fd)
 
 
 class Diffusion:
@@ -85,21 +83,12 @@ class FrameDiffusion(Diffusion):
 
     # -- frame data (memoized against the points-array identity) -------------
 
-    def _memo(self, kind, pts, fn):
-        cache = self.__dict__.get("_frame_memo")
-        if cache is None or cache["ref"]() is not pts:
-            cache = {"ref": weakref.ref(pts)}
-            self.__dict__["_frame_memo"] = cache
-        if kind not in cache:
-            cache[kind] = fn(pts)
-        return cache[kind]
-
     def frame_values(self, pts):
-        return self._memo("C", pts, lambda p: np.stack(
+        return memo(self, "_frame_memo", "C", pts, lambda p: np.stack(
             [X.coeff_values(p) for X in self.frame], axis=0))
 
     def frame_grads(self, pts):
-        return self._memo("G", pts, lambda p: np.stack(
+        return memo(self, "_frame_memo", "G", pts, lambda p: np.stack(
             [X.coeff_grads(p) for X in self.frame], axis=0))
 
     def coefficient_matrix(self, pts):
@@ -107,7 +96,7 @@ class FrameDiffusion(Diffusion):
         def compute(p):
             C = self.frame_values(p)
             return np.einsum("jni,jnk->nik", C, C)
-        return self._memo("A", pts, compute)
+        return memo(self, "_frame_memo", "A", pts, compute)
 
     def coefficient_matrix_grad(self, pts):
         """d_l a_{ik}, shape (n, l, i, k)."""
@@ -116,7 +105,7 @@ class FrameDiffusion(Diffusion):
             G = self.frame_grads(p)  # [j, n, i, l]
             dA = np.einsum("jnil,jnk->nlik", G, C)
             return dA + np.swapaxes(dA, 2, 3)
-        return self._memo("dA", pts, compute)
+        return memo(self, "_frame_memo", "dA", pts, compute)
 
     # -- generator and carre du champ -----------------------------------------
 
@@ -221,6 +210,23 @@ def gamma(diff: Diffusion, f: ScalarField, g: ScalarField | None = None, p=None)
     return float(v[0]) if single else v
 
 
+def weight_side(field: ScalarField, key, pts, fn):
+    """``fn(pts)`` for a quantity of ``field`` that no test function enters,
+    computed once per (field, key, points array).
+
+    A corpus sweep evaluates one weight against many test functions on one
+    grid; this cache keeps the weight's share of that work to one pass.
+    ``key`` names the quantity and every other input it depends on (the
+    diffusion, alpha, Q, beta); ``fields.memo`` sets the cache's lifetime.
+    """
+    return memo(field, "_weight_memo", key, pts, fn)
+
+
+def l_of_square(diff: Diffusion, W: ScalarField, pts):
+    """L(W^2) on pts, once per (diffusion, W, points array)."""
+    return weight_side(W, (diff, "L(W^2)"), pts, lambda p: diff.apply_L(squared(W), p))
+
+
 def gamma_w(diff: Diffusion, W: ScalarField, f: ScalarField, p):
     """The order-zero generalized carre du champ applied to f:
 
@@ -232,7 +238,7 @@ def gamma_w(diff: Diffusion, W: ScalarField, f: ScalarField, p):
     W2 = squared(W)
     f2 = squared(f)
     fv = f.value_at(pts)
-    val = 0.5 * (diff.apply_L(W2, pts) * fv ** 2
+    val = 0.5 * (l_of_square(diff, W, pts) * fv ** 2
                  + 2.0 * diff.gamma(W2, f2, pts)
                  + 2.0 * W2.value_at(pts) * diff.gamma(f, f, pts))
     if not np.all(np.isfinite(np.atleast_1d(val))):

@@ -21,7 +21,7 @@ import numpy as np
 from . import inequalities as ineq
 from .catalog import GeometrySpec, Weight, make_geometry, make_weight
 from .conditions import check_curvature, check_suffcond, qcond_report
-from .errors import UsageError
+from .errors import PreconditionError, UsageError
 from .fields import ComposeField, power_map
 from .grid import default_grid
 from .semigroup import evolve, subcommutation_check
@@ -88,6 +88,8 @@ class RunConfig:
             raw = json.loads(text)
         except json.JSONDecodeError as e:
             raise UsageError(f"config is not valid JSON: {e}") from e
+        if not isinstance(raw, dict):
+            raise UsageError("config must be a JSON object")
         if raw.get("schema") != SCHEMA_VERSION:
             raise UsageError(f"config schema must be {SCHEMA_VERSION}")
         op = raw.get("operation")
@@ -125,6 +127,13 @@ def _build_grid(geo: GeometrySpec, weight, grid_cfg: dict, psi_range, refine: in
     n = tuple(int(k) * refine for k in n)
     return default_grid(geo, weight=weight, bounds=bounds, n=n,
                         excision_radius=grid_cfg.get("excision_radius"))
+
+
+def _multiplier(weight: Weight, params: dict):
+    """The multiplier W: psi, or psi^p when the parameters give p."""
+    if "p" in params:
+        return ComposeField(power_map(float(params["p"])), weight.psi)
+    return weight.psi
 
 
 def _default_psi_range(weight, grid):
@@ -193,9 +202,7 @@ def _dispatch(cfg: RunConfig, refine: int = 1) -> RunResult:
 
     if op == "suffcond":
         gam = float(p.get("gamma", 0.0))
-        W = weight.psi
-        if "p" in p:
-            W = ComposeField(power_map(float(p["p"])), weight.psi)
+        W = _multiplier(weight, p)
         passed, inf_val = check_suffcond(diff, W, grid, gam)
         return RunResult(0 if passed else 1,
                          {"operation": op, "gamma": gam, "inf_value": inf_val,
@@ -204,9 +211,7 @@ def _dispatch(cfg: RunConfig, refine: int = 1) -> RunResult:
 
     if op == "curvature":
         gam = float(p.get("gamma", 0.0))
-        W = weight.psi
-        if "p" in p:
-            W = ComposeField(power_map(float(p["p"])), weight.psi)
+        W = _multiplier(weight, p)
         corpus = polynomial_bump_corpus(grid, int(cfg.corpus.get("size", 20)),
                                         int(cfg.corpus.get("seed", 0)))
         defects = _thread_map(lambda f: check_curvature(diff, W, f, gam, grid), corpus)
@@ -223,6 +228,10 @@ def _dispatch(cfg: RunConfig, refine: int = 1) -> RunResult:
         alpha = float(p.get("alpha", 0.0))
         Q = p.get("Q", weight.claimed_Q if weight else None)
         Q = None if Q is None else float(Q)
+        # one W for the whole corpus, so its field memo and weight-side terms
+        # are computed once
+        if op in ("funcineq", "funcineq-general"):
+            W = _multiplier(weight, p)
 
         def make_report(f):
             if op == "hardy":
@@ -239,13 +248,7 @@ def _dispatch(cfg: RunConfig, refine: int = 1) -> RunResult:
                 return ineq.homogeneous_norm_report(geo, weight, f, grid,
                                                     eps=float(p.get("eps", 1e-3)))
             if op == "funcineq":
-                W = weight.psi
-                if "p" in p:
-                    W = ComposeField(power_map(float(p["p"])), weight.psi)
                 return ineq.funcineq_report(diff, W, float(p.get("gamma", 0.0)), f, grid)
-            W = weight.psi
-            if "p" in p:
-                W = ComposeField(power_map(float(p["p"])), weight.psi)
             return ineq.funcineqgeneral_report(diff, W, float(p.get("beta", 0.0)), f, grid)
 
         rows, worst, reports = _corpus_sweep(cfg, geo, weight, grid, make_report)
@@ -287,9 +290,7 @@ def _dispatch(cfg: RunConfig, refine: int = 1) -> RunResult:
         psi_range = p.get("psi_range") or _default_psi_range(weight, grid)
         f0 = bump_corpus(weight.psi, grid, 1, int(cfg.corpus.get("seed", 0)),
                          tuple(psi_range))[0]
-        W = weight.psi
-        if "p" in p:
-            W = ComposeField(power_map(float(p["p"])), weight.psi)
+        W = _multiplier(weight, p)
         t = float(p.get("t_max", 0.05))
         dt = float(p.get("dt", 1e-3))
         defect = subcommutation_check(diff, W, f0, grid, t, dt,
@@ -378,10 +379,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg.corpus["seed"] = args.seed
         result = run(cfg, refine=args.refine)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
+    except (UsageError, PreconditionError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

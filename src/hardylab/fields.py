@@ -23,6 +23,24 @@ from .errors import DomainError
 DEFAULT_FD_STEP = 1e-4
 
 
+def memo(owner, slot: str, key, pts, fn):
+    """``fn(pts)``, cached in ``owner.__dict__[slot]`` under ``key``.
+
+    The slot holds a weak reference to one points array and the values
+    computed on it; asking about any other array empties the slot first, so
+    a refined grid never sees a coarse grid's values.  Two threads may
+    compute the same entry at once; both store the same value.
+    """
+    entry = owner.__dict__.get(slot)
+    if entry is None or entry[0]() is not pts:
+        entry = (weakref.ref(pts), {})
+        owner.__dict__[slot] = entry
+    values = entry[1]
+    if key not in values:
+        values[key] = fn(pts)
+    return values[key]
+
+
 def as_points(x, dim: int | None = None):
     """Normalize ``x`` to a float array of shape (n, m).
 
@@ -106,22 +124,39 @@ def exp_map() -> SmoothMap:
     return SmoothMap(np.exp, np.exp, np.exp, "exp")
 
 
+def _inside_unit(poly):
+    """poly(u) where |u| < 1 and 0 elsewhere, computing poly only inside.
+
+    A 0-d input keeps numpy's scalar arithmetic, whose ``**`` may round
+    differently from the array loop.
+    """
+
+    def masked(u):
+        if np.ndim(u) == 0:
+            return np.where(np.abs(u) < 1.0, poly(u), 0.0)
+        u = np.asarray(u)
+        inside = np.abs(u) < 1.0
+        out = np.zeros(u.shape)
+        out[inside] = poly(u[inside])
+        return out
+
+    return masked
+
+
 def poly_bump_map() -> SmoothMap:
     """The C^2 bump u -> (1 - u^2)^3 on |u| <= 1, zero outside."""
 
     def f(u):
-        t = 1.0 - u ** 2
-        return np.where(np.abs(u) < 1.0, t ** 3, 0.0)
+        return (1.0 - u ** 2) ** 3
 
     def d1(u):
-        t = 1.0 - u ** 2
-        return np.where(np.abs(u) < 1.0, -6.0 * u * t ** 2, 0.0)
+        return -6.0 * u * (1.0 - u ** 2) ** 2
 
     def d2(u):
         t = 1.0 - u ** 2
-        return np.where(np.abs(u) < 1.0, t * (30.0 * u ** 2 - 6.0), 0.0)
+        return t * (30.0 * u ** 2 - 6.0)
 
-    return SmoothMap(f, d1, d2, "bump")
+    return SmoothMap(_inside_unit(f), _inside_unit(d1), _inside_unit(d2), "bump")
 
 
 def bump_window_map(a: float, b: float) -> SmoothMap:
@@ -254,23 +289,14 @@ class ScalarField:
 
     # -- memoized accessors (same points-array object => cached result) ------
 
-    def _memo(self, kind, pts, fn):
-        cache = self.__dict__.get("_eval_memo")
-        if cache is None or cache["ref"]() is not pts:
-            cache = {"ref": weakref.ref(pts)}
-            self.__dict__["_eval_memo"] = cache
-        if kind not in cache:
-            cache[kind] = fn(pts)
-        return cache[kind]
-
     def value_at(self, pts):
-        return self._memo("v", pts, self._value)
+        return memo(self, "_eval_memo", "v", pts, self._value)
 
     def grad_at(self, pts):
-        return self._memo("g", pts, self._grad)
+        return memo(self, "_eval_memo", "g", pts, self._grad)
 
     def hess_at(self, pts):
-        return self._memo("h", pts, self._hess)
+        return memo(self, "_eval_memo", "h", pts, self._hess)
 
     # -- implementation hooks -----------------------------------------------
 

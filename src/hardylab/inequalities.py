@@ -13,6 +13,17 @@ the families
   funcineq:          int L(W^2) f^2 <= 2 int W^2 G(f) - 2 gamma int W^2 f^2
   homo-norm:         f^2/rho^2 against the kappa-assembled constant
 
+A corpus sweep calls one report per test function on the same grid and
+weight, so everything no test function enters is computed once per (grid,
+weight) and cached on the weight's field for that points array: G(psi),
+psi^a, the left-side weights psi^a G(psi)/psi^2 and
+psi^a G(psi)^2/psi^2, W^2 and L(W^2) (and the beta family's W terms), the
+secondary-condition defect G(psi, G(psi)), the Euler-identity defect
+D psi - psi and the kappa estimates.  Keys carry every parameter a value
+depends on (the diffusion, alpha, Q, beta; p through W itself).  Only the
+inputs of the checks are cached: every report still compares them against
+its own tolerance and raises on its own.
+
 ``estimate_best_constant`` runs a Rayleigh-quotient search over smoothed
 truncations of the near-optimal power profile; the supremum approaches the
 sharp constant only as the support's log-width grows, which is why the
@@ -25,10 +36,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import Diffusion
+from .calculus import Diffusion, l_of_square, weight_side
 from .catalog import GeometrySpec, Weight, as_diffusion, estimate_kappa, make_weight
 from .errors import DegenerateInputError, PreconditionError, UsageError
-from .fields import ScalarField, squared
+from .fields import ScalarField
 from .grid import Grid, integrate
 from .operators import dilation_operator
 from .testfunctions import smoothed_power
@@ -82,6 +93,12 @@ def _masked_product(vals, weight_vals):
     return out
 
 
+def _masked_log(vals, pv):
+    """log psi where vals != 0 and 1 elsewhere, so log psi is only taken
+    on a test function's support (one side of {psi = 1})."""
+    return np.where(vals != 0.0, np.log(np.where(vals != 0.0, pv, 1.0)), 1.0)
+
+
 def _support_side(psi_vals, fv):
     """Which side of {psi = 1} carries f; raises if the support crosses it."""
     nz = fv != 0.0
@@ -94,6 +111,28 @@ def _support_side(psi_vals, fv):
     return "lower" if below else "upper"
 
 
+# -- weight-side terms: once per (field, key, points array) -----------------
+
+def _gamma_psi(diff: Diffusion, psi: ScalarField, pts):
+    return weight_side(psi, (diff, "Gamma"), pts, lambda p: diff.gamma(psi, psi, p))
+
+
+def _power(psi: ScalarField, a: float, pts):
+    return weight_side(psi, ("power", a), pts, lambda p: psi.value_at(p) ** a)
+
+
+def _hardy_lhs_weight(diff: Diffusion, psi: ScalarField, alpha: float, pts):
+    """psi^alpha Gamma(psi) / psi^2."""
+    return weight_side(psi, (diff, "hardy", alpha), pts, lambda p: _power(psi, alpha, p)
+                        * _gamma_psi(diff, psi, p) / psi.value_at(p) ** 2)
+
+
+def _radial_lhs_weight(diff: Diffusion, psi: ScalarField, alpha: float, pts):
+    """psi^alpha Gamma(psi)^2 / psi^2."""
+    return weight_side(psi, (diff, "radial", alpha), pts, lambda p: _power(psi, alpha, p)
+                        * _gamma_psi(diff, psi, p) ** 2 / psi.value_at(p) ** 2)
+
+
 def hardy_report(geo, psi: Weight, Q: float, alpha: float, f: ScalarField,
                  grid: Grid) -> HardyReport:
     """General weighted Hardy inequality with constant (2/(Q + alpha - 2))^2."""
@@ -104,11 +143,9 @@ def hardy_report(geo, psi: Weight, Q: float, alpha: float, f: ScalarField,
     _require_support(grid, f)
     pts = grid.points
     fv = f.value_at(pts)
-    pv = psi.psi.value_at(pts)
-    gpsi = diff.gamma(psi.psi, psi.psi, pts)
-    lhs = integrate(grid, _masked_quadratic(fv, pv ** alpha * gpsi / pv ** 2))
+    lhs = integrate(grid, _masked_quadratic(fv, _hardy_lhs_weight(diff, psi.psi, alpha, pts)))
     const = (2.0 / (Q + alpha - 2.0)) ** 2
-    rhs = const * integrate(grid, pv ** alpha * diff.gamma(f, f, pts))
+    rhs = const * integrate(grid, _power(psi.psi, alpha, pts) * diff.gamma(f, f, pts))
     return HardyReport("hardy", lhs, rhs, const, _ratio(lhs, rhs),
                        {"Q": Q, "alpha": alpha, "weight": psi.name})
 
@@ -125,14 +162,13 @@ def log_hardy_report(geo, psi: Weight, alpha: float, f: ScalarField,
     fv = f.value_at(pts)
     pv = psi.psi.value_at(pts)
     _support_side(pv, fv)
-    gpsi = diff.gamma(psi.psi, psi.psi, pts)
-    logs = np.where(fv != 0.0, np.log(np.where(fv != 0.0, pv, 1.0)), 1.0)
+    gpsi = _gamma_psi(diff, psi.psi, pts)
+    logs = _masked_log(fv, pv)
     la = np.abs(logs) ** alpha
     lhs = integrate(grid, _masked_quadratic(fv, la * gpsi / (pv ** 2 * logs ** 2)))
     const = (2.0 / (alpha - 1.0)) ** 2
     gf = diff.gamma(f, f, pts)
-    la_full = np.abs(np.where(gf != 0.0, np.log(np.where(gf != 0.0, pv, 1.0)), 1.0)) ** alpha
-    rhs = const * integrate(grid, _masked_product(gf, la_full))
+    rhs = const * integrate(grid, _masked_product(gf, np.abs(_masked_log(gf, pv)) ** alpha))
     return HardyReport("log-hardy", lhs, rhs, const, _ratio(lhs, rhs),
                        {"alpha": alpha, "weight": psi.name})
 
@@ -151,23 +187,34 @@ def weighted_log_hardy_report(geo, psi: Weight, Q: float, alpha: float,
     fv = f.value_at(pts)
     pv = psi.psi.value_at(pts)
     _support_side(pv, fv)
-    gpsi = diff.gamma(psi.psi, psi.psi, pts)
-    logs = np.where(fv != 0.0, np.log(np.where(fv != 0.0, pv, 1.0)), 1.0)
+    gpsi = _gamma_psi(diff, psi.psi, pts)
+    logs = _masked_log(fv, pv)
     la = np.abs(logs) ** alpha
-    w = pv ** (2.0 - Q)
+    w = _power(psi.psi, 2.0 - Q, pts)
     lhs = integrate(grid, _masked_quadratic(fv, w * la * gpsi / (pv ** 2 * logs ** 2)))
     const = (2.0 / (alpha - 1.0)) ** 2
     gf = diff.gamma(f, f, pts)
-    la_full = np.abs(np.where(gf != 0.0, np.log(np.where(gf != 0.0, pv, 1.0)), 1.0)) ** alpha
-    rhs = const * integrate(grid, _masked_product(gf, pv ** (2.0 - Q) * la_full))
+    la_full = np.abs(_masked_log(gf, pv)) ** alpha
+    rhs = const * integrate(grid, _masked_product(gf, w * la_full))
     return HardyReport("weighted-log-hardy", lhs, rhs, const, _ratio(lhs, rhs),
                        {"Q": Q, "alpha": alpha, "weight": psi.name})
 
 
 def secondary_condition_defect(diff: Diffusion, psi: ScalarField, pts) -> float:
-    """max |Gamma(psi, Gamma(psi))| over the points."""
-    gfield = diff.gamma_field(psi, psi)
-    return float(np.max(np.abs(diff.gamma(psi, gfield, pts))))
+    """max |Gamma(psi, Gamma(psi))| over the points, computed once per
+    (diffusion, psi, points array)."""
+
+    def compute(p):
+        return float(np.max(np.abs(diff.gamma(psi, diff.gamma_field(psi, psi), p))))
+
+    return weight_side(psi, (diff, "secondary"), np.asarray(pts, dtype=float), compute)
+
+
+def _require_secondary(diff: Diffusion, psi: ScalarField, pts, tol: float):
+    defect = secondary_condition_defect(diff, psi, pts)
+    if defect > tol:
+        raise PreconditionError(
+            f"Gamma(psi, Gamma(psi)) = {defect:.3e} exceeds tolerance {tol:.1e}")
 
 
 def radial_hardy_report(geo, psi: Weight, Q: float, alpha: float, f: ScalarField,
@@ -180,17 +227,12 @@ def radial_hardy_report(geo, psi: Weight, Q: float, alpha: float, f: ScalarField
     diff = as_diffusion(geo)
     _require_support(grid, f)
     pts = grid.points
-    defect = secondary_condition_defect(diff, psi.psi, pts)
-    if defect > secondary_tol:
-        raise PreconditionError(
-            f"Gamma(psi, Gamma(psi)) = {defect:.3e} exceeds tolerance {secondary_tol:.1e}")
+    _require_secondary(diff, psi.psi, pts, secondary_tol)
     fv = f.value_at(pts)
-    pv = psi.psi.value_at(pts)
-    gpsi = diff.gamma(psi.psi, psi.psi, pts)
-    lhs = integrate(grid, _masked_quadratic(fv, pv ** alpha * gpsi ** 2 / pv ** 2))
+    lhs = integrate(grid, _masked_quadratic(fv, _radial_lhs_weight(diff, psi.psi, alpha, pts)))
     const = (2.0 / (Q + alpha - 2.0)) ** 2
     zf = diff.gamma(psi.psi, f, pts)
-    rhs = const * integrate(grid, pv ** alpha * zf ** 2)
+    rhs = const * integrate(grid, _power(psi.psi, alpha, pts) * zf ** 2)
     return HardyReport("radial", lhs, rhs, const, _ratio(lhs, rhs),
                        {"Q": Q, "alpha": alpha, "weight": psi.name})
 
@@ -205,24 +247,36 @@ def radial_log_hardy_report(geo, psi: Weight, Q: float, alpha: float,
     diff = as_diffusion(geo)
     _require_support(grid, f)
     pts = grid.points
-    defect = secondary_condition_defect(diff, psi.psi, pts)
-    if defect > secondary_tol:
-        raise PreconditionError(
-            f"Gamma(psi, Gamma(psi)) = {defect:.3e} exceeds tolerance {secondary_tol:.1e}")
+    _require_secondary(diff, psi.psi, pts, secondary_tol)
     fv = f.value_at(pts)
     pv = psi.psi.value_at(pts)
     _support_side(pv, fv)
-    gpsi = diff.gamma(psi.psi, psi.psi, pts)
-    logs = np.where(fv != 0.0, np.log(np.where(fv != 0.0, pv, 1.0)), 1.0)
+    gpsi = _gamma_psi(diff, psi.psi, pts)
+    logs = _masked_log(fv, pv)
     la = np.abs(logs) ** alpha
-    w = pv ** (2.0 - Q)
+    w = _power(psi.psi, 2.0 - Q, pts)
     lhs = integrate(grid, _masked_quadratic(fv, w * la * gpsi ** 2 / (pv ** 2 * logs ** 2)))
     const = (2.0 / (alpha - 1.0)) ** 2
     zf2 = diff.gamma(psi.psi, f, pts) ** 2
-    la_full = np.abs(np.where(zf2 != 0.0, np.log(np.where(zf2 != 0.0, pv, 1.0)), 1.0)) ** alpha
-    rhs = const * integrate(grid, _masked_product(zf2, pv ** (2.0 - Q) * la_full))
+    la_full = np.abs(_masked_log(zf2, pv)) ** alpha
+    rhs = const * integrate(grid, _masked_product(zf2, w * la_full))
     return HardyReport("radial-log", lhs, rhs, const, _ratio(lhs, rhs),
                        {"Q": Q, "alpha": alpha, "weight": psi.name})
+
+
+def _require_euler(geo: GeometrySpec, dil, psi: ScalarField, pts, tol: float):
+    """Check the Euler identity D psi = psi on the grid, relative to max |psi|;
+    the defect is computed once per (geometry, psi, points array)."""
+
+    def compute(p):
+        pv = psi.value_at(p)
+        scale = max(float(np.max(np.abs(pv))), 1.0)
+        return float(np.max(np.abs(dil.dilation.apply(psi, p) - pv))), scale
+
+    defect, scale = weight_side(psi, (as_diffusion(geo), "euler"), pts, compute)
+    if defect > tol * scale:
+        raise PreconditionError("Euler identity D psi = psi fails on the grid; "
+                                "the weight is not a homogeneous quasinorm")
 
 
 def dilation_hardy_report(geo: GeometrySpec, psi: Weight, alpha: float,
@@ -238,17 +292,13 @@ def dilation_hardy_report(geo: GeometrySpec, psi: Weight, alpha: float,
         raise UsageError("alpha = -Q_hom is excluded for the dilation family")
     _require_support(grid, f)
     pts = grid.points
-    pv = psi.psi.value_at(pts)
-    dpsi = dil.dilation.apply(psi.psi, pts)
-    scale = max(float(np.max(np.abs(pv))), 1.0)
-    if float(np.max(np.abs(dpsi - pv))) > euler_tol * scale:
-        raise PreconditionError("Euler identity D psi = psi fails on the grid; "
-                                "the weight is not a homogeneous quasinorm")
+    _require_euler(geo, dil, psi.psi, pts, euler_tol)
     fv = f.value_at(pts)
-    lhs = integrate(grid, _masked_quadratic(fv, pv ** alpha))
+    pa = _power(psi.psi, alpha, pts)
+    lhs = integrate(grid, _masked_quadratic(fv, pa))
     const = (2.0 / (dil.Q_hom + alpha)) ** 2
     df = dil.dilation.apply(f, pts)
-    rhs = const * integrate(grid, pv ** alpha * df ** 2)
+    rhs = const * integrate(grid, pa * df ** 2)
     return HardyReport("dilation", lhs, rhs, const, _ratio(lhs, rhs),
                        {"Q_hom": dil.Q_hom, "alpha": alpha, "weight": psi.name})
 
@@ -262,20 +312,18 @@ def dilation_log_hardy_report(geo: GeometrySpec, psi: Weight, alpha: float,
     dil = dilation_operator(geo)
     _require_support(grid, f)
     pts = grid.points
+    _require_euler(geo, dil, psi.psi, pts, euler_tol)
     pv = psi.psi.value_at(pts)
-    dpsi = dil.dilation.apply(psi.psi, pts)
-    scale = max(float(np.max(np.abs(pv))), 1.0)
-    if float(np.max(np.abs(dpsi - pv))) > euler_tol * scale:
-        raise PreconditionError("Euler identity D psi = psi fails on the grid")
     fv = f.value_at(pts)
     _support_side(pv, fv)
-    logs = np.where(fv != 0.0, np.log(np.where(fv != 0.0, pv, 1.0)), 1.0)
+    logs = _masked_log(fv, pv)
     la = np.abs(logs) ** alpha
-    lhs = integrate(grid, _masked_quadratic(fv, pv ** (-dil.Q_hom) * la / logs ** 2))
+    w = _power(psi.psi, -dil.Q_hom, pts)
+    lhs = integrate(grid, _masked_quadratic(fv, w * la / logs ** 2))
     const = (2.0 / (alpha - 1.0)) ** 2
     df2 = dil.dilation.apply(f, pts) ** 2
-    la_full = np.abs(np.where(df2 != 0.0, np.log(np.where(df2 != 0.0, pv, 1.0)), 1.0)) ** alpha
-    rhs = const * integrate(grid, _masked_product(df2, pv ** (-dil.Q_hom) * la_full))
+    la_full = np.abs(_masked_log(df2, pv)) ** alpha
+    rhs = const * integrate(grid, _masked_product(df2, w * la_full))
     return HardyReport("dilation-log", lhs, rhs, const, _ratio(lhs, rhs),
                        {"Q_hom": dil.Q_hom, "alpha": alpha, "weight": psi.name})
 
@@ -288,9 +336,8 @@ def funcineq_report(diff, W: ScalarField, gamma: float, f: ScalarField,
     _require_support(grid, f)
     pts = grid.points
     fv = f.value_at(pts)
-    W2 = squared(W)
-    lhs = integrate(grid, _masked_quadratic(fv, diff.apply_L(W2, pts)))
-    wv2 = W.value_at(pts) ** 2
+    lhs = integrate(grid, _masked_quadratic(fv, l_of_square(diff, W, pts)))
+    wv2 = _power(W, 2, pts)
     rhs = 2.0 * integrate(grid, wv2 * diff.gamma(f, f, pts)) \
         - 2.0 * gamma * integrate(grid, _masked_quadratic(fv, wv2))
     return HardyReport("funcineq", lhs, rhs, 1.0, _ratio(lhs, rhs),
@@ -306,13 +353,17 @@ def funcineqgeneral_report(diff, W: ScalarField, beta: float, f: ScalarField,
     _require_support(grid, f)
     pts = grid.points
     fv = f.value_at(pts)
-    wv = W.value_at(pts)
-    lw = diff.apply_L(W, pts)
-    gw = diff.gamma(W, W, pts)
-    lhs = (1.0 - beta) * integrate(grid, _masked_quadratic(fv, wv ** (1.0 - 2.0 * beta) * lw)) \
-        + (beta ** 2 - beta + 1.0) * integrate(grid, _masked_quadratic(fv, wv ** (-2.0 * beta) * gw))
+
+    def lhs_weights(p):
+        lw = diff.apply_L(W, p)
+        return (_power(W, 1.0 - 2.0 * beta, p) * lw,
+                _power(W, -2.0 * beta, p) * _gamma_psi(diff, W, p))
+
+    lw_term, gw_term = weight_side(W, (diff, "general", beta), pts, lhs_weights)
+    lhs = (1.0 - beta) * integrate(grid, _masked_quadratic(fv, lw_term)) \
+        + (beta ** 2 - beta + 1.0) * integrate(grid, _masked_quadratic(fv, gw_term))
     gf = diff.gamma(f, f, pts)
-    rhs = integrate(grid, _masked_product(gf, wv ** (2.0 - 2.0 * beta)))
+    rhs = integrate(grid, _masked_product(gf, _power(W, 2.0 - 2.0 * beta, pts)))
     return HardyReport("funcineq-general", lhs, rhs, 1.0, _ratio(lhs, rhs),
                        {"beta": beta})
 
@@ -326,7 +377,8 @@ def homogeneous_norm_report(geo: GeometrySpec, rho: Weight, f: ScalarField,
     (2/(n_0-2))^2 k^2(|x_0|) k^2(rho); for n_0 <= 2 the single-coordinate
     route gives 4 k^2(|x_{0,1}|) k^2(rho).  ``eps`` names the shift used in
     the underlying one-sided comparison; the reported constant is its
-    eps -> 0 limit.
+    eps -> 0 limit.  The kappa estimates are made once per (geometry, rho,
+    points array).
     """
     diff = as_diffusion(geo)
     _require_support(grid, f)
@@ -335,24 +387,29 @@ def homogeneous_norm_report(geo: GeometrySpec, rho: Weight, f: ScalarField,
     hor = [i for i, s in enumerate(geo.stratification) if s == 0]
     n0 = len(hor)
     if geo.name == "heisenberg":
-        nw = make_weight(geo, "koranyi-gauge")
+        gauge = "koranyi-gauge"
     elif geo.name == "euclidean":
-        nw = make_weight(geo, "euclid-norm")
+        gauge = "euclid-norm"
     else:
         raise UsageError(f"no gauge available on {geo.name!r} for the kappa estimate")
     if n0 >= 3:
         branch_const = (2.0 / (n0 - 2.0)) ** 2
-        comp = make_weight(geo, "horizontal-norm", indices=hor)
+        comp_name, comp_params = "horizontal-norm", {"indices": hor}
     else:
         branch_const = 4.0
-        comp = make_weight(geo, "coordinate", index=hor[0])
-    k_comp = estimate_kappa(comp, nw, grid)
-    k_rho = estimate_kappa(rho, nw, grid)
-    const = branch_const * k_comp ** 2 * k_rho ** 2
+        comp_name, comp_params = "coordinate", {"index": hor[0]}
+
+    def kappas(p):
+        nw = make_weight(geo, gauge)
+        comp = make_weight(geo, comp_name, **comp_params)
+        return estimate_kappa(comp, nw, grid), estimate_kappa(rho, nw, grid)
+
     pts = grid.points
+    k_comp, k_rho = weight_side(rho.psi, (diff, "kappa"), pts, kappas)
+    const = branch_const * k_comp ** 2 * k_rho ** 2
     fv = f.value_at(pts)
-    rv = rho.psi.value_at(pts)
-    lhs = integrate(grid, _masked_quadratic(fv, 1.0 / rv ** 2))
+    lhs = integrate(grid, _masked_quadratic(fv, weight_side(
+        rho.psi, "1/rho^2", pts, lambda p: 1.0 / rho.psi.value_at(p) ** 2)))
     rhs = const * integrate(grid, diff.gamma(f, f, pts))
     return HardyReport("homo-norm", lhs, rhs, const, _ratio(lhs, rhs),
                        {"n0": n0, "kappa_comp": k_comp, "kappa_rho": k_rho,
@@ -368,10 +425,8 @@ def rayleigh_ratio(geo, psi: Weight, alpha: float, f: ScalarField, grid: Grid) -
     diff = as_diffusion(geo)
     pts = grid.points
     fv = f.value_at(pts)
-    pv = psi.psi.value_at(pts)
-    gpsi = diff.gamma(psi.psi, psi.psi, pts)
-    num = integrate(grid, _masked_quadratic(fv, pv ** alpha * gpsi / pv ** 2))
-    den = integrate(grid, pv ** alpha * diff.gamma(f, f, pts))
+    num = integrate(grid, _masked_quadratic(fv, _hardy_lhs_weight(diff, psi.psi, alpha, pts)))
+    den = integrate(grid, _power(psi.psi, alpha, pts) * diff.gamma(f, f, pts))
     if den <= 0:
         raise DegenerateInputError("trial function has vanishing energy")
     return num / den

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .calculus import Diffusion, FrameDiffusion
-from .errors import NumericError, PreconditionError, UsageError
+from .errors import PreconditionError, UsageError
 from .fields import (AffineField, ComposeField, ConstField, ProductField,
                      ScalarField, VectorField, as_points, exp_map)
 
@@ -189,9 +189,3 @@ def dilation_operator(geo) -> DilationDiffusion:
         coeffs.append(AffineField(w))
     return DilationDiffusion(VectorField(coeffs), geo.Q_hom, m)
 
-
-def drifted_measure_overflow_check(diff: DriftedDiffusion, pts) -> None:
-    """Raise if e^sigma overflows at any masked point."""
-    vals = diff.measure_density.value_at(pts)
-    if not np.all(np.isfinite(vals[diff.domain(pts)])):
-        raise NumericError("e^sigma overflow in drifted measure density")

@@ -100,27 +100,6 @@ def _interior_box(grid, rng):
     return box
 
 
-def annulus_corpus(psi: ScalarField, grid, n: int, seed: int,
-                   psi_range: tuple[float, float], min_rel_width: float = 0.15):
-    """Pure psi-annulus bumps (no box factor); for weights whose sublevel
-    sets are already compact inside the grid."""
-    rng = np.random.default_rng(seed)
-    lo_psi, hi_psi = float(psi_range[0]), float(psi_range[1])
-    out = []
-    attempts = 0
-    while len(out) < n:
-        attempts += 1
-        if attempts > 50 * n:
-            raise UsageError("could not place the requested corpus inside the grid")
-        width = hi_psi - lo_psi
-        w = width * (min_rel_width + (1.0 - min_rel_width) * rng.random())
-        a = lo_psi + (width - w) * rng.random()
-        f = radial_bump(psi, a, a + w)
-        if np.abs(f.value_at(grid.points)).max() > 1e-6 and grid.supports(f):
-            out.append(f)
-    return out
-
-
 def random_polynomial(dim: int, degree: int, rng) -> PolyField:
     """Random dense polynomial with standard-normal coefficients."""
     terms = []

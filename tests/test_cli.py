@@ -200,3 +200,64 @@ def test_evolve_and_subcommutation_operations(tmp_path, capsys):
     assert main(["run", "--config", cfg2]) == 0
     summary = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
     assert summary["verdict"] == "pass"
+
+
+SMALL_RADIAL = {
+    "schema": 1,
+    "geometry": {"name": "euclidean-radial", "params": {"m": 3}},
+    "weight": {"name": "euclid-norm"},
+    "parameters": {"t_max": 0.005, "psi_range": [1.0, 3.0]},
+    "grid": {"bounds": [[0.2, 6.0]], "n": 64},
+    "corpus": {"seed": 5},
+}
+
+
+@pytest.mark.parametrize("operation", ["evolve", "subcommutation"])
+@pytest.mark.parametrize("dt", [0.0, -1e-3])
+def test_nonpositive_dt_exits_2(tmp_path, capsys, operation, dt):
+    payload = dict(SMALL_RADIAL, operation=operation,
+                   parameters=dict(SMALL_RADIAL["parameters"], dt=dt))
+    cfg = write_config(tmp_path, payload)
+    assert main(["run", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_bounds_of_wrong_dimension_exit_2(tmp_path, capsys):
+    payload = dict(BASE_QCOND, grid={"bounds": [[-2, 2], [-2, 2]], "n": 16})
+    cfg = write_config(tmp_path, payload)
+    assert main(["run", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_config_that_is_not_an_object_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(UsageError, match="JSON object"):
+        RunConfig.from_json(json.dumps([BASE_QCOND]))
+    path = tmp_path / "array.json"
+    path.write_text("[1, 2]")
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("operation,parameters", [
+    ("radial", {"alpha": 0.5}),
+    ("funcineq", {"p": 0.5, "gamma": 0.0}),
+])
+def test_thread_count_keeps_cached_sweeps_identical(tmp_path, monkeypatch,
+                                                   operation, parameters):
+    # the corpus workers share the per-(grid, weight) terms of the reports
+    payload = {
+        "schema": 1,
+        "geometry": {"name": "euclidean", "params": {"m": 3}},
+        "weight": {"name": "euclid-norm"},
+        "operation": operation,
+        "parameters": dict(parameters, psi_range=[0.5, 1.6]),
+        "grid": {"bounds": [[-2, 2]] * 3, "n": 20, "excision_radius": 0.25},
+        "corpus": {"seed": 4, "size": 8},
+    }
+    cfg = write_config(tmp_path, payload)
+    out1, out2 = str(tmp_path / "one.csv"), str(tmp_path / "two.csv")
+    assert main(["run", "--config", cfg, "--out", out1]) == 0
+    monkeypatch.setenv("HARDYLAB_THREADS", "3")
+    assert main(["run", "--config", cfg, "--out", out2]) == 0
+    assert open(out1, "rb").read() == open(out2, "rb").read()

@@ -116,3 +116,26 @@ def test_fd_field_drops_closed_forms():
     assert not fd.has_closed_grad()
     pts = RNG.uniform(0.5, 1.5, size=(10, 3))
     assert np.max(np.abs(fd._grad(pts) - r._grad(pts))) < 1e-6
+
+
+def _unmasked_bump(u):
+    """The bump map's formulas evaluated everywhere, then masked."""
+    t = 1.0 - u ** 2
+    inside = np.abs(u) < 1.0
+    return (np.where(inside, t ** 3, 0.0),
+            np.where(inside, -6.0 * u * t ** 2, 0.0),
+            np.where(inside, t * (30.0 * u ** 2 - 6.0), 0.0))
+
+
+def test_masked_bump_map_is_bitwise_the_unmasked_formula():
+    B = poly_bump_map()
+    vectors = [np.array([-1.5, -1.0, -0.3, 0.0, 0.7, 1.0, 2.0]),
+               RNG.uniform(-1.3, 1.3, size=5000)]
+    # numpy's scalar ** can round differently from its array loop (it does
+    # at these values on AVX-512 builds), so 0-d inputs need their own path
+    scalars = [np.float64(0.226), np.array(0.705), -0.986, np.float64(0.3), 1.0]
+    for u in vectors + scalars:
+        for got, want in zip((B.f(u), B.d1(u), B.d2(u)), _unmasked_bump(u)):
+            got, want = np.asarray(got), np.asarray(want)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()

@@ -1,11 +1,15 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 import hardylab as hl
 from hardylab.errors import PreconditionError, UsageError
 from hardylab.fields import (ComposeField, QuotientField, SquareNormField,
-                             power_map)
+                             poly_bump_map, power_map)
 from hardylab.inequalities import (PowerTrialFamily, dilation_hardy_report,
+                                   dilation_log_hardy_report,
                                    estimate_best_constant, funcineq_report,
                                    funcineqgeneral_report, hardy_report,
                                    homogeneous_norm_report, log_hardy_report,
@@ -151,6 +155,14 @@ def test_radial_hardy_rejects_failing_secondary_condition():
     w = hl.Weight("aniso", aniso, None, "{0}")
     grid = hl.default_grid(geo, w, bounds=[(-2, 2)] * 2, n=64, excision_radius=0.2)
     f = radial_bump(aniso, 0.8, 1.5)
+    # the defect is computed once per grid, but every call checks it
+    for _ in range(3):
+        with pytest.raises(PreconditionError, match="Gamma"):
+            radial_hardy_report(geo, w, 2.5, 0.0, f, grid)
+        with pytest.raises(PreconditionError, match="Gamma"):
+            radial_log_hardy_report(geo, w, 2.5, 0.0, f, grid)
+    # against its own tolerance
+    assert radial_hardy_report(geo, w, 2.5, 0.0, f, grid, secondary_tol=1e3).lhs > 0
     with pytest.raises(PreconditionError):
         radial_hardy_report(geo, w, 2.5, 0.0, f, grid)
 
@@ -177,8 +189,11 @@ def test_dilation_hardy_oracle_and_exclusions(eu3):
     with pytest.raises(UsageError):
         dilation_hardy_report(geo, w, -3.0, f, grid)
     not_homogeneous = hl.Weight("r2", SquareNormField(), None, "{0}")
-    with pytest.raises(PreconditionError):
-        dilation_hardy_report(geo, not_homogeneous, 0.0, radial_bump(SquareNormField(), 1.0, 2.0), grid)
+    g = radial_bump(SquareNormField(), 1.0, 2.0)
+    for _ in range(2):
+        with pytest.raises(PreconditionError):
+            dilation_hardy_report(geo, not_homogeneous, 0.0, g, grid)
+    assert dilation_hardy_report(geo, not_homogeneous, 0.0, g, grid, euler_tol=1e3).lhs > 0
 
 
 def test_dilation_hardy_heisenberg(h1):
@@ -309,3 +324,140 @@ def test_estimate_best_constant_monotone_in_family(eu3):
         sups.append(sup)
     assert sups == sorted(sups)
     assert sups[-1] <= 4.0 + 1e-9
+
+
+def _dilation_log_oracle(a, b, alpha, n=200000):
+    """Both integrals of the dilation-log family on euclidean(3) for the
+    radial bump on r in [a, b], as 1D midpoint sums in s = log r, where
+    psi^-3 dx = 4 pi ds and D f = dg/ds."""
+    B = poly_bump_map()
+    c, rho = 0.5 * (a + b), 0.5 * (b - a)
+    h = np.log(b / a) / n
+    s = np.log(a) + h * (np.arange(n) + 0.5)
+    u = (np.exp(s) - c) / rho
+    g, dg = B.f(u), B.d1(u) * np.exp(s) / rho
+    lhs = 4 * np.pi * h * np.sum(np.abs(s) ** (alpha - 2.0) * g ** 2)
+    rhs_int = 4 * np.pi * h * np.sum(np.abs(s) ** alpha * dg ** 2)
+    return lhs, rhs_int
+
+
+def test_dilation_log_hardy_matches_radial_oracle(eu3):
+    geo, w, _ = eu3
+    grid = hl.default_grid(geo, w, bounds=[(-2.1, 2.1)] * 3, n=56,
+                           excision_radius=0.2)
+    rep = dilation_log_hardy_report(geo, w, 0.0, radial_bump(w.psi, 1.2, 1.9), grid)
+    lhs, rhs_int = _dilation_log_oracle(1.2, 1.9, 0.0)
+    assert rep.inequality_id == "dilation-log"
+    assert rep.constant_used == 4.0
+    assert rep.lhs == pytest.approx(lhs, rel=1e-3)
+    assert rep.rhs == pytest.approx(4.0 * rhs_int, rel=1e-3)
+    assert rep.ratio <= 1.0
+    lower = dilation_log_hardy_report(geo, w, 3.0, radial_bump(w.psi, 0.4, 0.8), grid)
+    assert lower.constant_used == 1.0 and lower.ratio <= 1.0
+    with pytest.raises(PreconditionError, match="psi = 1"):
+        dilation_log_hardy_report(geo, w, 0.0, radial_bump(w.psi, 0.8, 1.6), grid)
+    with pytest.raises(UsageError):
+        dilation_log_hardy_report(geo, w, 1.0, radial_bump(w.psi, 1.2, 1.9), grid)
+    not_homogeneous = hl.Weight("r2", SquareNormField(), None, "{0}")
+    with pytest.raises(PreconditionError, match="Euler"):
+        dilation_log_hardy_report(geo, not_homogeneous, 0.0,
+                                  radial_bump(SquareNormField(), 1.5, 2.5), grid)
+
+
+def _report_values(geo, w, W, grid, f, alpha):
+    reps = [hardy_report(geo, w, 2.5, alpha, f, grid),
+            radial_hardy_report(geo, w, 2.5, alpha, f, grid),
+            dilation_hardy_report(geo, w, alpha, f, grid),
+            rayleigh_ratio(geo, w, alpha, f, grid),
+            weighted_log_hardy_report(geo, w, 3.5 + alpha, 0.0, f, grid),
+            funcineqgeneral_report(geo.diffusion, W, alpha, f, grid)]
+    return [r if isinstance(r, float) else (r.lhs, r.rhs, r.ratio) for r in reps]
+
+
+def test_weight_side_cache_keys_every_parameter(eu3):
+    geo, w, _ = eu3
+
+    def build():
+        return hl.default_grid(geo, w, bounds=[(-2, 2)] * 3, n=20,
+                               excision_radius=0.3)
+
+    grid = build()
+    f = radial_bump(w.psi, 1.05, 1.45)
+    W = ComposeField(power_map(0.5), w.psi)
+    shared = {a: _report_values(geo, w, W, grid, f, a) for a in (-1.0, 0.0, 2.0)}
+    for a in (2.0, -1.0, 0.0):
+        assert shared[a] == _report_values(geo, w, W, build(), f, a)
+    assert shared[0.0] != shared[2.0]
+
+
+def test_weight_side_cache_follows_the_grid(eu3):
+    geo, w, _ = eu3
+    grid = hl.default_grid(geo, w, bounds=[(-2, 2)] * 3, n=16, excision_radius=0.3)
+    fine = grid.refined()
+    f = radial_bump(w.psi, 1.05, 1.45)
+    W = ComposeField(power_map(0.5), w.psi)
+    cached = [_report_values(geo, w, W, g, f, 0.5) for g in (grid, fine, grid)]
+    fresh = []
+    for g in (grid, fine, grid):
+        # new weight objects start with empty caches
+        w_new = hl.make_weight(geo, "euclid-norm")
+        fresh.append(_report_values(geo, w_new, ComposeField(power_map(0.5), w_new.psi),
+                                    g, f, 0.5))
+    assert cached == fresh
+    assert cached[0] == cached[2] != cached[1]
+
+
+def test_weight_side_cache_keys_the_diffusion(eu3, h1):
+    # one weight and one points array, two diffusions with different Gamma
+    geo, w, _ = eu3
+    geo_h = h1[0]
+
+    def build():
+        return hl.default_grid(geo, w, bounds=[(-2, 2)] * 3, n=16,
+                               excision_radius=0.3)
+
+    W = ComposeField(power_map(0.5), w.psi)
+
+    def values(g, grid):
+        return [(r.lhs, r.rhs) for r in (
+            hardy_report(g, w, 2.5, 0.5, f, grid),
+            funcineq_report(g.diffusion, W, 0.0, f, grid))]
+
+    grid = build()
+    f = radial_bump(w.psi, 1.05, 1.45)
+    shared = [values(g, grid) for g in (geo, geo_h)]
+    assert shared == [values(g, build()) for g in (geo, geo_h)]
+    assert shared[0] != shared[1]
+    # |x| is homogeneous for the euclidean dilations only
+    assert dilation_hardy_report(geo, w, 0.5, f, grid).ratio <= 1.0
+    with pytest.raises(PreconditionError, match="Euler"):
+        dilation_hardy_report(geo_h, w, 0.5, f, grid)
+
+
+def test_weight_side_cache_under_concurrent_grids(eu3):
+    # workers sharing one weight while alternating between two points arrays
+    # keep swapping its cache slot; every report must still see its own grid
+    geo, _, _ = eu3
+    w = hl.make_weight(geo, "euclid-norm")
+    coarse = hl.default_grid(geo, w, bounds=[(-2.5, 2.5)] * 3, n=16,
+                             excision_radius=0.3)
+    grids = (coarse, coarse.refined())
+    f = radial_bump(w.psi, 1.05, 1.45)
+    W = ComposeField(power_map(0.5), w.psi)
+    want = [_report_values(geo, w, W, g, f, 0.5) for g in grids]
+
+    def job(k):
+        return [(i % 2, _report_values(geo, w, W, grids[i % 2], f, 0.5))
+                for i in range(k, k + 3)]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(job, k) for k in range(6)]
+            results = [fut.result(timeout=120) for fut in futures]
+    finally:
+        sys.setswitchinterval(old)
+    for got in results:
+        for which, values in got:
+            assert values == want[which]
