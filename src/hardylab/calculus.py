@@ -210,21 +210,11 @@ def gamma(diff: Diffusion, f: ScalarField, g: ScalarField | None = None, p=None)
     return float(v[0]) if single else v
 
 
-def weight_side(field: ScalarField, key, pts, fn):
-    """``fn(pts)`` for a quantity of ``field`` that no test function enters,
-    computed once per (field, key, points array).
-
-    A corpus sweep evaluates one weight against many test functions on one
-    grid; this cache keeps the weight's share of that work to one pass.
-    ``key`` names the quantity and every other input it depends on (the
-    diffusion, alpha, Q, beta); ``fields.memo`` sets the cache's lifetime.
-    """
-    return memo(field, "_weight_memo", key, pts, fn)
-
-
 def l_of_square(diff: Diffusion, W: ScalarField, pts):
-    """L(W^2) on pts, once per (diffusion, W, points array)."""
-    return weight_side(W, (diff, "L(W^2)"), pts, lambda p: diff.apply_L(squared(W), p))
+    """L(W^2) on pts, once per (diffusion, W, points array): a corpus sweep
+    meets the same W for every test function."""
+    return memo(W, "_weight_memo", (diff, "L(W^2)"), pts,
+                lambda p: diff.apply_L(squared(W), p))
 
 
 def gamma_w(diff: Diffusion, W: ScalarField, f: ScalarField, p):

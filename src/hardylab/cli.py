@@ -144,11 +144,15 @@ def _default_psi_range(weight, grid):
 
 
 def _thread_map(fn, items):
+    """[fn(x) for x in items], on HARDYLAB_THREADS workers.  The first item
+    runs alone, so the workers share the per-(grid, weight) terms it caches
+    instead of each computing them at once."""
     threads = int(os.environ.get("HARDYLAB_THREADS", "1"))
-    if threads <= 1:
+    if threads <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
+    first = fn(items[0])
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+        return [first, *pool.map(fn, items[1:])]
 
 
 @dataclass
@@ -187,6 +191,9 @@ def _dispatch(cfg: RunConfig, refine: int = 1) -> RunResult:
 
     grid = _build_grid(geo, weight, cfg.grid, p.get("psi_range"), refine)
     diff = geo.diffusion
+    # one multiplier per run, so its field memo and weight-side terms are
+    # computed once for the whole corpus
+    W = _multiplier(weight, p)
 
     if op == "qcond":
         rep = qcond_report(diff, weight, grid, tol=float(p.get("tol", 1e-8)))
@@ -202,7 +209,6 @@ def _dispatch(cfg: RunConfig, refine: int = 1) -> RunResult:
 
     if op == "suffcond":
         gam = float(p.get("gamma", 0.0))
-        W = _multiplier(weight, p)
         passed, inf_val = check_suffcond(diff, W, grid, gam)
         return RunResult(0 if passed else 1,
                          {"operation": op, "gamma": gam, "inf_value": inf_val,
@@ -211,7 +217,6 @@ def _dispatch(cfg: RunConfig, refine: int = 1) -> RunResult:
 
     if op == "curvature":
         gam = float(p.get("gamma", 0.0))
-        W = _multiplier(weight, p)
         corpus = polynomial_bump_corpus(grid, int(cfg.corpus.get("size", 20)),
                                         int(cfg.corpus.get("seed", 0)))
         defects = _thread_map(lambda f: check_curvature(diff, W, f, gam, grid), corpus)
@@ -228,10 +233,6 @@ def _dispatch(cfg: RunConfig, refine: int = 1) -> RunResult:
         alpha = float(p.get("alpha", 0.0))
         Q = p.get("Q", weight.claimed_Q if weight else None)
         Q = None if Q is None else float(Q)
-        # one W for the whole corpus, so its field memo and weight-side terms
-        # are computed once
-        if op in ("funcineq", "funcineq-general"):
-            W = _multiplier(weight, p)
 
         def make_report(f):
             if op == "hardy":
@@ -290,7 +291,6 @@ def _dispatch(cfg: RunConfig, refine: int = 1) -> RunResult:
         psi_range = p.get("psi_range") or _default_psi_range(weight, grid)
         f0 = bump_corpus(weight.psi, grid, 1, int(cfg.corpus.get("seed", 0)),
                          tuple(psi_range))[0]
-        W = _multiplier(weight, p)
         t = float(p.get("t_max", 0.05))
         dt = float(p.get("dt", 1e-3))
         defect = subcommutation_check(diff, W, f0, grid, t, dt,

@@ -125,15 +125,9 @@ def exp_map() -> SmoothMap:
 
 
 def _inside_unit(poly):
-    """poly(u) where |u| < 1 and 0 elsewhere, computing poly only inside.
-
-    A 0-d input keeps numpy's scalar arithmetic, whose ``**`` may round
-    differently from the array loop.
-    """
+    """poly(u) where |u| < 1 and 0 elsewhere, computing poly only inside."""
 
     def masked(u):
-        if np.ndim(u) == 0:
-            return np.where(np.abs(u) < 1.0, poly(u), 0.0)
         u = np.asarray(u)
         inside = np.abs(u) < 1.0
         out = np.zeros(u.shape)

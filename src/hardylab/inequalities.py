@@ -14,15 +14,15 @@ the families
   homo-norm:         f^2/rho^2 against the kappa-assembled constant
 
 A corpus sweep calls one report per test function on the same grid and
-weight, so everything no test function enters is computed once per (grid,
-weight) and cached on the weight's field for that points array: G(psi),
-psi^a, the left-side weights psi^a G(psi)/psi^2 and
-psi^a G(psi)^2/psi^2, W^2 and L(W^2) (and the beta family's W terms), the
-secondary-condition defect G(psi, G(psi)), the Euler-identity defect
-D psi - psi and the kappa estimates.  Keys carry every parameter a value
-depends on (the diffusion, alpha, Q, beta; p through W itself).  Only the
-inputs of the checks are cached: every report still compares them against
-its own tolerance and raises on its own.
+weight, so the costly terms no test function enters are computed once per
+(grid, weight) and cached on the weight's field for that points array
+(``fields.memo``): G(psi), the powers psi^a (W^2 among them), L(W^2) and
+L(W), the secondary-condition defect G(psi, G(psi)), the Euler-identity
+defect D psi - psi and the kappa estimates.  Keys carry every parameter a
+value depends on (the diffusion, alpha, Q, beta; p through W itself).  Each
+report forms its left-side weights from these factors with one or two
+elementwise operations.  Only the inputs of the checks are cached: every
+report still compares them against its own tolerance and raises on its own.
 
 ``estimate_best_constant`` runs a Rayleigh-quotient search over smoothed
 truncations of the near-optimal power profile; the supremum approaches the
@@ -36,10 +36,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import Diffusion, l_of_square, weight_side
+from .calculus import Diffusion, l_of_square
 from .catalog import GeometrySpec, Weight, as_diffusion, estimate_kappa, make_weight
 from .errors import DegenerateInputError, PreconditionError, UsageError
-from .fields import ScalarField
+from .fields import ScalarField, memo
 from .grid import Grid, integrate
 from .operators import dilation_operator
 from .testfunctions import smoothed_power
@@ -112,25 +112,20 @@ def _support_side(psi_vals, fv):
 
 
 # -- weight-side terms: once per (field, key, points array) -----------------
+# Each is cached in the field's "_weight_memo" slot; keys name the quantity,
+# the diffusion and every parameter it depends on.
 
 def _gamma_psi(diff: Diffusion, psi: ScalarField, pts):
-    return weight_side(psi, (diff, "Gamma"), pts, lambda p: diff.gamma(psi, psi, p))
+    return memo(psi, "_weight_memo", (diff, "Gamma"), pts, lambda p: diff.gamma(psi, psi, p))
 
 
 def _power(psi: ScalarField, a: float, pts):
-    return weight_side(psi, ("power", a), pts, lambda p: psi.value_at(p) ** a)
+    return memo(psi, "_weight_memo", ("power", a), pts, lambda p: psi.value_at(p) ** a)
 
 
 def _hardy_lhs_weight(diff: Diffusion, psi: ScalarField, alpha: float, pts):
-    """psi^alpha Gamma(psi) / psi^2."""
-    return weight_side(psi, (diff, "hardy", alpha), pts, lambda p: _power(psi, alpha, p)
-                        * _gamma_psi(diff, psi, p) / psi.value_at(p) ** 2)
-
-
-def _radial_lhs_weight(diff: Diffusion, psi: ScalarField, alpha: float, pts):
-    """psi^alpha Gamma(psi)^2 / psi^2."""
-    return weight_side(psi, (diff, "radial", alpha), pts, lambda p: _power(psi, alpha, p)
-                        * _gamma_psi(diff, psi, p) ** 2 / psi.value_at(p) ** 2)
+    """psi^alpha Gamma(psi) / psi^2, formed from the cached factors."""
+    return _power(psi, alpha, pts) * _gamma_psi(diff, psi, pts) / psi.value_at(pts) ** 2
 
 
 def hardy_report(geo, psi: Weight, Q: float, alpha: float, f: ScalarField,
@@ -207,7 +202,8 @@ def secondary_condition_defect(diff: Diffusion, psi: ScalarField, pts) -> float:
     def compute(p):
         return float(np.max(np.abs(diff.gamma(psi, diff.gamma_field(psi, psi), p))))
 
-    return weight_side(psi, (diff, "secondary"), np.asarray(pts, dtype=float), compute)
+    return memo(psi, "_weight_memo", (diff, "secondary"), np.asarray(pts, dtype=float),
+                compute)
 
 
 def _require_secondary(diff: Diffusion, psi: ScalarField, pts, tol: float):
@@ -229,10 +225,13 @@ def radial_hardy_report(geo, psi: Weight, Q: float, alpha: float, f: ScalarField
     pts = grid.points
     _require_secondary(diff, psi.psi, pts, secondary_tol)
     fv = f.value_at(pts)
-    lhs = integrate(grid, _masked_quadratic(fv, _radial_lhs_weight(diff, psi.psi, alpha, pts)))
+    pv = psi.psi.value_at(pts)
+    pa = _power(psi.psi, alpha, pts)
+    gpsi = _gamma_psi(diff, psi.psi, pts)
+    lhs = integrate(grid, _masked_quadratic(fv, pa * gpsi ** 2 / pv ** 2))
     const = (2.0 / (Q + alpha - 2.0)) ** 2
     zf = diff.gamma(psi.psi, f, pts)
-    rhs = const * integrate(grid, _power(psi.psi, alpha, pts) * zf ** 2)
+    rhs = const * integrate(grid, pa * zf ** 2)
     return HardyReport("radial", lhs, rhs, const, _ratio(lhs, rhs),
                        {"Q": Q, "alpha": alpha, "weight": psi.name})
 
@@ -273,7 +272,7 @@ def _require_euler(geo: GeometrySpec, dil, psi: ScalarField, pts, tol: float):
         scale = max(float(np.max(np.abs(pv))), 1.0)
         return float(np.max(np.abs(dil.dilation.apply(psi, p) - pv))), scale
 
-    defect, scale = weight_side(psi, (as_diffusion(geo), "euler"), pts, compute)
+    defect, scale = memo(psi, "_weight_memo", (as_diffusion(geo), "euler"), pts, compute)
     if defect > tol * scale:
         raise PreconditionError("Euler identity D psi = psi fails on the grid; "
                                 "the weight is not a homogeneous quasinorm")
@@ -354,12 +353,9 @@ def funcineqgeneral_report(diff, W: ScalarField, beta: float, f: ScalarField,
     pts = grid.points
     fv = f.value_at(pts)
 
-    def lhs_weights(p):
-        lw = diff.apply_L(W, p)
-        return (_power(W, 1.0 - 2.0 * beta, p) * lw,
-                _power(W, -2.0 * beta, p) * _gamma_psi(diff, W, p))
-
-    lw_term, gw_term = weight_side(W, (diff, "general", beta), pts, lhs_weights)
+    lw = memo(W, "_weight_memo", (diff, "L(W)"), pts, lambda p: diff.apply_L(W, p))
+    lw_term = _power(W, 1.0 - 2.0 * beta, pts) * lw
+    gw_term = _power(W, -2.0 * beta, pts) * _gamma_psi(diff, W, pts)
     lhs = (1.0 - beta) * integrate(grid, _masked_quadratic(fv, lw_term)) \
         + (beta ** 2 - beta + 1.0) * integrate(grid, _masked_quadratic(fv, gw_term))
     gf = diff.gamma(f, f, pts)
@@ -405,11 +401,10 @@ def homogeneous_norm_report(geo: GeometrySpec, rho: Weight, f: ScalarField,
         return estimate_kappa(comp, nw, grid), estimate_kappa(rho, nw, grid)
 
     pts = grid.points
-    k_comp, k_rho = weight_side(rho.psi, (diff, "kappa"), pts, kappas)
+    k_comp, k_rho = memo(rho.psi, "_weight_memo", (diff, "kappa"), pts, kappas)
     const = branch_const * k_comp ** 2 * k_rho ** 2
     fv = f.value_at(pts)
-    lhs = integrate(grid, _masked_quadratic(fv, weight_side(
-        rho.psi, "1/rho^2", pts, lambda p: 1.0 / rho.psi.value_at(p) ** 2)))
+    lhs = integrate(grid, _masked_quadratic(fv, 1.0 / rho.psi.value_at(pts) ** 2))
     rhs = const * integrate(grid, diff.gamma(f, f, pts))
     return HardyReport("homo-norm", lhs, rhs, const, _ratio(lhs, rhs),
                        {"n0": n0, "kappa_comp": k_comp, "kappa_rho": k_rho,
