@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import DomainError, NumericError, PreconditionError
 from .fields import (ComposeField, FDField, FuncField, ProductField,
-                     ScalarField, SmoothMap, VectorField, as_points, memo,
-                     squared, with_fd)
+                     ScalarField, SmoothMap, SupportedField, VectorField,
+                     as_points, memo, squared, unsupported, with_fd)
 
 
 class Diffusion:
@@ -123,19 +123,35 @@ class FrameDiffusion(Diffusion):
         return float(val[0]) if single else val
 
     def gamma(self, f: ScalarField, g: ScalarField | None, x):
+        """Gamma(f, g) on the points.  When f or g is a supported field, only
+        its support rows are computed (with the full trees of both fields,
+        on the same sub-array) and the rest is zero."""
         pts, single = as_points(x, self.dim)
+        g = f if g is None else g
         C = self.frame_values(pts)
-        gf = f.grad_at(pts)
-        xf = np.einsum("jni,ni->jn", C, gf)
-        if g is None or g is f:
-            val = np.einsum("jn,jn->n", xf, xf)
+        sup = f if isinstance(f, SupportedField) else g
+        rows, sub = sup.rows_at(pts) if isinstance(sup, SupportedField) else (None, pts)
+        # einsum sums a single row in another order than a longer array
+        if rows is None or len(rows) == 1:
+            val = _frame_gamma(C, f, g, pts)
         else:
-            xg = np.einsum("jni,ni->jn", C, g.grad_at(pts))
-            val = np.einsum("jn,jn->n", xf, xg)
+            val = np.zeros(len(pts))
+            # take keeps C's (j, n, i) layout, so einsum sums in the same order
+            val[rows] = _frame_gamma(np.take(C, rows, axis=1), unsupported(f),
+                                     unsupported(g), sub)
         return float(val[0]) if single else val
 
     def gamma_field(self, f: ScalarField, g: ScalarField | None = None) -> ScalarField:
         return FrameGammaField(self, f, f if g is None else g)
+
+
+def _frame_gamma(C, f: ScalarField, g: ScalarField, pts):
+    """sum_j (X_j f)(X_j g) from the frame coefficients C on pts."""
+    xf = np.einsum("jni,ni->jn", C, f.grad_at(pts))
+    if g is f:
+        return np.einsum("jn,jn->n", xf, xf)
+    xg = np.einsum("jni,ni->jn", C, g.grad_at(pts))
+    return np.einsum("jn,jn->n", xf, xg)
 
 
 class FrameGammaField(ScalarField):

@@ -239,6 +239,15 @@ def _logradial(m: int) -> GeometrySpec:
                         measure_density=density, params={"m": m})
 
 
+def _positive_int(params: dict, key: str, geometry: str) -> int:
+    """The positive integer parameter ``key`` of a geometry."""
+    value = params.get(key)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise UsageError(f"geometry {geometry!r} needs a positive integer "
+                         f"parameter {key!r}, got {value!r}")
+    return int(value)
+
+
 def make_geometry(name: str, **params) -> GeometrySpec:
     """Build a catalog geometry by name.
 
@@ -247,25 +256,25 @@ def make_geometry(name: str, **params) -> GeometrySpec:
     euclidean-radial(m), logradial(m).
     """
     if name == "euclidean":
-        return _euclidean(int(params["m"]))
+        return _euclidean(_positive_int(params, "m", name))
     if name == "halfspace-euclidean":
-        m = int(params["m"])
+        m = _positive_int(params, "m", name)
 
         def mask(pts):
             return pts[:, m - 1] > 0
 
         return _euclidean(m, domain_mask=mask, name="halfspace-euclidean")
     if name == "heisenberg":
-        return _heisenberg(int(params["m"]))
+        return _heisenberg(_positive_int(params, "m", name))
     if name == "hyperbolic":
-        m = int(params["m"])
+        m = _positive_int(params, "m", name)
         if m < 2:
             raise UsageError("hyperbolic half-space needs m >= 2")
         return _hyperbolic(m)
     if name == "grushin":
-        return _grushin(int(params["n"]))
+        return _grushin(_positive_int(params, "n", name))
     if name == "convex-domain":
-        m = int(params["m"])
+        m = _positive_int(params, "m", name)
         if "facets" in params:
             facets = params["facets"]
         elif "box" in params:
@@ -274,9 +283,9 @@ def make_geometry(name: str, **params) -> GeometrySpec:
             raise UsageError("convex-domain requires facets= or box=")
         return _convex_domain(m, facets)
     if name == "euclidean-radial":
-        return _euclidean_radial(int(params["m"]))
+        return _euclidean_radial(_positive_int(params, "m", name))
     if name == "logradial":
-        return _logradial(int(params["m"]))
+        return _logradial(_positive_int(params, "m", name))
     raise UsageError(f"unknown geometry {name!r}")
 
 

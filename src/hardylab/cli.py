@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -95,11 +96,57 @@ class RunConfig:
         op = raw.get("operation")
         if op not in OPERATIONS:
             raise UsageError(f"unknown operation {op!r}; expected one of {OPERATIONS}")
+        for section in ("geometry", "weight", "parameters", "grid", "corpus"):
+            if raw.get(section) is not None and not isinstance(raw[section], dict):
+                raise UsageError(f"config {section} must be a JSON object")
         if "geometry" not in raw or "name" not in raw["geometry"]:
             raise UsageError("config requires geometry.name")
-        return cls(geometry=raw["geometry"], operation=op, weight=raw.get("weight"),
-                   parameters=raw.get("parameters", {}), grid=raw.get("grid", {}),
-                   corpus=raw.get("corpus", {}))
+        cfg = cls(geometry=raw["geometry"], operation=op, weight=raw.get("weight"),
+                  parameters=raw.get("parameters", {}), grid=raw.get("grid", {}),
+                  corpus=raw.get("corpus", {}))
+        cfg._check_values()
+        return cfg
+
+    def _check_values(self) -> None:
+        """Reject parameter, grid and corpus values of the wrong type or range."""
+        for key, value in self.parameters.items():
+            # Q may be null for the operations that do not use it
+            if key in _NUMBER_PARAMETERS and not (key == "Q" and value is None):
+                _require(_is_number(value), f"parameters.{key} must be a finite number",
+                         value)
+        psi_range = self.parameters.get("psi_range")
+        if psi_range is not None:
+            _require(isinstance(psi_range, list) and len(psi_range) == 2
+                     and all(_is_number(v) for v in psi_range),
+                     "parameters.psi_range must be a list of two finite numbers", psi_range)
+        n = self.grid.get("n")
+        if n is not None:
+            counts = n if isinstance(n, list) else [n]
+            _require(len(counts) > 0 and all(_is_count(k, 1) for k in counts),
+                     "grid.n must be a positive integer or a list of them", n)
+        for key, least in (("size", 1), ("seed", 0)):
+            if key in self.corpus:
+                _require(_is_count(self.corpus[key], least),
+                         f"corpus.{key} must be an integer >= {least}", self.corpus[key])
+
+
+# parameters read as floats by some operation
+_NUMBER_PARAMETERS = ("alpha", "beta", "gamma", "p", "Q", "eps", "tol", "t_max", "dt",
+                      "C1", "C2")
+
+
+def _is_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _is_count(value, least: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
+def _require(ok: bool, message: str, value) -> None:
+    if not ok:
+        raise UsageError(f"{message}, got {value!r}")
 
 
 def _resolve_weight(geo: GeometrySpec, spec: dict) -> Weight:

@@ -10,6 +10,13 @@ field, which is how the difference-oracle refinement studies are run.
 
 All evaluation methods accept a single point of shape ``(m,)`` or a batch of
 shape ``(n, m)`` and are pure, so fields are safe to share across threads.
+
+Compactly supported fields can be wrapped in :class:`SupportedField`.  Its
+rows on a points array are a superset of the points where the value,
+gradient or Hessian can be non-zero, read off the ``inside`` predicates of
+the bump maps in the expression tree; the tree is evaluated on those rows
+only and the results are scattered into full-size zeros.  Callers that sum
+over points keep summing the full arrays, so sums do not change.
 """
 
 from __future__ import annotations
@@ -67,14 +74,18 @@ class SmoothMap:
 
     ``domain_positive`` marks maps only smooth on u > 0 (log, fractional or
     negative powers); compositions propagate it into the field mask.
+    ``inside``, when given, is a predicate on u outside of which the map and
+    both derivatives are exactly zero; it marks the support of compositions.
     """
 
-    def __init__(self, f, d1, d2, name: str = "phi", domain_positive: bool = False):
+    def __init__(self, f, d1, d2, name: str = "phi", domain_positive: bool = False,
+                 inside=None):
         self.f = f
         self.d1 = d1
         self.d2 = d2
         self.name = name
         self.domain_positive = domain_positive
+        self.inside = inside
 
     def __call__(self, u):
         return self.f(u)
@@ -124,12 +135,16 @@ def exp_map() -> SmoothMap:
     return SmoothMap(np.exp, np.exp, np.exp, "exp")
 
 
+def _in_unit_interval(u):
+    return np.abs(u) < 1.0
+
+
 def _inside_unit(poly):
     """poly(u) where |u| < 1 and 0 elsewhere, computing poly only inside."""
 
     def masked(u):
         u = np.asarray(u)
-        inside = np.abs(u) < 1.0
+        inside = _in_unit_interval(u)
         out = np.zeros(u.shape)
         out[inside] = poly(u[inside])
         return out
@@ -150,7 +165,8 @@ def poly_bump_map() -> SmoothMap:
         t = 1.0 - u ** 2
         return t * (30.0 * u ** 2 - 6.0)
 
-    return SmoothMap(_inside_unit(f), _inside_unit(d1), _inside_unit(d2), "bump")
+    return SmoothMap(_inside_unit(f), _inside_unit(d1), _inside_unit(d2), "bump",
+                     inside=_in_unit_interval)
 
 
 def bump_window_map(a: float, b: float) -> SmoothMap:
@@ -170,7 +186,10 @@ def bump_window_map(a: float, b: float) -> SmoothMap:
     def d2(u):
         return base.d2((u - c) / rho) / rho ** 2
 
-    return SmoothMap(f, d1, d2, f"bump[{a},{b}]")
+    def inside(u):
+        return base.inside((u - c) / rho)
+
+    return SmoothMap(f, d1, d2, f"bump[{a},{b}]", inside=inside)
 
 
 def smoothstep_map() -> SmoothMap:
@@ -387,10 +406,14 @@ def _as_field(x) -> ScalarField:
 
 
 def squared(field: ScalarField) -> ScalarField:
-    """field*field, constructed once per field so evaluations stay memoized."""
+    """field*field, constructed once per field so evaluations stay memoized;
+    the square of a supported field is supported on the same rows."""
     sq = field.__dict__.get("_squared_field")
     if sq is None:
-        sq = ProductField(field, field)
+        if isinstance(field, SupportedField):
+            sq = SupportedField(squared(field.base), rows_of=field)
+        else:
+            sq = ProductField(field, field)
         field.__dict__["_squared_field"] = sq
     return sq
 
@@ -744,6 +767,72 @@ class ComposeField(ScalarField):
         if self.positive_domain:
             m = m & (self.f.value_at(pts) > 0)
         return m
+
+
+def _support_rows(field: ScalarField, pts, rows=None):
+    """The indices among ``rows`` (all of pts when None) where ``field`` may
+    be non-zero, or ``rows`` itself where nothing is known: phi(f) is zero
+    outside ``phi.inside(f)``, and a product outside the rows of either
+    factor.  A product narrows its second factor's rows by its first, so
+    each predicate only runs on the rows the earlier ones kept."""
+    if isinstance(field, ComposeField) and field.phi.inside is not None:
+        keep = field.phi.inside(field.f.value_at(pts if rows is None else pts[rows]))
+        return np.flatnonzero(keep) if rows is None else rows[keep]
+    if isinstance(field, ProductField):
+        rows = _support_rows(field.g, pts, rows)
+        return rows if field.f is field.g else _support_rows(field.f, pts, rows)
+    return rows
+
+
+class SupportedField(ScalarField):
+    """``base`` evaluated only on its support rows (see ``rows_at``).
+
+    Value, gradient and Hessian are ``base``'s on the rows and zero
+    elsewhere, which is exact because the rows come from the bump maps'
+    own ``inside`` predicates.  ``rows_of`` shares another supported
+    field's rows (the square of a field has the same support).
+    """
+
+    def __init__(self, base: ScalarField, rows_of: SupportedField | None = None):
+        self.base = base
+        self.rows_of = rows_of
+
+    def rows_at(self, pts):
+        """(rows, pts[rows]), memoized per points array; the base tree
+        memoizes its own values against that one sub-array."""
+        if self.rows_of is not None:
+            return self.rows_of.rows_at(pts)
+
+        def compute(p):
+            rows = _support_rows(self.base, p)
+            rows = np.arange(len(p)) if rows is None else rows
+            return rows, p[rows]
+
+        return memo(self, "_rows_memo", "rows", pts, compute)
+
+    def _scatter(self, pts, evaluate):
+        rows, sub = self.rows_at(pts)
+        vals = evaluate(sub)
+        out = np.zeros((len(pts),) + vals.shape[1:])
+        out[rows] = vals
+        return out
+
+    def _value(self, pts):
+        return self._scatter(pts, self.base.value_at)
+
+    def _grad(self, pts):
+        return self._scatter(pts, self.base.grad_at)
+
+    def _hess(self, pts):
+        return self._scatter(pts, self.base.hess_at)
+
+    def _mask(self, pts):
+        return self.base._mask(pts)
+
+
+def unsupported(field: ScalarField) -> ScalarField:
+    """The full expression tree behind a supported field (itself otherwise)."""
+    return field.base if isinstance(field, SupportedField) else field
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 
 from .catalog import Weight, as_diffusion
 from .errors import DegenerateInputError, NumericError, PreconditionError
-from .fields import ScalarField
+from .fields import ScalarField, memo
 
 DEFAULT_EXCISION_FACTOR = 3.0
 
@@ -59,15 +59,22 @@ class Grid:
         return rows
 
     def interior_depth(self, max_layers: int = 3):
-        """Per-node count of intact axis-neighbor layers (capped)."""
-        depth = np.full(self.n_nodes, max_layers, dtype=np.int64)
+        """Per-node count of intact axis-neighbor layers (capped).  Worked
+        out on the whole lattice with shifted slices of the retained mask,
+        padded with absent nodes, then read at the retained nodes."""
+        pad = max_layers
+        retained = self.index_map >= 0
+        present = np.pad(retained.reshape(self.shape), pad)
+        depth = np.full(self.shape, max_layers, dtype=np.int64)
         for layer in range(1, max_layers + 1):
-            missing = np.zeros(self.n_nodes, dtype=bool)
+            missing = np.zeros(self.shape, dtype=bool)
             for ax in range(self.dim):
                 for s in (-layer, layer):
-                    missing |= self.neighbor_rows(ax, s) < 0
+                    window = [slice(pad, pad + k) for k in self.shape]
+                    window[ax] = slice(pad + s, pad + s + self.shape[ax])
+                    missing |= ~present[tuple(window)]
             depth[missing & (depth > layer - 1)] = layer - 1
-        return depth
+        return depth.ravel()[retained]
 
     def fringe_mask(self, layers: int = 2):
         """Nodes within ``layers`` of a missing lattice neighbor (cached)."""
@@ -80,12 +87,18 @@ class Grid:
 
     def supports(self, f: ScalarField, layers: int = 2, rel_tol: float = 1e-12) -> bool:
         """True when f vanishes on every node within ``layers`` of a missing
-        neighbor (i.e. its support stays clear of the boundary/excisions)."""
-        vals = np.abs(f.value_at(self.points))
-        scale = float(np.max(vals)) if len(vals) else 0.0
-        if scale == 0.0:
-            return True
-        return bool(np.all(vals[self.fringe_mask(layers)] <= rel_tol * scale))
+        neighbor (i.e. its support stays clear of the boundary/excisions).
+        The verdict is memoized on f for this grid's points, so a corpus
+        bump checked when it is drawn is not checked again by each report."""
+
+        def check(pts):
+            vals = np.abs(f.value_at(pts))
+            scale = float(np.max(vals)) if len(vals) else 0.0
+            if scale == 0.0:
+                return True
+            return bool(np.all(vals[self.fringe_mask(layers)] <= rel_tol * scale))
+
+        return memo(f, "_supports_memo", (layers, rel_tol), self.points, check)
 
     def refined(self, factor: int = 2) -> "Grid":
         """Same box and excisions with the spacing divided by ``factor``."""

@@ -3,6 +3,13 @@
 Everything is built from the polynomial bump u -> (1 - u^2)^3 on |u| <= 1
 and the quintic smoothstep, so supports are exact (identically zero outside
 the stated sets) and first/second derivatives are closed form.
+
+``bump_corpus`` and ``polynomial_bump_corpus`` return
+:class:`~hardylab.fields.SupportedField` bumps.  On a points array their rows
+are a superset of the points where the value, gradient or Hessian is
+non-zero (the ``|u| < 1`` tests of the bump maps themselves).  The
+expression tree runs on those rows only, and every array handed back is
+full-size with exact zeros elsewhere, so full-grid sums see the same values.
 """
 
 from __future__ import annotations
@@ -11,7 +18,8 @@ import numpy as np
 
 from .errors import UsageError
 from .fields import (ComposeField, PolyField, ProductField, ScalarField,
-                     CoordinateField, bump_window_map, smoothed_power_profile)
+                     CoordinateField, SupportedField, bump_window_map,
+                     smoothed_power_profile)
 
 
 def radial_bump(psi: ScalarField, a: float, b: float) -> ScalarField:
@@ -81,7 +89,7 @@ def bump_corpus(psi: ScalarField, grid, n: int, seed: int,
         w = width * (min_rel_width + (1.0 - min_rel_width) * rng.random())
         a = lo_psi + (width - w) * rng.random()
         box = _interior_box(grid, rng)
-        f = ProductField(radial_bump(psi, a, a + w), tensor_bump(box))
+        f = SupportedField(ProductField(radial_bump(psi, a, a + w), tensor_bump(box)))
         vals = np.abs(f.value_at(grid.points))
         if vals.max() > 1e-6 and grid.supports(f):
             out.append(f)
@@ -121,8 +129,8 @@ def polynomial_bump_corpus(grid, n: int, seed: int, degree: int = 2):
     out = []
     while len(out) < n:
         box = _interior_box(grid, rng)
-        f = ProductField(random_polynomial(len(grid.bounds), degree, rng),
-                         tensor_bump(box))
+        f = SupportedField(ProductField(random_polynomial(len(grid.bounds), degree, rng),
+                                        tensor_bump(box)))
         if np.abs(f.value_at(grid.points)).max() > 1e-9 and grid.supports(f):
             out.append(f)
     return out

@@ -242,14 +242,22 @@ def test_config_that_is_not_an_object_is_a_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("operation,parameters", [
     ("radial", {"alpha": 0.5}),
     ("funcineq", {"p": 0.5, "gamma": 0.0}),
+    ("hardy", {"alpha": 0.0}),
+    ("curvature", {"p": 0.5, "gamma": 0.0}),
 ])
 def test_thread_count_keeps_cached_sweeps_identical(tmp_path, monkeypatch,
                                                    operation, parameters):
     # the corpus workers share the per-(grid, weight) terms of the reports
+    # and each supported bump's rows memo; hardy (radial bumps) and
+    # curvature (the polynomial corpus) run on the Heisenberg group
+    if operation in ("hardy", "curvature"):
+        geometry, weight = {"name": "heisenberg", "params": {"m": 1}}, {"name": "koranyi-gauge"}
+    else:
+        geometry, weight = {"name": "euclidean", "params": {"m": 3}}, {"name": "euclid-norm"}
     payload = {
         "schema": 1,
-        "geometry": {"name": "euclidean", "params": {"m": 3}},
-        "weight": {"name": "euclid-norm"},
+        "geometry": geometry,
+        "weight": weight,
         "operation": operation,
         "parameters": dict(parameters, psi_range=[0.5, 1.6]),
         "grid": {"bounds": [[-2, 2]] * 3, "n": 20, "excision_radius": 0.25},
@@ -261,3 +269,29 @@ def test_thread_count_keeps_cached_sweeps_identical(tmp_path, monkeypatch,
     monkeypatch.setenv("HARDYLAB_THREADS", "3")
     assert main(["run", "--config", cfg, "--out", out2]) == 0
     assert open(out1, "rb").read() == open(out2, "rb").read()
+
+
+SMALL_HARDY = {
+    "schema": 1,
+    "geometry": {"name": "euclidean", "params": {"m": 2}},
+    "weight": {"name": "euclid-norm"},
+    "operation": "hardy",
+    "parameters": {"alpha": 1.0, "psi_range": [0.5, 1.6]},
+    "grid": {"bounds": [[-2, 2], [-2, 2]], "n": 16},
+    "corpus": {"seed": 3, "size": 2},
+}
+
+
+@pytest.mark.parametrize("payload", [
+    pytest.param(dict(SMALL_HARDY, grid={"bounds": [[-2, 2], [-2, 2]], "n": 0}),
+                 id="zero-grid-n"),
+    pytest.param(dict(SMALL_HARDY, geometry={"name": "euclidean", "params": {}}),
+                 id="geometry-without-m"),
+    pytest.param(dict(SMALL_HARDY, parameters={"alpha": "abc", "psi_range": [0.5, 1.6]}),
+                 id="non-numeric-alpha"),
+])
+def test_config_value_faults_exit_2_with_one_line(tmp_path, capsys, payload):
+    cfg = write_config(tmp_path, payload)
+    assert main(["run", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

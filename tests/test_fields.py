@@ -4,10 +4,11 @@ import pytest
 from hardylab.errors import DomainError
 from hardylab.fields import (AffineField, ComposeField, ConstField,
                              CoordinateField, NormField, PolyField,
-                             SquareNormField, VectorField, as_points,
-                             bump_window_map, exp_map, log_map, power_map,
-                             poly_bump_map, smoothed_power_profile,
-                             smoothstep_map, with_fd)
+                             ProductField, SquareNormField, SupportedField,
+                             VectorField, as_points, bump_window_map, exp_map,
+                             log_map, power_map, poly_bump_map,
+                             smoothed_power_profile, smoothstep_map, squared,
+                             with_fd)
 
 RNG = np.random.default_rng(42)
 
@@ -149,3 +150,58 @@ def test_masked_bump_map_on_0d_inputs():
             got = np.asarray(got)
             assert got.shape == () and got.dtype == want.dtype
             assert got.tobytes() == want[0].tobytes()
+
+
+def _supported_bump():
+    """psi-window bump times a two-axis box bump, as the corpora build them."""
+    axis = [ComposeField(bump_window_map(lo, hi), CoordinateField(i))
+            for i, (lo, hi) in ((0, (-1.0, 1.2)), (2, (-0.5, 1.5)))]
+    return SupportedField(ProductField(ComposeField(bump_window_map(0.8, 1.6), NormField()),
+                                       ProductField(*axis)))
+
+
+def test_supported_field_equals_its_full_tree():
+    # np.array_equal: off the rows the full tree may give -0.0, the scatter +0.0
+    f = _supported_bump()
+    edges = np.array([[0.8, 0.0, 0.0], [1.6, 0.0, 0.0], [1.0, 0.0, -0.5], [1.2, 0.0, 0.5]])
+    pts = np.concatenate([RNG.uniform(-2, 2, size=(400, 3)), edges])
+    rows, sub = f.rows_at(pts)
+    assert 0 < len(rows) < len(pts) and np.array_equal(sub, pts[rows])
+    assert not np.isin(np.arange(400, 404), rows).any()
+    for name in ("value_at", "grad_at", "hess_at"):
+        got, want = getattr(f, name)(pts), getattr(f.base, name)(pts)
+        assert got.shape == want.shape and np.array_equal(got, want)
+    for x in pts[::23]:
+        assert f.value(x) == f.base.value(x)
+        assert np.array_equal(f.grad(x), f.base.grad(x))
+        assert np.array_equal(f.hess(x), f.base.hess(x))
+    fd, fd_full = with_fd(f, 1e-4), with_fd(f.base, 1e-4)
+    assert np.array_equal(fd._grad(pts), fd_full._grad(pts))
+    assert np.array_equal(fd._hess(pts), fd_full._hess(pts))
+
+
+def test_supported_field_off_its_support_is_zero():
+    f = _supported_bump()
+    far = np.array([[3.0, 0.0, 0.0], [0.0, 1.0, 1.9], [0.3, 0.3, 0.3]])
+    assert f.rows_at(far)[0].size == 0
+    assert np.array_equal(f.value_at(far), np.zeros(3))
+    assert np.array_equal(f.grad_at(far), np.zeros((3, 3)))
+    assert np.array_equal(f.hess_at(far), np.zeros((3, 3, 3)))
+
+
+def test_square_of_supported_field_shares_its_rows():
+    f = _supported_bump()
+    sq = squared(f)
+    assert isinstance(sq, SupportedField) and squared(f) is sq
+    pts = RNG.uniform(-2, 2, size=(300, 3))
+    assert sq.rows_at(pts) is f.rows_at(pts)
+    plain = ProductField(f.base, f.base)
+    for name in ("value_at", "grad_at", "hess_at"):
+        assert np.array_equal(getattr(sq, name)(pts), getattr(plain, name)(pts))
+
+
+def test_field_without_support_predicate_keeps_every_row():
+    f = SupportedField(ProductField(PolyField([(1.0, (1, 1, 0))]), NormField()))
+    pts = RNG.uniform(-2, 2, size=(50, 3))
+    assert np.array_equal(f.rows_at(pts)[0], np.arange(50))
+    assert np.array_equal(f.grad_at(pts), f.base.grad_at(pts))

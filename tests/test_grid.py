@@ -4,7 +4,7 @@ import pytest
 import hardylab as hl
 from hardylab.errors import DegenerateInputError, NumericError, PreconditionError
 from hardylab.fields import ConstField, FuncField
-from hardylab.grid import (ball_excision, integrate, level_tube_excision,
+from hardylab.grid import (Grid, ball_excision, integrate, level_tube_excision,
                            make_grid, weight_excision)
 from hardylab.testfunctions import radial_bump
 
@@ -97,3 +97,37 @@ def test_bounds_dim_mismatch():
     geo = hl.make_geometry("euclidean", m=3)
     with pytest.raises(PreconditionError):
         make_grid(geo, [(-1, 1)] * 2, n=8)
+
+
+@pytest.mark.parametrize("setup", ["eu3", "h1", "eu2", "hyp3"])
+def test_interior_depth_counts_intact_neighbor_layers(setup, request):
+    _, _, grid = request.getfixturevalue(setup)
+    for layers in (1, 2, 3):
+        # reference: a node's depth is the last layer before a missing neighbor
+        depth = np.full(grid.n_nodes, layers)
+        for layer in range(layers, 0, -1):
+            missing = np.zeros(grid.n_nodes, dtype=bool)
+            for ax in range(grid.dim):
+                for s in (-layer, layer):
+                    missing |= grid.neighbor_rows(ax, s) < 0
+            depth[missing] = layer - 1
+        got = grid.interior_depth(layers)
+        assert got.dtype == np.int64 and np.array_equal(got, depth)
+
+
+def test_supports_verdict_is_memoized_per_grid_and_tolerances(eu3):
+    geo, w, _ = eu3
+    grid = hl.default_grid(geo, w, bounds=[(-2, 2)] * 3, n=16, excision_radius=0.3)
+    fine = grid.refined(2)
+    checks = []
+    for g in (grid, fine):
+        g.fringe_mask = lambda layers, g=g: checks.append(g) or Grid.fringe_mask(g, layers)
+    f = radial_bump(w.psi, 0.8, 1.4)
+    assert grid.supports(f) and grid.supports(f)
+    assert checks == [grid]
+    # other tolerances and other grids check again
+    assert grid.supports(f, rel_tol=1e-9) and checks == [grid, grid]
+    assert fine.supports(f) and checks == [grid, grid, fine]
+    touching = radial_bump(w.psi, 0.8, 3.5)
+    assert not grid.supports(touching) and not grid.supports(touching)
+    assert len(checks) == 4

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hardylab.errors import UsageError
-from hardylab.fields import NormField
+from hardylab.fields import NormField, ProductField, SupportedField
 from hardylab.testfunctions import (bump_corpus, make_test_function,
                                     polynomial_bump_corpus, radial_bump,
                                     smoothed_power, tensor_bump)
@@ -71,3 +71,60 @@ def test_polynomial_bump_corpus(eu3):
     assert len(corpus) == 5
     for f in corpus:
         assert grid.supports(f)
+
+
+def _edge_bump(w, grid):
+    """A supported bump whose psi-window starts at the smallest psi on the
+    retained nodes, i.e. at the edge of the excision."""
+    pv = w.psi.value_at(grid.points)
+    lo, hi = float(pv.min()), float(pv.max())
+    box = [(a + 0.1 * (b - a), b - 0.1 * (b - a)) for a, b in grid.bounds]
+    return SupportedField(ProductField(radial_bump(w.psi, lo, lo + 0.5 * (hi - lo)),
+                                       tensor_bump(box)))
+
+
+@pytest.mark.parametrize("setup", ["eu3", "h1"])
+def test_supported_corpus_bumps_equal_their_full_trees(setup, request):
+    # off the rows the full tree may give -0.0 where the scatter gives +0.0,
+    # which np.array_equal counts as equal
+    geo, w, grid = request.getfixturevalue(setup)
+    pts = grid.points
+    pv = w.psi.value_at(pts)
+    corpus = (bump_corpus(w.psi, grid, 4, seed=5, psi_range=(float(pv.min()), float(pv.max())))
+              + polynomial_bump_corpus(grid, 2, seed=5) + [_edge_bump(w, grid)])
+    diff = geo.diffusion
+    for f in corpus:
+        assert isinstance(f, SupportedField)
+        rows, sub = f.rows_at(pts)
+        assert 0 < len(rows) < 0.5 * grid.n_nodes
+        assert sub.shape == (len(rows), grid.dim)
+        got = [f.value_at(pts), f.grad_at(pts), f.hess_at(pts),
+               diff.gamma(f, f, pts), diff.gamma(w.psi, f, pts), diff.gamma(f, w.psi, pts)]
+        full = f.base
+        want = [full.value_at(pts), full.grad_at(pts), full.hess_at(pts),
+                diff.gamma(full, full, pts), diff.gamma(w.psi, full, pts),
+                diff.gamma(full, w.psi, pts)]
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and np.array_equal(a, b)
+
+
+def test_supported_bump_feeds_gamma_w_unchanged(h1):
+    from hardylab.calculus import gamma_w
+    geo, w, grid = h1
+    f = polynomial_bump_corpus(grid, 1, seed=2)[0]
+    W = w.psi ** 0.5
+    got = gamma_w(geo.diffusion, W, f, grid.points)
+    assert np.array_equal(got, gamma_w(geo.diffusion, W, f.base, grid.points))
+
+
+def test_gamma_on_a_one_row_support(eu3):
+    # einsum reduces a single row in another order, so this case runs on
+    # the full grid
+    geo, w, grid = eu3
+    x, h = grid.points[grid.n_nodes // 2], grid.spacing
+    f = SupportedField(tensor_bump([(c - 0.75 * s, c + 0.75 * s) for c, s in zip(x, h)]))
+    pts = grid.points
+    assert len(f.rows_at(pts)[0]) == 1
+    diff = geo.diffusion
+    assert np.array_equal(diff.gamma(f, f, pts), diff.gamma(f.base, f.base, pts))
+    assert np.array_equal(diff.gamma(w.psi, f, pts), diff.gamma(w.psi, f.base, pts))
