@@ -25,7 +25,6 @@ from .conditions import check_curvature, check_suffcond, qcond_report
 from .errors import PreconditionError, UsageError
 from .fields import ComposeField, power_map
 from .grid import default_grid
-from .semigroup import evolve, subcommutation_check
 from .testfunctions import bump_corpus, polynomial_bump_corpus
 
 SCHEMA_VERSION = 1
@@ -129,6 +128,9 @@ class RunConfig:
                 _require(_is_count(self.corpus[key], least),
                          f"corpus.{key} must be an integer >= {least}", self.corpus[key])
 
+
+# operations whose constant is built from Q
+_NEEDS_Q = ("hardy", "weighted-log-hardy", "radial", "best-constant")
 
 # parameters read as floats by some operation
 _NUMBER_PARAMETERS = ("alpha", "beta", "gamma", "p", "Q", "eps", "tol", "t_max", "dt",
@@ -235,6 +237,10 @@ def _dispatch(cfg: RunConfig, refine: int = 1) -> RunResult:
 
     if weight is None:
         raise UsageError(f"operation {op!r} requires a weight")
+    Q = p.get("Q", weight.claimed_Q)
+    if Q is None and op in _NEEDS_Q:
+        raise UsageError(f"operation {op!r} needs parameters.Q; "
+                         f"weight {weight.name!r} claims none")
 
     grid = _build_grid(geo, weight, cfg.grid, p.get("psi_range"), refine)
     diff = geo.diffusion
@@ -278,7 +284,6 @@ def _dispatch(cfg: RunConfig, refine: int = 1) -> RunResult:
     if op in ("hardy", "log-hardy", "weighted-log-hardy", "radial", "dilation",
               "homo-norm", "funcineq", "funcineq-general"):
         alpha = float(p.get("alpha", 0.0))
-        Q = p.get("Q", weight.claimed_Q if weight else None)
         Q = None if Q is None else float(Q)
 
         def make_report(f):
@@ -312,8 +317,7 @@ def _dispatch(cfg: RunConfig, refine: int = 1) -> RunResult:
     if op == "best-constant":
         alpha = float(p.get("alpha", 0.0))
         sup_ratio, best = ineq.estimate_best_constant(geo, weight, alpha, grid=grid)
-        Q = float(p.get("Q", weight.claimed_Q))
-        const = (2.0 / (Q + alpha - 2.0)) ** 2
+        const = (2.0 / (float(Q) + alpha - 2.0)) ** 2
         passed = sup_ratio <= const * (1.0 + RATIO_TOL)
         return RunResult(0 if passed else 1,
                          {"operation": op, "sup_ratio": sup_ratio,
@@ -322,6 +326,7 @@ def _dispatch(cfg: RunConfig, refine: int = 1) -> RunResult:
                          [{"index": 0, "sup_ratio": sup_ratio, **best}])
 
     if op == "evolve":
+        from .semigroup import evolve  # imports scipy, only for these two operations
         psi_range = p.get("psi_range") or _default_psi_range(weight, grid)
         f0 = bump_corpus(weight.psi, grid, 1, int(cfg.corpus.get("seed", 0)),
                          tuple(psi_range))[0]
@@ -335,6 +340,7 @@ def _dispatch(cfg: RunConfig, refine: int = 1) -> RunResult:
                              "verdict": "pass"}, rows)
 
     if op == "subcommutation":
+        from .semigroup import subcommutation_check  # imports scipy
         psi_range = p.get("psi_range") or _default_psi_range(weight, grid)
         f0 = bump_corpus(weight.psi, grid, 1, int(cfg.corpus.get("seed", 0)),
                          tuple(psi_range))[0]

@@ -16,9 +16,9 @@ the families
 A corpus sweep calls one report per test function on the same grid and
 weight, so the costly terms no test function enters are computed once per
 (grid, weight) and cached on the weight's field for that points array
-(``fields.memo``): G(psi), the powers psi^a (W^2 among them), L(W^2) and
-L(W), the secondary-condition defect G(psi, G(psi)), the Euler-identity
-defect D psi - psi and the kappa estimates.  Keys carry every parameter a
+(``fields.memo``): psi itself, G(psi), the powers psi^a (W^2 among them),
+L(W^2) and L(W), the secondary-condition defect G(psi, G(psi)), the
+Euler-identity defect D psi - psi and the kappa estimates.  Keys carry every parameter a
 value depends on (the diffusion, alpha, Q, beta; p through W itself).  Each
 report forms its left-side weights from these factors with one or two
 elementwise operations.  Only the inputs of the checks are cached: every
@@ -119,13 +119,20 @@ def _gamma_psi(diff: Diffusion, psi: ScalarField, pts):
     return memo(psi, "_weight_memo", (diff, "Gamma"), pts, lambda p: diff.gamma(psi, psi, p))
 
 
+def _values(psi: ScalarField, pts):
+    """psi on the whole points array.  A bump built on psi evaluates psi on
+    its support rows only, which empties psi's own single-slot value memo;
+    this slot is never asked about those row subsets."""
+    return memo(psi, "_weight_memo", "value", pts, psi.value_at)
+
+
 def _power(psi: ScalarField, a: float, pts):
-    return memo(psi, "_weight_memo", ("power", a), pts, lambda p: psi.value_at(p) ** a)
+    return memo(psi, "_weight_memo", ("power", a), pts, lambda p: _values(psi, p) ** a)
 
 
 def _hardy_lhs_weight(diff: Diffusion, psi: ScalarField, alpha: float, pts):
     """psi^alpha Gamma(psi) / psi^2, formed from the cached factors."""
-    return _power(psi, alpha, pts) * _gamma_psi(diff, psi, pts) / psi.value_at(pts) ** 2
+    return _power(psi, alpha, pts) * _gamma_psi(diff, psi, pts) / _values(psi, pts) ** 2
 
 
 def hardy_report(geo, psi: Weight, Q: float, alpha: float, f: ScalarField,
@@ -155,7 +162,7 @@ def log_hardy_report(geo, psi: Weight, alpha: float, f: ScalarField,
     _require_support(grid, f)
     pts = grid.points
     fv = f.value_at(pts)
-    pv = psi.psi.value_at(pts)
+    pv = _values(psi.psi, pts)
     _support_side(pv, fv)
     gpsi = _gamma_psi(diff, psi.psi, pts)
     logs = _masked_log(fv, pv)
@@ -180,7 +187,7 @@ def weighted_log_hardy_report(geo, psi: Weight, Q: float, alpha: float,
     _require_support(grid, f)
     pts = grid.points
     fv = f.value_at(pts)
-    pv = psi.psi.value_at(pts)
+    pv = _values(psi.psi, pts)
     _support_side(pv, fv)
     gpsi = _gamma_psi(diff, psi.psi, pts)
     logs = _masked_log(fv, pv)
@@ -225,7 +232,7 @@ def radial_hardy_report(geo, psi: Weight, Q: float, alpha: float, f: ScalarField
     pts = grid.points
     _require_secondary(diff, psi.psi, pts, secondary_tol)
     fv = f.value_at(pts)
-    pv = psi.psi.value_at(pts)
+    pv = _values(psi.psi, pts)
     pa = _power(psi.psi, alpha, pts)
     gpsi = _gamma_psi(diff, psi.psi, pts)
     lhs = integrate(grid, _masked_quadratic(fv, pa * gpsi ** 2 / pv ** 2))
@@ -248,7 +255,7 @@ def radial_log_hardy_report(geo, psi: Weight, Q: float, alpha: float,
     pts = grid.points
     _require_secondary(diff, psi.psi, pts, secondary_tol)
     fv = f.value_at(pts)
-    pv = psi.psi.value_at(pts)
+    pv = _values(psi.psi, pts)
     _support_side(pv, fv)
     gpsi = _gamma_psi(diff, psi.psi, pts)
     logs = _masked_log(fv, pv)
@@ -268,7 +275,7 @@ def _require_euler(geo: GeometrySpec, dil, psi: ScalarField, pts, tol: float):
     the defect is computed once per (geometry, psi, points array)."""
 
     def compute(p):
-        pv = psi.value_at(p)
+        pv = _values(psi, p)
         scale = max(float(np.max(np.abs(pv))), 1.0)
         return float(np.max(np.abs(dil.dilation.apply(psi, p) - pv))), scale
 
@@ -312,7 +319,7 @@ def dilation_log_hardy_report(geo: GeometrySpec, psi: Weight, alpha: float,
     _require_support(grid, f)
     pts = grid.points
     _require_euler(geo, dil, psi.psi, pts, euler_tol)
-    pv = psi.psi.value_at(pts)
+    pv = _values(psi.psi, pts)
     fv = f.value_at(pts)
     _support_side(pv, fv)
     logs = _masked_log(fv, pv)
@@ -404,7 +411,7 @@ def homogeneous_norm_report(geo: GeometrySpec, rho: Weight, f: ScalarField,
     k_comp, k_rho = memo(rho.psi, "_weight_memo", (diff, "kappa"), pts, kappas)
     const = branch_const * k_comp ** 2 * k_rho ** 2
     fv = f.value_at(pts)
-    lhs = integrate(grid, _masked_quadratic(fv, 1.0 / rho.psi.value_at(pts) ** 2))
+    lhs = integrate(grid, _masked_quadratic(fv, 1.0 / _values(rho.psi, pts) ** 2))
     rhs = const * integrate(grid, diff.gamma(f, f, pts))
     return HardyReport("homo-norm", lhs, rhs, const, _ratio(lhs, rhs),
                        {"n0": n0, "kappa_comp": k_comp, "kappa_rho": k_rho,

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import hardylab as hl
 from hardylab.cli import RunConfig, list_catalog, main
 from hardylab.errors import UsageError
 
@@ -295,3 +299,82 @@ def test_config_value_faults_exit_2_with_one_line(tmp_path, capsys, payload):
     assert main(["run", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+SMALL_BEST_CONSTANT = {
+    "schema": 1,
+    "geometry": {"name": "logradial", "params": {"m": 3}},
+    "weight": {"name": "euclid-norm"},
+    "operation": "best-constant",
+    "parameters": {"alpha": 0.0},
+    "grid": {"bounds": [[-30, 3]], "n": 4096},
+}
+
+
+@pytest.mark.parametrize("base,operation,alpha", [
+    pytest.param(SMALL_HARDY, "hardy", 1.0, id="hardy"),
+    pytest.param(SMALL_HARDY, "weighted-log-hardy", 2.0, id="weighted-log-hardy"),
+    pytest.param(SMALL_HARDY, "radial", 1.0, id="radial"),
+    pytest.param(SMALL_BEST_CONSTANT, "best-constant", 0.0, id="best-constant"),
+])
+def test_null_Q_exits_2_with_one_line(tmp_path, capsys, base, operation, alpha):
+    payload = dict(base, operation=operation,
+                   parameters=dict(base["parameters"], alpha=alpha, Q=None))
+    cfg = write_config(tmp_path, payload)
+    assert main(["run", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "parameters.Q" in err
+
+
+def test_weight_claiming_no_Q_exits_2(tmp_path, capsys, monkeypatch):
+    import dataclasses
+
+    from hardylab import cli
+
+    resolve = cli._resolve_weight
+    monkeypatch.setattr(cli, "_resolve_weight",
+                        lambda geo, spec: dataclasses.replace(resolve(geo, spec),
+                                                              claimed_Q=None))
+    cfg = write_config(tmp_path, SMALL_HARDY)
+    assert main(["run", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def loads_scipy(code: str, *args: str) -> bool:
+    """Run ``code`` in a fresh interpreter; True when scipy got imported."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hl.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = code + "\nprint('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe, *args], env=env,
+                          capture_output=True, text=True, check=True)
+    return proc.stdout.strip().splitlines()[-1] == "True"
+
+
+def test_importing_the_package_and_cli_leaves_scipy_out():
+    assert not loads_scipy("import sys, hardylab, hardylab.cli")
+
+
+@pytest.mark.parametrize("payload,expected", [
+    pytest.param(SMALL_HARDY, False, id="hardy"),
+    pytest.param(dict(SMALL_RADIAL, operation="evolve"), True, id="evolve"),
+])
+def test_only_semigroup_runs_load_scipy(tmp_path, payload, expected):
+    cfg = write_config(tmp_path, payload)
+    code = ("import sys\n"
+            "from hardylab import cli\n"
+            "assert cli.main(['run', '--config', sys.argv[1]]) == 0")
+    assert loads_scipy(code, cfg) is expected
+
+
+def test_semigroup_names_are_reexported_lazily():
+    from hardylab import semigroup
+
+    assert hl.evolve is semigroup.evolve
+    for name in ("ContractionTrace", "contraction_trace", "evolve",
+                 "subcommutation_check", "symmetry_defect"):
+        assert name in dir(hl)
+        assert getattr(hl, name) is getattr(semigroup, name)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        hl.no_such_name
