@@ -1,4 +1,4 @@
-"""Batch front-end: parse a JSON run configuration, dispatch, emit reports.
+"""Batch front-end: parse a JSON run configuration, run its operation, emit reports.
 
 Exit codes: 0 = all checks pass, 1 = a verified violation beyond tolerance
 (re-checked once at halved spacing before being reported), 2 = usage or
@@ -16,24 +16,20 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from . import inequalities as ineq
 from .catalog import GeometrySpec, Weight, make_geometry, make_weight
 from .conditions import check_curvature, check_suffcond, qcond_report
-from .errors import PreconditionError, UsageError
-from .fields import ComposeField, power_map
-from .grid import default_grid
+from .errors import DegenerateInputError, PreconditionError, UsageError
+from .fields import ComposeField, ScalarField, power_map
+from .grid import Grid, default_grid
 from .testfunctions import bump_corpus, polynomial_bump_corpus
 
 SCHEMA_VERSION = 1
 RATIO_TOL = 1e-6
-
-OPERATIONS = ("qcond", "suffcond", "curvature", "hardy", "log-hardy",
-              "weighted-log-hardy", "radial", "dilation", "homo-norm",
-              "funcineq", "funcineq-general", "best-constant", "evolve",
-              "subcommutation")
 
 _CATALOG_LINES = (
     "geometries:",
@@ -98,7 +94,7 @@ class RunConfig:
         for section in ("geometry", "weight", "parameters", "grid", "corpus"):
             if raw.get(section) is not None and not isinstance(raw[section], dict):
                 raise UsageError(f"config {section} must be a JSON object")
-        if "geometry" not in raw or "name" not in raw["geometry"]:
+        if "name" not in (raw.get("geometry") or {}):
             raise UsageError("config requires geometry.name")
         cfg = cls(geometry=raw["geometry"], operation=op, weight=raw.get("weight"),
                   parameters=raw.get("parameters", {}), grid=raw.get("grid", {}),
@@ -107,7 +103,11 @@ class RunConfig:
         return cfg
 
     def _check_values(self) -> None:
-        """Reject parameter, grid and corpus values of the wrong type or range."""
+        """Reject config values of the wrong type or range."""
+        _require(isinstance(self.geometry.get("params", {}), dict),
+                 "geometry.params must be a JSON object", self.geometry.get("params"))
+        if self.weight:
+            _check_weight_spec(self.weight, "weight")
         for key, value in self.parameters.items():
             # Q may be null for the operations that do not use it
             if key in _NUMBER_PARAMETERS and not (key == "Q" and value is None):
@@ -123,18 +123,32 @@ class RunConfig:
             counts = n if isinstance(n, list) else [n]
             _require(len(counts) > 0 and all(_is_count(k, 1) for k in counts),
                      "grid.n must be a positive integer or a list of them", n)
+        bounds = self.grid.get("bounds")
+        if bounds is not None:
+            _require(isinstance(bounds, list) and len(bounds) > 0
+                     and all(isinstance(b, list) and len(b) == 2 and all(map(_is_number, b))
+                             and b[0] < b[1] for b in bounds),
+                     "grid.bounds must be a list of [lo, hi] pairs with lo < hi", bounds)
+        radius = self.grid.get("excision_radius")
+        _require(radius is None or _is_number(radius),
+                 "grid.excision_radius must be a finite number", radius)
         for key, least in (("size", 1), ("seed", 0)):
             if key in self.corpus:
                 _require(_is_count(self.corpus[key], least),
                          f"corpus.{key} must be an integer >= {least}", self.corpus[key])
 
 
-# operations whose constant is built from Q
-_NEEDS_Q = ("hardy", "weighted-log-hardy", "radial", "best-constant")
-
-# parameters read as floats by some operation
-_NUMBER_PARAMETERS = ("alpha", "beta", "gamma", "p", "Q", "eps", "tol", "t_max", "dt",
-                      "C1", "C2")
+def _check_weight_spec(spec, where: str) -> None:
+    """A weight is {"name", "params"}; log-of and power-of name their base
+    weight, itself a weight, in params.base."""
+    _require(isinstance(spec, dict) and "name" in spec,
+             f"{where} must be a JSON object with a name", spec)
+    params = spec.get("params", {})
+    _require(isinstance(params, dict), f"{where}.params must be a JSON object", params)
+    if spec["name"] in ("log-of", "power-of"):
+        _require("base" in params, f"{where}.params.base must give the weight {spec['name']} "
+                 "is built on", params)
+        _check_weight_spec(params["base"], f"{where}.params.base")
 
 
 def _is_number(value) -> bool:
@@ -178,25 +192,10 @@ def _build_grid(geo: GeometrySpec, weight, grid_cfg: dict, psi_range, refine: in
                         excision_radius=grid_cfg.get("excision_radius"))
 
 
-def _multiplier(weight: Weight, params: dict):
-    """The multiplier W: psi, or psi^p when the parameters give p."""
-    if "p" in params:
-        return ComposeField(power_map(float(params["p"])), weight.psi)
-    return weight.psi
-
-
-def _default_psi_range(weight, grid):
-    vals = weight.psi.value_at(grid.points)
-    lo, hi = float(np.min(vals)), float(np.max(vals))
-    span = hi - lo
-    return (lo + 0.15 * span, hi - 0.15 * span)
-
-
-def _thread_map(fn, items):
-    """[fn(x) for x in items], on HARDYLAB_THREADS workers.  The first item
-    runs alone, so the workers share the per-(grid, weight) terms it caches
+def _thread_map(fn, items, threads: int):
+    """[fn(x) for x in items], on ``threads`` workers.  The first item runs
+    alone, so the workers share the per-(grid, weight) terms it caches
     instead of each computing them at once."""
-    threads = int(os.environ.get("HARDYLAB_THREADS", "1"))
     if threads <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
     first = fn(items[0])
@@ -211,163 +210,198 @@ class RunResult:
     rows: list
 
 
-def _corpus_sweep(cfg: RunConfig, geo, weight, grid, make_report):
-    seed = int(cfg.corpus.get("seed", 0))
-    size = int(cfg.corpus.get("size", 20))
-    psi_range = cfg.parameters.get("psi_range")
-    if psi_range is None:
-        psi_range = _default_psi_range(weight, grid)
-    corpus = bump_corpus(weight.psi, grid, size, seed, tuple(psi_range))
-    reports = _thread_map(make_report, corpus)
-    rows = []
-    worst = -np.inf
-    for i, rep in enumerate(reports):
-        row = {"index": i, **rep.row()}
-        rows.append(row)
-        if rep.ratio is not None:
-            worst = max(worst, rep.ratio)
-    return rows, (None if worst == -np.inf else worst), reports
+@dataclass
+class _Context:
+    """What an operation handler reads: the config, the objects built from
+    it, and the operation's parameters with their defaults filled in."""
+
+    cfg: RunConfig
+    geo: GeometrySpec
+    weight: Weight
+    grid: Grid
+    W: ScalarField  # the multiplier, built once per run so its memos serve the corpus
+    Q: float | None
+    params: dict
+    seed: int
+    size: int
+    threads: int  # HARDYLAB_THREADS, read once per run
+
+    def bumps(self, size: int):
+        """Corpus bumps in parameters.psi_range, by default the middle 70% of
+        psi's range on the grid."""
+        psi_range = self.cfg.parameters.get("psi_range")
+        if psi_range is None:
+            vals = self.weight.psi.value_at(self.grid.points)
+            lo, hi = float(np.min(vals)), float(np.max(vals))
+            span = hi - lo
+            psi_range = (lo + 0.15 * span, hi - 0.15 * span)
+        return bump_corpus(self.weight.psi, self.grid, size, self.seed, tuple(psi_range))
 
 
-def _dispatch(cfg: RunConfig, refine: int = 1) -> RunResult:
+# Each handler returns (passed, summary, rows); _dispatch puts the operation
+# first in the summary and, unless the handler gave one, the verdict last.
+
+def _qcond(ctx: _Context):
+    rep = qcond_report(ctx.geo.diffusion, ctx.weight, ctx.grid, tol=ctx.params["tol"])
+    ok_verdicts = {"exact": ("exact",),
+                   "lower": ("exact", "lower-bound"),
+                   "upper": ("exact", "upper-bound")}[ctx.weight.comparison]
+    return (rep.verdict in ok_verdicts,
+            {"verdict": rep.verdict, "Q_estimate": rep.Q_estimate, "max_defect": rep.max_defect},
+            [{"index": 0, **rep.summary()}])
+
+
+def _suffcond(ctx: _Context):
+    gam = ctx.params["gamma"]
+    passed, inf_val = check_suffcond(ctx.geo.diffusion, ctx.W, ctx.grid, gam)
+    return (passed, {"gamma": gam, "inf_value": inf_val},
+            [{"index": 0, "inf_value": inf_val, "passed": passed}])
+
+
+def _curvature(ctx: _Context):
+    diff, gam = ctx.geo.diffusion, ctx.params["gamma"]
+    corpus = polynomial_bump_corpus(ctx.grid, ctx.size, ctx.seed)
+    defects = _thread_map(lambda f: check_curvature(diff, ctx.W, f, gam, ctx.grid), corpus,
+                          ctx.threads)
+    worst = min(defects)
+    return (worst >= -ctx.params["tol"], {"gamma": gam, "worst_defect": worst},
+            [{"index": i, "min_defect": d} for i, d in enumerate(defects)])
+
+
+def _sweep(report: str, on_multiplier: bool = False):
+    """Handler running ``ineq.<report>`` on every corpus bump, with (geo, weight)
+    or, ``on_multiplier``, (diffusion, W) first and the parameters by name.  The
+    report is looked up when the handler runs, not when the table is built."""
+
+    def handler(ctx: _Context):
+        make = getattr(ineq, report)
+        lead = (ctx.geo.diffusion, ctx.W) if on_multiplier else (ctx.geo, ctx.weight)
+        reports = _thread_map(lambda f: make(*lead, f=f, grid=ctx.grid, **ctx.params),
+                              ctx.bumps(ctx.size), ctx.threads)
+        ratios = [rep.ratio for rep in reports if rep.ratio is not None]
+        worst = max(ratios) if ratios else None
+        return (worst is None or worst <= 1.0 + RATIO_TOL,
+                {"alpha": float(ctx.cfg.parameters.get("alpha", 0.0)), "Q": ctx.Q,
+                 "inequality": reports[0].inequality_id,
+                 "constant": reports[0].constant_used, "worst_ratio": worst},
+                [{"index": i, **rep.row()} for i, rep in enumerate(reports)])
+
+    return handler
+
+
+def _best_constant(ctx: _Context):
+    alpha = ctx.params["alpha"]
+    sup_ratio, best = ineq.estimate_best_constant(ctx.geo, ctx.weight, alpha, grid=ctx.grid)
+    const = (2.0 / (ctx.params["Q"] + alpha - 2.0)) ** 2
+    return (sup_ratio <= const * (1.0 + RATIO_TOL),
+            {"sup_ratio": sup_ratio, "constant": const, "best_params": best},
+            [{"index": 0, "sup_ratio": sup_ratio, **best}])
+
+
+def _evolve(ctx: _Context):
+    from .semigroup import evolve  # imports scipy, only for the two semigroup operations
+    times, states = evolve(ctx.geo.diffusion, ctx.bumps(1)[0], ctx.grid,
+                           ctx.params["t_max"], ctx.params["dt"])
+    w = ctx.grid.weights
+    rows = [{"t": float(t), "l2_norm": float(np.sqrt(np.sum(w * s ** 2))),
+             "mass": float(np.sum(w * s))}
+            for t, s in zip(times, states)]
+    return True, {"samples": len(rows)}, rows
+
+
+def _subcommutation(ctx: _Context):
+    from .semigroup import subcommutation_check  # imports scipy
+    grid, W, p = ctx.grid, ctx.W, ctx.params
+    f0 = ctx.bumps(1)[0]
+    defect = subcommutation_check(ctx.geo.diffusion, W, f0, grid, p["t_max"], p["dt"],
+                                  gamma=p["gamma"])
+    h2 = float(np.max(grid.spacing)) ** 2
+    scale = float(np.max(W.value_at(grid.points) ** 2 * f0.value_at(grid.points) ** 2))
+    threshold = -(p["C1"] * h2 + p["C2"] * p["dt"]) * max(scale, 1e-300)
+    return (defect >= threshold, {"min_defect": defect, "threshold": threshold},
+            [{"index": 0, "min_defect": defect, "threshold": threshold}])
+
+
+@dataclass(frozen=True)
+class _Operation:
+    """One operation: its handler, the parameters it reads with their
+    defaults (None: no default), and whether it needs Q, which defaults to
+    the weight's claimed Q."""
+
+    handler: Callable
+    parameters: dict
+    needs_Q: bool = False
+
+
+_OPERATIONS = {
+    "qcond": _Operation(_qcond, {"tol": 1e-8}),
+    "suffcond": _Operation(_suffcond, {"gamma": 0.0, "p": None}),
+    "curvature": _Operation(_curvature, {"gamma": 0.0, "tol": 1e-8, "p": None}),
+    "hardy": _Operation(_sweep("hardy_report"), {"alpha": 0.0}, needs_Q=True),
+    "log-hardy": _Operation(_sweep("log_hardy_report"), {"alpha": 0.0}),
+    "weighted-log-hardy": _Operation(_sweep("weighted_log_hardy_report"), {"alpha": 0.0},
+                                     needs_Q=True),
+    "radial": _Operation(_sweep("radial_hardy_report"), {"alpha": 0.0}, needs_Q=True),
+    "dilation": _Operation(_sweep("dilation_hardy_report"), {"alpha": 0.0}),
+    "homo-norm": _Operation(_sweep("homogeneous_norm_report"), {"eps": 1e-3}),
+    "funcineq": _Operation(_sweep("funcineq_report", on_multiplier=True),
+                           {"gamma": 0.0, "p": None}),
+    "funcineq-general": _Operation(_sweep("funcineqgeneral_report", on_multiplier=True),
+                                   {"beta": 0.0, "p": None}),
+    "best-constant": _Operation(_best_constant, {"alpha": 0.0}, needs_Q=True),
+    "evolve": _Operation(_evolve, {"t_max": 0.1, "dt": 1e-3}),
+    "subcommutation": _Operation(_subcommutation, {"t_max": 0.05, "dt": 1e-3, "gamma": 0.0,
+                                                   "p": None, "C1": 10.0, "C2": 10.0}),
+}
+OPERATIONS = tuple(_OPERATIONS)
+# parameters read as floats by some operation; Q may be null where it is not needed
+_NUMBER_PARAMETERS = {"Q", *(name for entry in _OPERATIONS.values() for name in entry.parameters)}
+
+
+def _dispatch(cfg: RunConfig, refine: int = 1, threads: int = 1) -> RunResult:
+    op = cfg.operation
+    if op not in _OPERATIONS:
+        raise UsageError(f"unknown operation {op!r}")
+    entry = _OPERATIONS[op]
     geo = make_geometry(cfg.geometry["name"], **cfg.geometry.get("params", {}))
     weight = _resolve_weight(geo, cfg.weight) if cfg.weight else None
     p = cfg.parameters
-    op = cfg.operation
 
     if weight is None:
         raise UsageError(f"operation {op!r} requires a weight")
     Q = p.get("Q", weight.claimed_Q)
-    if Q is None and op in _NEEDS_Q:
+    if Q is None and entry.needs_Q:
         raise UsageError(f"operation {op!r} needs parameters.Q; "
                          f"weight {weight.name!r} claims none")
+    Q = None if Q is None else float(Q)
 
     grid = _build_grid(geo, weight, cfg.grid, p.get("psi_range"), refine)
-    diff = geo.diffusion
-    # one multiplier per run, so its field memo and weight-side terms are
-    # computed once for the whole corpus
-    W = _multiplier(weight, p)
-
-    if op == "qcond":
-        rep = qcond_report(diff, weight, grid, tol=float(p.get("tol", 1e-8)))
-        ok_verdicts = {"exact": ("exact",),
-                       "lower": ("exact", "lower-bound"),
-                       "upper": ("exact", "upper-bound")}[weight.comparison]
-        passed = rep.verdict in ok_verdicts
-        rows = [{"index": 0, **rep.summary()}]
-        return RunResult(0 if passed else 1,
-                         {"operation": op, "verdict": rep.verdict,
-                          "Q_estimate": rep.Q_estimate, "max_defect": rep.max_defect},
-                         rows)
-
-    if op == "suffcond":
-        gam = float(p.get("gamma", 0.0))
-        passed, inf_val = check_suffcond(diff, W, grid, gam)
-        return RunResult(0 if passed else 1,
-                         {"operation": op, "gamma": gam, "inf_value": inf_val,
-                          "verdict": "pass" if passed else "violation"},
-                         [{"index": 0, "inf_value": inf_val, "passed": passed}])
-
-    if op == "curvature":
-        gam = float(p.get("gamma", 0.0))
-        corpus = polynomial_bump_corpus(grid, int(cfg.corpus.get("size", 20)),
-                                        int(cfg.corpus.get("seed", 0)))
-        defects = _thread_map(lambda f: check_curvature(diff, W, f, gam, grid), corpus)
-        rows = [{"index": i, "min_defect": d} for i, d in enumerate(defects)]
-        worst = min(defects)
-        tol = float(p.get("tol", 1e-8))
-        return RunResult(0 if worst >= -tol else 1,
-                         {"operation": op, "gamma": gam, "worst_defect": worst,
-                          "verdict": "pass" if worst >= -tol else "violation"},
-                         rows)
-
-    if op in ("hardy", "log-hardy", "weighted-log-hardy", "radial", "dilation",
-              "homo-norm", "funcineq", "funcineq-general"):
-        alpha = float(p.get("alpha", 0.0))
-        Q = None if Q is None else float(Q)
-
-        def make_report(f):
-            if op == "hardy":
-                return ineq.hardy_report(geo, weight, Q, alpha, f, grid)
-            if op == "log-hardy":
-                return ineq.log_hardy_report(geo, weight, alpha, f, grid)
-            if op == "weighted-log-hardy":
-                return ineq.weighted_log_hardy_report(geo, weight, Q, alpha, f, grid)
-            if op == "radial":
-                return ineq.radial_hardy_report(geo, weight, Q, alpha, f, grid)
-            if op == "dilation":
-                return ineq.dilation_hardy_report(geo, weight, alpha, f, grid)
-            if op == "homo-norm":
-                return ineq.homogeneous_norm_report(geo, weight, f, grid,
-                                                    eps=float(p.get("eps", 1e-3)))
-            if op == "funcineq":
-                return ineq.funcineq_report(diff, W, float(p.get("gamma", 0.0)), f, grid)
-            return ineq.funcineqgeneral_report(diff, W, float(p.get("beta", 0.0)), f, grid)
-
-        rows, worst, reports = _corpus_sweep(cfg, geo, weight, grid, make_report)
-        passed = worst is None or worst <= 1.0 + RATIO_TOL
-        return RunResult(0 if passed else 1,
-                         {"operation": op, "alpha": alpha, "Q": Q,
-                          "inequality": reports[0].inequality_id,
-                          "constant": reports[0].constant_used,
-                          "worst_ratio": worst,
-                          "verdict": "pass" if passed else "violation"},
-                         rows)
-
-    if op == "best-constant":
-        alpha = float(p.get("alpha", 0.0))
-        sup_ratio, best = ineq.estimate_best_constant(geo, weight, alpha, grid=grid)
-        const = (2.0 / (float(Q) + alpha - 2.0)) ** 2
-        passed = sup_ratio <= const * (1.0 + RATIO_TOL)
-        return RunResult(0 if passed else 1,
-                         {"operation": op, "sup_ratio": sup_ratio,
-                          "constant": const, "best_params": best,
-                          "verdict": "pass" if passed else "violation"},
-                         [{"index": 0, "sup_ratio": sup_ratio, **best}])
-
-    if op == "evolve":
-        from .semigroup import evolve  # imports scipy, only for these two operations
-        psi_range = p.get("psi_range") or _default_psi_range(weight, grid)
-        f0 = bump_corpus(weight.psi, grid, 1, int(cfg.corpus.get("seed", 0)),
-                         tuple(psi_range))[0]
-        times, states = evolve(diff, f0, grid, float(p.get("t_max", 0.1)),
-                               float(p.get("dt", 1e-3)))
-        w = grid.weights
-        rows = [{"t": float(t), "l2_norm": float(np.sqrt(np.sum(w * s ** 2))),
-                 "mass": float(np.sum(w * s))}
-                for t, s in zip(times, states)]
-        return RunResult(0, {"operation": op, "samples": len(rows),
-                             "verdict": "pass"}, rows)
-
-    if op == "subcommutation":
-        from .semigroup import subcommutation_check  # imports scipy
-        psi_range = p.get("psi_range") or _default_psi_range(weight, grid)
-        f0 = bump_corpus(weight.psi, grid, 1, int(cfg.corpus.get("seed", 0)),
-                         tuple(psi_range))[0]
-        t = float(p.get("t_max", 0.05))
-        dt = float(p.get("dt", 1e-3))
-        defect = subcommutation_check(diff, W, f0, grid, t, dt,
-                                      gamma=float(p.get("gamma", 0.0)))
-        h2 = float(np.max(grid.spacing)) ** 2
-        scale = float(np.max(W.value_at(grid.points) ** 2 * f0.value_at(grid.points) ** 2))
-        c1 = float(p.get("C1", 10.0))
-        c2 = float(p.get("C2", 10.0))
-        threshold = -(c1 * h2 + c2 * dt) * max(scale, 1e-300)
-        passed = defect >= threshold
-        return RunResult(0 if passed else 1,
-                         {"operation": op, "min_defect": defect,
-                          "threshold": threshold,
-                          "verdict": "pass" if passed else "violation"},
-                         [{"index": 0, "min_defect": defect, "threshold": threshold}])
-
-    raise UsageError(f"unknown operation {op!r}")
+    params = {name: None if p.get(name, d) is None else float(p.get(name, d))
+              for name, d in entry.parameters.items()}
+    # the multiplier W: psi, or psi^p when the parameters give p; the
+    # handlers read p only through W
+    p_exp = params.pop("p", None)
+    W = weight.psi if p_exp is None else ComposeField(power_map(p_exp), weight.psi)
+    if entry.needs_Q:
+        params["Q"] = Q
+    ctx = _Context(cfg, geo, weight, grid, W, Q, params, int(cfg.corpus.get("seed", 0)),
+                   int(cfg.corpus.get("size", 20)), threads)
+    passed, summary, rows = entry.handler(ctx)
+    summary = {"operation": op, **summary}
+    summary.setdefault("verdict", "pass" if passed else "violation")
+    return RunResult(0 if passed else 1, summary, rows)
 
 
 def run(cfg: RunConfig, refine: bool = False) -> RunResult:
     """Execute a config; violations are re-checked once at halved spacing."""
-    result = _dispatch(cfg, refine=2 if refine else 1)
+    value = os.environ.get("HARDYLAB_THREADS", "1")
+    try:
+        threads = int(value)
+    except ValueError:
+        raise UsageError(f"HARDYLAB_THREADS must be an integer, got {value!r}") from None
+    result = _dispatch(cfg, refine=2 if refine else 1, threads=threads)
     if result.exit_code == 1 and not refine:
-        rechecked = _dispatch(cfg, refine=2)
+        rechecked = _dispatch(cfg, refine=2, threads=threads)
         if rechecked.exit_code == 0:
             rechecked.summary["note"] = "violation resolved at halved spacing"
             return rechecked
@@ -427,12 +461,14 @@ def main(argv=None) -> int:
         return 2
 
     try:
+        if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise UsageError(f"the directory of --out {args.out!r} does not exist")
         with open(args.config) as fh:
             cfg = RunConfig.from_json(fh.read())
         if args.seed is not None:
             cfg.corpus["seed"] = args.seed
         result = run(cfg, refine=args.refine)
-    except (UsageError, PreconditionError, FileNotFoundError) as e:
+    except (UsageError, PreconditionError, DegenerateInputError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -1,9 +1,11 @@
 r"""Quadrature evaluation of the Hardy-type inequalities and sharpness probes.
 
-Every report evaluates both sides of one inequality for one test function on
-one grid and records lhs, rhs, the constant used, and their ratio; a valid
-inequality never shows ratio > 1 beyond quadrature error.  The ids follow
-the families
+Every family is an L2-Hardy inequality  sum_i a_i int V_i f^2 <= sum_j b_j int U_j
+for one test function f on one grid.  One core, ``_form``, evaluates them all:
+it checks that f's support stays clear of the grid boundary and excisions,
+reads f, asks the family for its constant, params and (coefficient, array)
+terms of each side, sums the terms in order and builds the ``HardyReport``;
+a valid inequality never shows ratio > 1 beyond quadrature error.  The families:
 
   hardy:             int psi^a (G(psi)/psi^2) f^2  <=  (2/(Q+a-2))^2 int psi^a G(f)
   log-hardy:         weights |log psi|^a G(psi)/(psi^2 log^2 psi), constant (2/(a-1))^2
@@ -13,16 +15,19 @@ the families
   funcineq:          int L(W^2) f^2 <= 2 int W^2 G(f) - 2 gamma int W^2 f^2
   homo-norm:         f^2/rho^2 against the kappa-assembled constant
 
-A corpus sweep calls one report per test function on the same grid and
-weight, so the costly terms no test function enters are computed once per
-(grid, weight) and cached on the weight's field for that points array
-(``fields.memo``): psi itself, G(psi), the powers psi^a (W^2 among them),
-L(W^2) and L(W), the secondary-condition defect G(psi, G(psi)), the
-Euler-identity defect D psi - psi and the kappa estimates.  Keys carry every parameter a
-value depends on (the diffusion, alpha, Q, beta; p through W itself).  Each
-report forms its left-side weights from these factors with one or two
-elementwise operations.  Only the inputs of the checks are cached: every
-report still compares them against its own tolerance and raises on its own.
+The four log families (log-hardy, weighted-log-hardy, radial-log, dilation-log)
+take (2/(alpha-1))^2 from ``_log_constant`` (it rejects alpha = 1) and share
+``_log_sides``: f's support stays on one side of {psi = 1}, log psi is taken only
+where an integrand is nonzero, |log psi|^a and the family's factor w (1.0 for
+none) go on both sides.  ``rayleigh_ratio``: hardy, constant 1, no support check.
+
+The costly terms no test function enters are computed once per (grid, weight)
+and cached on the weight's field for that points array (``fields.memo``): psi,
+G(psi), the powers psi^a (W^2 among them), L(W^2) and L(W), the defects
+G(psi, G(psi)) and D psi - psi, and the kappa estimates.  Keys carry every
+parameter a value depends on (the diffusion, alpha, Q, beta; p through W
+itself).  Only the inputs of the checks are cached: every report compares
+them against its own tolerance and raises on its own.
 
 ``estimate_best_constant`` runs a Rayleigh-quotient search over smoothed
 truncations of the near-optimal power profile; the supremum approaches the
@@ -65,25 +70,6 @@ class HardyReport:
                 "ratio": float("nan") if self.ratio is None else self.ratio}
 
 
-def _require_support(grid: Grid, f: ScalarField):
-    if not grid.supports(f):
-        raise PreconditionError("test function support touches the grid boundary "
-                                "or an excised region")
-
-
-def _ratio(lhs: float, rhs: float):
-    return lhs / rhs if rhs > 0 else None
-
-
-def _masked_quadratic(fv, weight_vals):
-    """f^2 * weight, evaluated only where f != 0 (singular weights are
-    multiplied by an exact zero elsewhere)."""
-    out = np.zeros_like(fv)
-    nz = fv != 0.0
-    out[nz] = fv[nz] ** 2 * weight_vals[nz]
-    return out
-
-
 def _masked_product(vals, weight_vals):
     """vals * weight only where vals != 0, so singular weights never meet
     the exact zeros outside a test function's support."""
@@ -99,16 +85,28 @@ def _masked_log(vals, pv):
     return np.where(vals != 0.0, np.log(np.where(vals != 0.0, pv, 1.0)), 1.0)
 
 
-def _support_side(psi_vals, fv):
-    """Which side of {psi = 1} carries f; raises if the support crosses it."""
-    nz = fv != 0.0
-    if not np.any(nz):
-        return None
-    below = np.any(psi_vals[nz] < 1.0)
-    above = np.any(psi_vals[nz] > 1.0)
-    if below and above:
-        raise PreconditionError("support crosses the level set {psi = 1}")
-    return "lower" if below else "upper"
+def _total(grid: Grid, terms) -> float:
+    """Sum of coefficient * integral over (coefficient, integrand) terms, in order."""
+    values = [c * integrate(grid, vals) for c, vals in terms]
+    return sum(values[1:], values[0])
+
+
+def _form(inequality_id: str, grid: Grid, f: ScalarField, sides,
+          check_support: bool = True) -> HardyReport:
+    """The core under every report.  Checks f's support (unless the caller
+    opts out), then asks ``sides(pts, fv)`` for (const, lhs_terms, rhs_terms,
+    params): left terms are (a, V) pairs, V multiplying f^2 only where f != 0;
+    right terms are (b, U) pairs of finished integrands."""
+    if check_support and not grid.supports(f):
+        raise PreconditionError("test function support touches the grid boundary "
+                                "or an excised region")
+    pts = grid.points
+    fv = f.value_at(pts)
+    const, lhs_terms, rhs_terms, params = sides(pts, fv)
+    lhs = _total(grid, [(a, _masked_product(fv ** 2, v)) for a, v in lhs_terms])
+    rhs = _total(grid, rhs_terms)
+    return HardyReport(inequality_id, lhs, rhs, const, lhs / rhs if rhs > 0 else None,
+                       params)
 
 
 # -- weight-side terms: once per (field, key, points array) -----------------
@@ -130,49 +128,71 @@ def _power(psi: ScalarField, a: float, pts):
     return memo(psi, "_weight_memo", ("power", a), pts, lambda p: _values(psi, p) ** a)
 
 
-def _hardy_lhs_weight(diff: Diffusion, psi: ScalarField, alpha: float, pts):
-    """psi^alpha Gamma(psi) / psi^2, formed from the cached factors."""
-    return _power(psi, alpha, pts) * _gamma_psi(diff, psi, pts) / _values(psi, pts) ** 2
+def _hardy_constant(Q: float, alpha: float, log_variant: str) -> float:
+    if Q + alpha == 2.0:
+        raise UsageError(f"Q + alpha = 2 is the logarithmic case; use {log_variant}")
+    return (2.0 / (Q + alpha - 2.0)) ** 2
+
+
+def _log_constant(alpha: float) -> float:
+    if alpha == 1.0:
+        raise UsageError("alpha = 1 is excluded in the logarithmic family")
+    return (2.0 / (alpha - 1.0)) ** 2
+
+
+def _hardy_sides(diff: Diffusion, psi: ScalarField, alpha: float, const: float,
+                 f: ScalarField, params: dict):
+    """psi^alpha Gamma(psi) / psi^2 against const psi^alpha Gamma(f)."""
+
+    def sides(pts, fv):
+        pa = _power(psi, alpha, pts)
+        return (const, [(1.0, pa * _gamma_psi(diff, psi, pts) / _values(psi, pts) ** 2)],
+                [(const, pa * diff.gamma(f, f, pts))], params)
+
+    return sides
+
+
+def _log_sides(const: float, alpha: float, psi: ScalarField, parts, params: dict):
+    """Sides of a log family: int w |log psi|^a num/(den log^2 psi) f^2 against
+    const int w |log psi|^a E, for const = ``_log_constant(alpha)``.
+    ``parts(pts)`` runs the family's own checks and gives (w, num, den, E),
+    1.0 for a missing factor."""
+
+    def sides(pts, fv):
+        w, num, den, energy = parts(pts)
+        pv = _values(psi, pts)
+        nz = fv != 0.0
+        if np.any(pv[nz] < 1.0) and np.any(pv[nz] > 1.0):
+            raise PreconditionError("support crosses the level set {psi = 1}")
+        logs = _masked_log(fv, pv)
+        lhs = w * np.abs(logs) ** alpha * num / (den * logs ** 2)
+        rhs = _masked_product(energy, w * np.abs(_masked_log(energy, pv)) ** alpha)
+        return const, [(1.0, lhs)], [(const, rhs)], params
+
+    return sides
 
 
 def hardy_report(geo, psi: Weight, Q: float, alpha: float, f: ScalarField,
                  grid: Grid) -> HardyReport:
     """General weighted Hardy inequality with constant (2/(Q + alpha - 2))^2."""
-    if Q + alpha == 2.0:
-        raise UsageError("Q + alpha = 2 is the logarithmic case; "
-                         "use log_hardy_report / weighted_log_hardy_report")
-    diff = as_diffusion(geo)
-    _require_support(grid, f)
-    pts = grid.points
-    fv = f.value_at(pts)
-    lhs = integrate(grid, _masked_quadratic(fv, _hardy_lhs_weight(diff, psi.psi, alpha, pts)))
-    const = (2.0 / (Q + alpha - 2.0)) ** 2
-    rhs = const * integrate(grid, _power(psi.psi, alpha, pts) * diff.gamma(f, f, pts))
-    return HardyReport("hardy", lhs, rhs, const, _ratio(lhs, rhs),
-                       {"Q": Q, "alpha": alpha, "weight": psi.name})
+    const = _hardy_constant(Q, alpha, "log_hardy_report / weighted_log_hardy_report")
+    return _form("hardy", grid, f, _hardy_sides(as_diffusion(geo), psi.psi, alpha, const, f,
+                                                {"Q": Q, "alpha": alpha, "weight": psi.name}))
 
 
 def log_hardy_report(geo, psi: Weight, alpha: float, f: ScalarField,
                      grid: Grid) -> HardyReport:
     """Critical-case Hardy inequality with logarithmic weights,
     constant (2/(alpha - 1))^2; log^p psi means |log psi|^p."""
-    if alpha == 1.0:
-        raise UsageError("alpha = 1 is excluded in the logarithmic family")
+    const = _log_constant(alpha)
     diff = as_diffusion(geo)
-    _require_support(grid, f)
-    pts = grid.points
-    fv = f.value_at(pts)
-    pv = _values(psi.psi, pts)
-    _support_side(pv, fv)
-    gpsi = _gamma_psi(diff, psi.psi, pts)
-    logs = _masked_log(fv, pv)
-    la = np.abs(logs) ** alpha
-    lhs = integrate(grid, _masked_quadratic(fv, la * gpsi / (pv ** 2 * logs ** 2)))
-    const = (2.0 / (alpha - 1.0)) ** 2
-    gf = diff.gamma(f, f, pts)
-    rhs = const * integrate(grid, _masked_product(gf, np.abs(_masked_log(gf, pv)) ** alpha))
-    return HardyReport("log-hardy", lhs, rhs, const, _ratio(lhs, rhs),
-                       {"alpha": alpha, "weight": psi.name})
+
+    def parts(pts):
+        return (1.0, _gamma_psi(diff, psi.psi, pts), _values(psi.psi, pts) ** 2,
+                diff.gamma(f, f, pts))
+
+    return _form("log-hardy", grid, f, _log_sides(const, alpha, psi.psi, parts,
+                                                  {"alpha": alpha, "weight": psi.name}))
 
 
 def weighted_log_hardy_report(geo, psi: Weight, Q: float, alpha: float,
@@ -181,25 +201,15 @@ def weighted_log_hardy_report(geo, psi: Weight, Q: float, alpha: float,
     Q + alpha = 2 branch of the weighted inequalities)."""
     if Q == 2.0:
         raise UsageError("Q = 2 reduces to log_hardy_report")
-    if alpha == 1.0:
-        raise UsageError("alpha = 1 is excluded in the logarithmic family")
+    const = _log_constant(alpha)
     diff = as_diffusion(geo)
-    _require_support(grid, f)
-    pts = grid.points
-    fv = f.value_at(pts)
-    pv = _values(psi.psi, pts)
-    _support_side(pv, fv)
-    gpsi = _gamma_psi(diff, psi.psi, pts)
-    logs = _masked_log(fv, pv)
-    la = np.abs(logs) ** alpha
-    w = _power(psi.psi, 2.0 - Q, pts)
-    lhs = integrate(grid, _masked_quadratic(fv, w * la * gpsi / (pv ** 2 * logs ** 2)))
-    const = (2.0 / (alpha - 1.0)) ** 2
-    gf = diff.gamma(f, f, pts)
-    la_full = np.abs(_masked_log(gf, pv)) ** alpha
-    rhs = const * integrate(grid, _masked_product(gf, w * la_full))
-    return HardyReport("weighted-log-hardy", lhs, rhs, const, _ratio(lhs, rhs),
-                       {"Q": Q, "alpha": alpha, "weight": psi.name})
+
+    def parts(pts):
+        return (_power(psi.psi, 2.0 - Q, pts), _gamma_psi(diff, psi.psi, pts),
+                _values(psi.psi, pts) ** 2, diff.gamma(f, f, pts))
+
+    return _form("weighted-log-hardy", grid, f, _log_sides(
+        const, alpha, psi.psi, parts, {"Q": Q, "alpha": alpha, "weight": psi.name}))
 
 
 def secondary_condition_defect(diff: Diffusion, psi: ScalarField, pts) -> float:
@@ -224,23 +234,18 @@ def radial_hardy_report(geo, psi: Weight, Q: float, alpha: float, f: ScalarField
                         grid: Grid, secondary_tol: float = 1e-8) -> HardyReport:
     """Radial-derivative Hardy inequality: the right side only sees
     Gamma(psi, f)^2.  Requires Gamma(psi, Gamma(psi)) = 0 on the grid."""
-    if Q + alpha == 2.0:
-        raise UsageError("Q + alpha = 2 is the logarithmic case; "
-                         "use radial_log_hardy_report")
+    const = _hardy_constant(Q, alpha, "radial_log_hardy_report")
     diff = as_diffusion(geo)
-    _require_support(grid, f)
-    pts = grid.points
-    _require_secondary(diff, psi.psi, pts, secondary_tol)
-    fv = f.value_at(pts)
-    pv = _values(psi.psi, pts)
-    pa = _power(psi.psi, alpha, pts)
-    gpsi = _gamma_psi(diff, psi.psi, pts)
-    lhs = integrate(grid, _masked_quadratic(fv, pa * gpsi ** 2 / pv ** 2))
-    const = (2.0 / (Q + alpha - 2.0)) ** 2
-    zf = diff.gamma(psi.psi, f, pts)
-    rhs = const * integrate(grid, pa * zf ** 2)
-    return HardyReport("radial", lhs, rhs, const, _ratio(lhs, rhs),
-                       {"Q": Q, "alpha": alpha, "weight": psi.name})
+
+    def sides(pts, fv):
+        _require_secondary(diff, psi.psi, pts, secondary_tol)
+        pa = _power(psi.psi, alpha, pts)
+        gpsi = _gamma_psi(diff, psi.psi, pts)
+        return (const, [(1.0, pa * gpsi ** 2 / _values(psi.psi, pts) ** 2)],
+                [(const, pa * diff.gamma(psi.psi, f, pts) ** 2)],
+                {"Q": Q, "alpha": alpha, "weight": psi.name})
+
+    return _form("radial", grid, f, sides)
 
 
 def radial_log_hardy_report(geo, psi: Weight, Q: float, alpha: float,
@@ -248,26 +253,16 @@ def radial_log_hardy_report(geo, psi: Weight, Q: float, alpha: float,
                             secondary_tol: float = 1e-8) -> HardyReport:
     """Logarithmic variant of the radial family (factor psi^(2-Q), constant
     (2/(alpha-1))^2)."""
-    if alpha == 1.0:
-        raise UsageError("alpha = 1 is excluded in the logarithmic family")
+    const = _log_constant(alpha)
     diff = as_diffusion(geo)
-    _require_support(grid, f)
-    pts = grid.points
-    _require_secondary(diff, psi.psi, pts, secondary_tol)
-    fv = f.value_at(pts)
-    pv = _values(psi.psi, pts)
-    _support_side(pv, fv)
-    gpsi = _gamma_psi(diff, psi.psi, pts)
-    logs = _masked_log(fv, pv)
-    la = np.abs(logs) ** alpha
-    w = _power(psi.psi, 2.0 - Q, pts)
-    lhs = integrate(grid, _masked_quadratic(fv, w * la * gpsi ** 2 / (pv ** 2 * logs ** 2)))
-    const = (2.0 / (alpha - 1.0)) ** 2
-    zf2 = diff.gamma(psi.psi, f, pts) ** 2
-    la_full = np.abs(_masked_log(zf2, pv)) ** alpha
-    rhs = const * integrate(grid, _masked_product(zf2, w * la_full))
-    return HardyReport("radial-log", lhs, rhs, const, _ratio(lhs, rhs),
-                       {"Q": Q, "alpha": alpha, "weight": psi.name})
+
+    def parts(pts):
+        _require_secondary(diff, psi.psi, pts, secondary_tol)
+        return (_power(psi.psi, 2.0 - Q, pts), _gamma_psi(diff, psi.psi, pts) ** 2,
+                _values(psi.psi, pts) ** 2, diff.gamma(psi.psi, f, pts) ** 2)
+
+    return _form("radial-log", grid, f, _log_sides(
+        const, alpha, psi.psi, parts, {"Q": Q, "alpha": alpha, "weight": psi.name}))
 
 
 def _require_euler(geo: GeometrySpec, dil, psi: ScalarField, pts, tol: float):
@@ -296,42 +291,30 @@ def dilation_hardy_report(geo: GeometrySpec, psi: Weight, alpha: float,
     dil = dilation_operator(geo)
     if dil.Q_hom + alpha == 0.0:
         raise UsageError("alpha = -Q_hom is excluded for the dilation family")
-    _require_support(grid, f)
-    pts = grid.points
-    _require_euler(geo, dil, psi.psi, pts, euler_tol)
-    fv = f.value_at(pts)
-    pa = _power(psi.psi, alpha, pts)
-    lhs = integrate(grid, _masked_quadratic(fv, pa))
     const = (2.0 / (dil.Q_hom + alpha)) ** 2
-    df = dil.dilation.apply(f, pts)
-    rhs = const * integrate(grid, pa * df ** 2)
-    return HardyReport("dilation", lhs, rhs, const, _ratio(lhs, rhs),
-                       {"Q_hom": dil.Q_hom, "alpha": alpha, "weight": psi.name})
+
+    def sides(pts, fv):
+        _require_euler(geo, dil, psi.psi, pts, euler_tol)
+        pa = _power(psi.psi, alpha, pts)
+        return (const, [(1.0, pa)], [(const, pa * dil.dilation.apply(f, pts) ** 2)],
+                {"Q_hom": dil.Q_hom, "alpha": alpha, "weight": psi.name})
+
+    return _form("dilation", grid, f, sides)
 
 
 def dilation_log_hardy_report(geo: GeometrySpec, psi: Weight, alpha: float,
                               f: ScalarField, grid: Grid,
                               euler_tol: float = 1e-8) -> HardyReport:
     """Critical dilation family: factor psi^(-Q_hom), weights |log psi|^a."""
-    if alpha == 1.0:
-        raise UsageError("alpha = 1 is excluded in the logarithmic family")
+    const = _log_constant(alpha)
     dil = dilation_operator(geo)
-    _require_support(grid, f)
-    pts = grid.points
-    _require_euler(geo, dil, psi.psi, pts, euler_tol)
-    pv = _values(psi.psi, pts)
-    fv = f.value_at(pts)
-    _support_side(pv, fv)
-    logs = _masked_log(fv, pv)
-    la = np.abs(logs) ** alpha
-    w = _power(psi.psi, -dil.Q_hom, pts)
-    lhs = integrate(grid, _masked_quadratic(fv, w * la / logs ** 2))
-    const = (2.0 / (alpha - 1.0)) ** 2
-    df2 = dil.dilation.apply(f, pts) ** 2
-    la_full = np.abs(_masked_log(df2, pv)) ** alpha
-    rhs = const * integrate(grid, _masked_product(df2, w * la_full))
-    return HardyReport("dilation-log", lhs, rhs, const, _ratio(lhs, rhs),
-                       {"Q_hom": dil.Q_hom, "alpha": alpha, "weight": psi.name})
+
+    def parts(pts):
+        _require_euler(geo, dil, psi.psi, pts, euler_tol)
+        return _power(psi.psi, -dil.Q_hom, pts), 1.0, 1.0, dil.dilation.apply(f, pts) ** 2
+
+    return _form("dilation-log", grid, f, _log_sides(
+        const, alpha, psi.psi, parts, {"Q_hom": dil.Q_hom, "alpha": alpha, "weight": psi.name}))
 
 
 def funcineq_report(diff, W: ScalarField, gamma: float, f: ScalarField,
@@ -339,15 +322,14 @@ def funcineq_report(diff, W: ScalarField, gamma: float, f: ScalarField,
     """The multiplier functional inequality
     int L(W^2) f^2 <= 2 int W^2 G(f) - 2 gamma int W^2 f^2."""
     diff = as_diffusion(diff)
-    _require_support(grid, f)
-    pts = grid.points
-    fv = f.value_at(pts)
-    lhs = integrate(grid, _masked_quadratic(fv, l_of_square(diff, W, pts)))
-    wv2 = _power(W, 2, pts)
-    rhs = 2.0 * integrate(grid, wv2 * diff.gamma(f, f, pts)) \
-        - 2.0 * gamma * integrate(grid, _masked_quadratic(fv, wv2))
-    return HardyReport("funcineq", lhs, rhs, 1.0, _ratio(lhs, rhs),
-                       {"gamma": gamma})
+
+    def sides(pts, fv):
+        wv2 = _power(W, 2, pts)
+        return (1.0, [(1.0, l_of_square(diff, W, pts))],
+                [(2.0, wv2 * diff.gamma(f, f, pts)),
+                 (-2.0 * gamma, _masked_product(fv ** 2, wv2))], {"gamma": gamma})
+
+    return _form("funcineq", grid, f, sides)
 
 
 def funcineqgeneral_report(diff, W: ScalarField, beta: float, f: ScalarField,
@@ -356,19 +338,16 @@ def funcineqgeneral_report(diff, W: ScalarField, beta: float, f: ScalarField,
     (1-b) int W^(1-2b) LW f^2 + (b^2-b+1) int W^(-2b) G(W) f^2
         <= int W^(2-2b) G(f)."""
     diff = as_diffusion(diff)
-    _require_support(grid, f)
-    pts = grid.points
-    fv = f.value_at(pts)
 
-    lw = memo(W, "_weight_memo", (diff, "L(W)"), pts, lambda p: diff.apply_L(W, p))
-    lw_term = _power(W, 1.0 - 2.0 * beta, pts) * lw
-    gw_term = _power(W, -2.0 * beta, pts) * _gamma_psi(diff, W, pts)
-    lhs = (1.0 - beta) * integrate(grid, _masked_quadratic(fv, lw_term)) \
-        + (beta ** 2 - beta + 1.0) * integrate(grid, _masked_quadratic(fv, gw_term))
-    gf = diff.gamma(f, f, pts)
-    rhs = integrate(grid, _masked_product(gf, _power(W, 2.0 - 2.0 * beta, pts)))
-    return HardyReport("funcineq-general", lhs, rhs, 1.0, _ratio(lhs, rhs),
-                       {"beta": beta})
+    def sides(pts, fv):
+        lw = memo(W, "_weight_memo", (diff, "L(W)"), pts, lambda p: diff.apply_L(W, p))
+        gw = _gamma_psi(diff, W, pts)
+        return (1.0, [(1.0 - beta, _power(W, 1.0 - 2.0 * beta, pts) * lw),
+                      (beta ** 2 - beta + 1.0, _power(W, -2.0 * beta, pts) * gw)],
+                [(1.0, _masked_product(diff.gamma(f, f, pts),
+                                       _power(W, 2.0 - 2.0 * beta, pts)))], {"beta": beta})
+
+    return _form("funcineq-general", grid, f, sides)
 
 
 def homogeneous_norm_report(geo: GeometrySpec, rho: Weight, f: ScalarField,
@@ -384,38 +363,31 @@ def homogeneous_norm_report(geo: GeometrySpec, rho: Weight, f: ScalarField,
     points array).
     """
     diff = as_diffusion(geo)
-    _require_support(grid, f)
-    if geo.stratification is None:
-        raise UsageError("homogeneous-norm reports need a stratified geometry")
-    hor = [i for i, s in enumerate(geo.stratification) if s == 0]
-    n0 = len(hor)
-    if geo.name == "heisenberg":
-        gauge = "koranyi-gauge"
-    elif geo.name == "euclidean":
-        gauge = "euclid-norm"
-    else:
-        raise UsageError(f"no gauge available on {geo.name!r} for the kappa estimate")
-    if n0 >= 3:
-        branch_const = (2.0 / (n0 - 2.0)) ** 2
-        comp_name, comp_params = "horizontal-norm", {"indices": hor}
-    else:
-        branch_const = 4.0
-        comp_name, comp_params = "coordinate", {"index": hor[0]}
 
-    def kappas(p):
-        nw = make_weight(geo, gauge)
-        comp = make_weight(geo, comp_name, **comp_params)
-        return estimate_kappa(comp, nw, grid), estimate_kappa(rho, nw, grid)
+    def sides(pts, fv):
+        if geo.stratification is None:
+            raise UsageError("homogeneous-norm reports need a stratified geometry")
+        hor = [i for i, s in enumerate(geo.stratification) if s == 0]
+        n0 = len(hor)
+        gauge = {"heisenberg": "koranyi-gauge", "euclidean": "euclid-norm"}.get(geo.name)
+        if gauge is None:
+            raise UsageError(f"no gauge available on {geo.name!r} for the kappa estimate")
+        branch_const = (2.0 / (n0 - 2.0)) ** 2 if n0 >= 3 else 4.0
 
-    pts = grid.points
-    k_comp, k_rho = memo(rho.psi, "_weight_memo", (diff, "kappa"), pts, kappas)
-    const = branch_const * k_comp ** 2 * k_rho ** 2
-    fv = f.value_at(pts)
-    lhs = integrate(grid, _masked_quadratic(fv, 1.0 / _values(rho.psi, pts) ** 2))
-    rhs = const * integrate(grid, diff.gamma(f, f, pts))
-    return HardyReport("homo-norm", lhs, rhs, const, _ratio(lhs, rhs),
-                       {"n0": n0, "kappa_comp": k_comp, "kappa_rho": k_rho,
-                        "eps": eps, "weight": rho.name})
+        def kappas(p):
+            nw = make_weight(geo, gauge)
+            comp = (make_weight(geo, "horizontal-norm", indices=hor) if n0 >= 3
+                    else make_weight(geo, "coordinate", index=hor[0]))
+            return estimate_kappa(comp, nw, grid), estimate_kappa(rho, nw, grid)
+
+        k_comp, k_rho = memo(rho.psi, "_weight_memo", (diff, "kappa"), pts, kappas)
+        const = branch_const * k_comp ** 2 * k_rho ** 2
+        return (const, [(1.0, 1.0 / _values(rho.psi, pts) ** 2)],
+                [(const, diff.gamma(f, f, pts))],
+                {"n0": n0, "kappa_comp": k_comp, "kappa_rho": k_rho, "eps": eps,
+                 "weight": rho.name})
+
+    return _form("homo-norm", grid, f, sides)
 
 
 # ---------------------------------------------------------------------------
@@ -423,15 +395,13 @@ def homogeneous_norm_report(geo: GeometrySpec, rho: Weight, f: ScalarField,
 # ---------------------------------------------------------------------------
 
 def rayleigh_ratio(geo, psi: Weight, alpha: float, f: ScalarField, grid: Grid) -> float:
-    """R(f) = int psi^a (G(psi)/psi^2) f^2 / int psi^a G(f) (no constant)."""
-    diff = as_diffusion(geo)
-    pts = grid.points
-    fv = f.value_at(pts)
-    num = integrate(grid, _masked_quadratic(fv, _hardy_lhs_weight(diff, psi.psi, alpha, pts)))
-    den = integrate(grid, _power(psi.psi, alpha, pts) * diff.gamma(f, f, pts))
-    if den <= 0:
+    """R(f) = int psi^a (G(psi)/psi^2) f^2 / int psi^a G(f) (no constant).
+    The support is not checked: callers that need it check it first."""
+    rep = _form("rayleigh", grid, f, _hardy_sides(as_diffusion(geo), psi.psi, alpha, 1.0, f, {}),
+                check_support=False)
+    if rep.ratio is None:
         raise DegenerateInputError("trial function has vanishing energy")
-    return num / den
+    return rep.ratio
 
 
 @dataclass
@@ -518,29 +488,19 @@ def estimate_best_constant(geo, psi: Weight, alpha: float,
             raise UsageError("weight carries no claimed Q; pass a trial family")
         trial_family = default_trial_family(psi, Q, alpha, grid)
 
-    best = (-np.inf, None)
-    for cand in trial_family.candidates():
-        f = trial_family.make(cand["eps"], cand["a"], cand["b"], cand["ramp"])
-        if not grid.supports(f):
-            continue
-        r = rayleigh_ratio(geo, psi, alpha, f, grid)
-        if r > best[0]:
-            best = (r, cand)
-    if best[1] is None:
+    def ratio(eps, a, b, ramp):
+        """R of one trial function; -inf when it does not fit inside the grid."""
+        f = trial_family.make(eps, a, b, ramp)
+        return rayleigh_ratio(geo, psi, alpha, f, grid) if grid.supports(f) else -np.inf
+
+    sup_ratio, params = max(((ratio(**cand), cand) for cand in trial_family.candidates()),
+                            key=lambda pair: pair[0], default=(-np.inf, None))
+    if sup_ratio == -np.inf:
         raise DegenerateInputError("no trial function fits inside the grid")
-
-    sup_ratio, params = best
     if refine:
-        a, b, ramp = params["a"], params["b"], params["ramp"]
-
-        def objective(log_eps):
-            f = trial_family.make(float(np.exp(log_eps)), a, b, ramp)
-            if not grid.supports(f):
-                return -np.inf
-            return rayleigh_ratio(geo, psi, alpha, f, grid)
-
-        eps0 = params["eps"]
-        x, fx = _golden_section_max(objective, np.log(eps0) - 3.0, np.log(eps0) + 1.5)
+        a, b, ramp, eps0 = params["a"], params["b"], params["ramp"], params["eps"]
+        x, fx = _golden_section_max(lambda log_eps: ratio(float(np.exp(log_eps)), a, b, ramp),
+                                    np.log(eps0) - 3.0, np.log(eps0) + 1.5)
         if fx > sup_ratio:
             sup_ratio = fx
             params = {**params, "eps": float(np.exp(x))}

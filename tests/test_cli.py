@@ -293,12 +293,75 @@ SMALL_HARDY = {
                  id="geometry-without-m"),
     pytest.param(dict(SMALL_HARDY, parameters={"alpha": "abc", "psi_range": [0.5, 1.6]}),
                  id="non-numeric-alpha"),
+    pytest.param(dict(SMALL_HARDY, geometry={"name": "euclidean", "params": [2]}),
+                 id="geometry-params-not-object"),
+    pytest.param(dict(SMALL_HARDY, weight={"name": "euclid-norm", "params": "x"}),
+                 id="weight-params-not-object"),
+    pytest.param(dict(SMALL_HARDY, weight={"name": "log-of", "params": {"branch": "upper"}}),
+                 id="log-of-without-base"),
+    pytest.param(dict(SMALL_HARDY, weight={"name": "power-of", "params": {"p": 2.0}}),
+                 id="power-of-without-base"),
+    pytest.param(dict(SMALL_HARDY, weight={"name": "power-of", "params": {
+        "p": 2.0, "base": {"name": "euclid-norm", "params": 3}}}),
+                 id="base-params-not-object"),
+    pytest.param(dict(SMALL_HARDY, grid={"bounds": [-2, 2], "n": 16}),
+                 id="bounds-not-pairs"),
+    pytest.param(dict(SMALL_HARDY, grid={"bounds": [[-2, 2], [2, -2]], "n": 16}),
+                 id="bounds-lo-not-below-hi"),
+    pytest.param(dict(SMALL_HARDY, grid={"bounds": [[-2, 2], [-2, "2"]], "n": 16}),
+                 id="bounds-not-numbers"),
+    pytest.param(dict(SMALL_HARDY, grid={"bounds": [[-2, 2], [-2, 2]], "n": 16,
+                                         "excision_radius": "0.2"}),
+                 id="excision-radius-not-number"),
 ])
 def test_config_value_faults_exit_2_with_one_line(tmp_path, capsys, payload):
     cfg = write_config(tmp_path, payload)
     assert main(["run", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_no_trial_function_in_grid_exits_2_with_one_line(tmp_path, capsys):
+    payload = {
+        "schema": 1,
+        "geometry": {"name": "euclidean", "params": {"m": 2}},
+        "weight": {"name": "euclid-norm"},
+        "operation": "best-constant",
+        "parameters": {"alpha": 1.0},
+        "grid": {"bounds": [[-2, 2], [-2, 2]], "n": 16},
+    }
+    assert main(["run", "--config", write_config(tmp_path, payload)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: no trial function fits inside the grid\n"
+
+
+@pytest.mark.parametrize("operation", ["hardy", "qcond"])
+def test_non_integer_thread_count_exits_2_with_one_line(tmp_path, capsys, monkeypatch,
+                                                        operation):
+    """Checked before any operation runs, also for those that use no threads."""
+    from hardylab import cli
+
+    ran = []
+    monkeypatch.setattr(cli, "_dispatch", lambda *a, **k: ran.append(a))
+    monkeypatch.setenv("HARDYLAB_THREADS", "two")
+    payload = dict(SMALL_HARDY, operation=operation)
+    assert main(["run", "--config", write_config(tmp_path, payload)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "HARDYLAB_THREADS" in err
+    assert ran == []
+
+
+def test_out_path_in_missing_directory_exits_2_before_the_run(tmp_path, capsys, monkeypatch):
+    from hardylab import cli
+
+    ran = []
+    monkeypatch.setattr(cli, "_dispatch", lambda *a, **k: ran.append(a))
+    out = str(tmp_path / "missing" / "report.csv")
+    assert main(["run", "--config", write_config(tmp_path, SMALL_HARDY), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert ran == []
 
 
 SMALL_BEST_CONSTANT = {
@@ -378,3 +441,68 @@ def test_semigroup_names_are_reexported_lazily():
         assert getattr(hl, name) is getattr(semigroup, name)
     with pytest.raises(AttributeError, match="no_such_name"):
         hl.no_such_name
+
+
+EU3 = {"name": "euclidean", "params": {"m": 3}}
+HEIS1 = {"name": "heisenberg", "params": {"m": 1}}
+SWEEP_KEYS = {"operation", "alpha", "Q", "inequality", "constant", "worst_ratio", "verdict"}
+
+
+def _tiny(geometry, weight, parameters, excision=None, n=16):
+    grid = {"bounds": [[-2, 2]] * 3, "n": n}
+    if excision is not None:
+        grid["excision_radius"] = excision
+    return {"schema": 1, "geometry": geometry, "weight": {"name": weight},
+            "parameters": parameters, "grid": grid, "corpus": {"seed": 2, "size": 3}}
+
+
+@pytest.mark.parametrize("operation,payload,keys", [
+    pytest.param("suffcond", _tiny(EU3, "euclid-norm", {"p": 0.5, "gamma": 0.0}, 0.3, n=12),
+                 {"operation", "gamma", "inf_value", "verdict"}, id="suffcond"),
+    pytest.param("log-hardy", _tiny(EU3, "euclid-norm",
+                                    {"alpha": 0.0, "psi_range": [1.1, 1.9]}),
+                 SWEEP_KEYS, id="log-hardy"),
+    pytest.param("weighted-log-hardy", _tiny(EU3, "euclid-norm",
+                                             {"alpha": 0.0, "psi_range": [1.1, 1.9]}),
+                 SWEEP_KEYS, id="weighted-log-hardy"),
+    pytest.param("dilation", _tiny(HEIS1, "koranyi-gauge",
+                                   {"alpha": 0.0, "psi_range": [0.6, 1.6]}),
+                 SWEEP_KEYS, id="dilation"),
+    pytest.param("homo-norm", _tiny(HEIS1, "koranyi-gauge", {"psi_range": [0.6, 1.6]}),
+                 SWEEP_KEYS, id="homo-norm"),
+    pytest.param("funcineq-general",
+                 _tiny(EU3, "euclid-norm", {"p": 0.5, "beta": 0.5, "psi_range": [0.5, 1.6]},
+                       0.25),
+                 SWEEP_KEYS, id="funcineq-general"),
+])
+def test_operation_runs_through_the_cli(operation, payload, keys):
+    from hardylab.cli import run
+
+    result = run(RunConfig.from_json(json.dumps(dict(payload, operation=operation))))
+    assert result.exit_code == 0
+    assert result.summary["verdict"] == "pass"
+    assert set(result.summary) == keys
+    if "inequality" in keys:
+        assert result.summary["inequality"] == operation
+        assert len(result.rows) == 3
+
+
+def test_readme_operation_table_matches_the_cli():
+    from hardylab.cli import _OPERATIONS
+
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme) as fh:
+        lines = fh.read().splitlines()
+    table = {}
+    for line in lines:
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 3 and cells[0].startswith("`") and cells[2] in ("yes", "no"):
+            params = {}
+            for item in cells[1].replace("`", "").split(", "):
+                name, _, default = item.partition("=")
+                params[name] = float(default) if default else None
+            table[cells[0].strip("`")] = (params, cells[2] == "yes")
+    assert list(table) == list(_OPERATIONS)
+    for op, entry in _OPERATIONS.items():
+        assert table[op] == (entry.parameters, entry.needs_Q), op
