@@ -11,8 +11,8 @@ importing scipy.
 
 from .calculus import (Diffusion, FrameDiffusion, chain_rule_defect, eval_L,
                        gamma, gamma_definition_defect, gamma_w, ibp_defect)
-from .catalog import (GeometrySpec, Weight, as_diffusion, estimate_kappa,
-                      make_geometry, make_weight)
+from .catalog import (GeometrySpec, Weight, estimate_kappa, make_geometry,
+                      make_weight)
 from .conditions import (QcondReport, check_curvature, check_suffcond,
                          interior_powers, power_range, qcond_report)
 from .errors import (DegenerateInputError, DomainError, NumericError,

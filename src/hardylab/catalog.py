@@ -25,59 +25,44 @@ by the qcond test suite rather than taken on faith.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .calculus import Diffusion, FrameDiffusion
+from .calculus import FrameDiffusion
 from .errors import DegenerateInputError, UsageError
 from .fields import (AffineField, ComposeField, ConstField, CoordinateField,
                      NormField, ScalarField, SquareNormField, VectorField,
                      coordinate_frame, exp_map, log_map, power_map)
 
 
-@dataclass
-class GeometrySpec:
-    """A named diffusion plus optional stratification data."""
+class GeometrySpec(FrameDiffusion):
+    """A named diffusion plus optional stratification data.
 
-    name: str
-    dim: int
-    frame: tuple
-    drift: VectorField | None
-    measure_density: ScalarField
-    stratification: tuple[int, ...] | None = None
-    Q_hom: float | None = None
-    domain_mask: Callable | None = None
-    params: dict = field(default_factory=dict)
+    A geometry is a ``FrameDiffusion``: frame, drift, measure density,
+    dimension and domain mask are the diffusion's own, and its ``kind`` is
+    its name.  It hashes by identity, which the per-(grid, weight) memo keys
+    that hold it rely on."""
 
-    def __post_init__(self):
-        if self.stratification is not None:
-            if len(self.stratification) != self.dim:
+    def __init__(self, name: str, dim: int, frame, drift: VectorField | None,
+                 measure_density: ScalarField, stratification: tuple[int, ...] | None = None,
+                 Q_hom: float | None = None, domain_mask: Callable | None = None,
+                 params: dict | None = None):
+        super().__init__(frame, drift, measure_density, dim, domain_mask=domain_mask,
+                         kind=name)
+        if stratification is not None:
+            if len(stratification) != self.dim:
                 raise UsageError("stratification must assign a stratum to every coordinate")
-            q = sum(k + 1 for k in self.stratification)
-            if self.Q_hom is None:
-                self.Q_hom = float(q)
-            elif abs(self.Q_hom - q) > 1e-12:
+            q = sum(k + 1 for k in stratification)
+            if Q_hom is None:
+                Q_hom = float(q)
+            elif abs(Q_hom - q) > 1e-12:
                 raise UsageError("Q_hom inconsistent with the stratification")
-        self._diffusion = None
-
-    @property
-    def diffusion(self) -> FrameDiffusion:
-        if self._diffusion is None:
-            self._diffusion = FrameDiffusion(
-                self.frame, self.drift, self.measure_density, self.dim,
-                domain_mask=self.domain_mask, kind=self.name)
-        return self._diffusion
-
-
-def as_diffusion(obj) -> Diffusion:
-    """Accept either a GeometrySpec or a Diffusion."""
-    if isinstance(obj, GeometrySpec):
-        return obj.diffusion
-    if isinstance(obj, Diffusion):
-        return obj
-    raise UsageError(f"expected a geometry or diffusion, got {type(obj).__name__}")
+        self.name = name
+        self.stratification = stratification
+        self.Q_hom = Q_hom
+        self.params = {} if params is None else params
 
 
 @dataclass
@@ -85,20 +70,17 @@ class Weight:
     """A nonnegative weight with its claimed comparison constant.
 
     ``comparison`` is 'exact' when psi L psi = (Q-1) Gamma(psi) holds as an
-    identity, 'lower'/'upper' for the one-sided variants.  ``branch``
-    restricts the domain for logarithmic weights to one side of {psi = 1}.
+    identity, 'lower'/'upper' for the one-sided variants.
     """
 
     name: str
     psi: ScalarField
     claimed_Q: float | None
     singular_set: str
-    branch: str = "plain"
     comparison: str = "exact"
     extra_excised: Callable | None = None
     base_weight: "Weight | None" = None
     has_singular_set: bool = True
-    params: dict = field(default_factory=dict)
 
     def excised(self, pts, radius: float):
         """Nodes to drop: a radius-neighborhood of the singular set (the
@@ -361,9 +343,8 @@ def log_weight(base: Weight, branch: str) -> Weight:
 
     return Weight(name=f"log-of-{base.name}[{branch}]", psi=phi, claimed_Q=1.0,
                   singular_set=base.singular_set + " and {psi = 1}",
-                  branch=f"log-{branch}", comparison=base.comparison,
-                  extra_excised=off_branch, base_weight=base,
-                  params={"base": base.name})
+                  comparison=base.comparison, extra_excised=off_branch,
+                  base_weight=base)
 
 
 def power_weight(base: Weight, p: float) -> Weight:
@@ -376,7 +357,7 @@ def power_weight(base: Weight, p: float) -> Weight:
         comparison = {"lower": "upper", "upper": "lower"}[comparison]
     return Weight(name=f"{base.name}^{p}", psi=ComposeField(power_map(p), base.psi),
                   claimed_Q=q, singular_set=base.singular_set, comparison=comparison,
-                  base_weight=base, params={"base": base.name, "p": p})
+                  base_weight=base)
 
 
 def make_weight(geo: GeometrySpec, name: str, **params) -> Weight:
@@ -408,7 +389,7 @@ def make_weight(geo: GeometrySpec, name: str, **params) -> Weight:
             if not set(idx) <= hor:
                 raise UsageError("horizontal-norm indices must be horizontal coordinates")
         return Weight("horizontal-norm", NormField(idx), float(len(idx)),
-                      singular_set="{|x_0'| = 0}", params={"indices": tuple(idx)})
+                      singular_set="{|x_0'| = 0}")
 
     if name == "koranyi-gauge":
         if geo.name != "heisenberg":
@@ -421,7 +402,7 @@ def make_weight(geo: GeometrySpec, name: str, **params) -> Weight:
         if not 0 <= j < geo.dim:
             raise UsageError("coordinate index out of range")
         return Weight(f"coordinate({j})", NormField([j]), 1.0,
-                      singular_set=f"{{x_{j} = 0}}", params={"index": j})
+                      singular_set=f"{{x_{j} = 0}}")
 
     if name == "hyperbolic-height":
         if geo.name != "hyperbolic":
@@ -444,8 +425,7 @@ def make_weight(geo: GeometrySpec, name: str, **params) -> Weight:
         return Weight("boundary-distance", f, 2.0,
                       singular_set="the boundary and facet intersections",
                       comparison="upper",
-                      extra_excised=near_corner if tube > 0 else None,
-                      params={"corner_tube": tube})
+                      extra_excised=near_corner if tube > 0 else None)
 
     if name == "log-of":
         return log_weight(params["weight"], params["branch"])
@@ -461,8 +441,7 @@ def make_weight(geo: GeometrySpec, name: str, **params) -> Weight:
         psi = NormField(hor) + eps * koranyi_gauge_field(geo)
         n0 = float(len(hor))
         return Weight(f"shifted(|x_0|+{eps}N)", psi, n0,
-                      singular_set="{|x_0| = 0}", comparison="lower",
-                      params={"eps": eps, "n0": n0})
+                      singular_set="{|x_0| = 0}", comparison="lower")
 
     raise UsageError(f"unknown weight {name!r}")
 

@@ -242,7 +242,7 @@ class _Context:
 # first in the summary and, unless the handler gave one, the verdict last.
 
 def _qcond(ctx: _Context):
-    rep = qcond_report(ctx.geo.diffusion, ctx.weight, ctx.grid, tol=ctx.params["tol"])
+    rep = qcond_report(ctx.geo, ctx.weight, ctx.grid, tol=ctx.params["tol"])
     ok_verdicts = {"exact": ("exact",),
                    "lower": ("exact", "lower-bound"),
                    "upper": ("exact", "upper-bound")}[ctx.weight.comparison]
@@ -253,15 +253,15 @@ def _qcond(ctx: _Context):
 
 def _suffcond(ctx: _Context):
     gam = ctx.params["gamma"]
-    passed, inf_val = check_suffcond(ctx.geo.diffusion, ctx.W, ctx.grid, gam)
+    passed, inf_val = check_suffcond(ctx.geo, ctx.W, ctx.grid, gam)
     return (passed, {"gamma": gam, "inf_value": inf_val},
             [{"index": 0, "inf_value": inf_val, "passed": passed}])
 
 
 def _curvature(ctx: _Context):
-    diff, gam = ctx.geo.diffusion, ctx.params["gamma"]
+    gam = ctx.params["gamma"]
     corpus = polynomial_bump_corpus(ctx.grid, ctx.size, ctx.seed)
-    defects = _thread_map(lambda f: check_curvature(diff, ctx.W, f, gam, ctx.grid), corpus,
+    defects = _thread_map(lambda f: check_curvature(ctx.geo, ctx.W, f, gam, ctx.grid), corpus,
                           ctx.threads)
     worst = min(defects)
     return (worst >= -ctx.params["tol"], {"gamma": gam, "worst_defect": worst},
@@ -270,12 +270,12 @@ def _curvature(ctx: _Context):
 
 def _sweep(report: str, on_multiplier: bool = False):
     """Handler running ``ineq.<report>`` on every corpus bump, with (geo, weight)
-    or, ``on_multiplier``, (diffusion, W) first and the parameters by name.  The
+    or, ``on_multiplier``, (geo, W) first and the parameters by name.  The
     report is looked up when the handler runs, not when the table is built."""
 
     def handler(ctx: _Context):
         make = getattr(ineq, report)
-        lead = (ctx.geo.diffusion, ctx.W) if on_multiplier else (ctx.geo, ctx.weight)
+        lead = (ctx.geo, ctx.W if on_multiplier else ctx.weight)
         reports = _thread_map(lambda f: make(*lead, f=f, grid=ctx.grid, **ctx.params),
                               ctx.bumps(ctx.size), ctx.threads)
         ratios = [rep.ratio for rep in reports if rep.ratio is not None]
@@ -291,8 +291,8 @@ def _sweep(report: str, on_multiplier: bool = False):
 
 def _best_constant(ctx: _Context):
     alpha = ctx.params["alpha"]
+    const = ineq._hardy_constant(ctx.params["Q"], alpha, "log-hardy or weighted-log-hardy")
     sup_ratio, best = ineq.estimate_best_constant(ctx.geo, ctx.weight, alpha, grid=ctx.grid)
-    const = (2.0 / (ctx.params["Q"] + alpha - 2.0)) ** 2
     return (sup_ratio <= const * (1.0 + RATIO_TOL),
             {"sup_ratio": sup_ratio, "constant": const, "best_params": best},
             [{"index": 0, "sup_ratio": sup_ratio, **best}])
@@ -300,7 +300,7 @@ def _best_constant(ctx: _Context):
 
 def _evolve(ctx: _Context):
     from .semigroup import evolve  # imports scipy, only for the two semigroup operations
-    times, states = evolve(ctx.geo.diffusion, ctx.bumps(1)[0], ctx.grid,
+    times, states = evolve(ctx.geo, ctx.bumps(1)[0], ctx.grid,
                            ctx.params["t_max"], ctx.params["dt"])
     w = ctx.grid.weights
     rows = [{"t": float(t), "l2_norm": float(np.sqrt(np.sum(w * s ** 2))),
@@ -313,7 +313,7 @@ def _subcommutation(ctx: _Context):
     from .semigroup import subcommutation_check  # imports scipy
     grid, W, p = ctx.grid, ctx.W, ctx.params
     f0 = ctx.bumps(1)[0]
-    defect = subcommutation_check(ctx.geo.diffusion, W, f0, grid, p["t_max"], p["dt"],
+    defect = subcommutation_check(ctx.geo, W, f0, grid, p["t_max"], p["dt"],
                                   gamma=p["gamma"])
     h2 = float(np.max(grid.spacing)) ** 2
     scale = float(np.max(W.value_at(grid.points) ** 2 * f0.value_at(grid.points) ** 2))

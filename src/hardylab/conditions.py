@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calculus import Diffusion, gamma_w
-from .catalog import Weight, as_diffusion
+from .catalog import Weight
 from .errors import DegenerateInputError, PreconditionError
 from .fields import ScalarField
 
@@ -74,7 +74,6 @@ def qcond_report(diff, weight: Weight, grid, tol: float = 1e-8) -> QcondReport:
     'lower-bound'/'upper-bound' when only one side of the claimed Q - 1
     holds, and 'fail' otherwise.
     """
-    diff = as_diffusion(diff)
     ratios, skipped = qcond_ratios(diff, weight.psi, grid.points)
     inf_r = float(np.min(ratios))
     sup_r = float(np.max(ratios))
@@ -101,7 +100,6 @@ def qcond_report(diff, weight: Weight, grid, tol: float = 1e-8) -> QcondReport:
 
 def suffcond_values(diff, W: ScalarField, pts):
     """Pointwise values of LW/W - 3 Gamma(W)/W^2."""
-    diff = as_diffusion(diff)
     wv = W.value_at(pts)
     if np.any(wv <= 0):
         raise PreconditionError("W must be positive at retained nodes")
@@ -119,7 +117,6 @@ def check_suffcond(diff, W: ScalarField, grid, gamma: float,
 def check_curvature(diff, W: ScalarField, f: ScalarField, gamma: float, grid) -> float:
     """min over retained nodes of Gamma^W(f) - gamma W^2 f^2; a nonnegative
     minimum certifies the curvature condition for this f."""
-    diff = as_diffusion(diff)
     pts = grid.points
     vals = np.atleast_1d(gamma_w(diff, W, f, pts))
     phi = (W.value_at(pts) * f.value_at(pts)) ** 2

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import Weight, as_diffusion
+from .catalog import Weight
 from .errors import DegenerateInputError, NumericError, PreconditionError
 from .fields import ScalarField, memo
 
@@ -78,12 +78,8 @@ class Grid:
 
     def fringe_mask(self, layers: int = 2):
         """Nodes within ``layers`` of a missing lattice neighbor (cached)."""
-        cache = getattr(self, "_fringe_cache", None)
-        if cache is None:
-            cache = self._fringe_cache = {}
-        if layers not in cache:
-            cache[layers] = self.interior_depth(layers) < layers
-        return cache[layers]
+        return memo(self, "_fringe_memo", layers, self.points,
+                    lambda p: self.interior_depth(layers) < layers)
 
     def supports(self, f: ScalarField, layers: int = 2, rel_tol: float = 1e-12) -> bool:
         """True when f vanishes on every node within ``layers`` of a missing
@@ -114,21 +110,22 @@ def make_grid(geo, bounds, n=64, excisions=()) -> Grid:
     mask.  Nodes outside the geometry's domain or where the measure density
     is not finite and positive are dropped as well.
     """
-    diff = as_diffusion(geo)
     bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
     m = len(bounds)
-    if m != diff.dim:
-        raise PreconditionError(f"bounds have dimension {m}, geometry has {diff.dim}")
+    if m != geo.dim:
+        raise PreconditionError(f"bounds have dimension {m}, geometry has {geo.dim}")
     if np.isscalar(n):
         n = (int(n),) * m
     else:
         n = tuple(int(k) for k in n)
+    if len(n) != m:
+        raise PreconditionError(f"n gives {len(n)} node counts, geometry has dimension {m}")
     spacing = np.array([(hi - lo) / k for (lo, hi), k in zip(bounds, n)])
     axes = [lo + (np.arange(k) + 0.5) * h for (lo, _), k, h in zip(bounds, n, spacing)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([g.ravel() for g in mesh], axis=1)
 
-    keep = diff.mask(pts)
+    keep = geo.mask(pts)
     for exc in excisions:
         keep &= ~np.asarray(exc(pts), dtype=bool)
 
@@ -140,7 +137,7 @@ def make_grid(geo, bounds, n=64, excisions=()) -> Grid:
     points = pts[keep]
     lattice = np.stack(np.unravel_index(rows, n), axis=1).astype(np.int64)
 
-    density = diff.measure_density.value_at(points)
+    density = geo.measure_density.value_at(points)
     if not np.all(np.isfinite(density)) or np.any(density <= 0):
         raise NumericError("measure density must be finite and positive on the grid")
     weights = float(np.prod(spacing)) * density
@@ -186,11 +183,10 @@ def default_grid(geo, weight: Weight | None = None, bounds=None, n=64,
     weights the off-branch side of {psi = 1}) is applied, together with the
     singular sets of any base weights it was derived from.
     """
-    diff = as_diffusion(geo)
     if bounds is None:
-        bounds = ((-2.0, 2.0),) * diff.dim
+        bounds = ((-2.0, 2.0),) * geo.dim
     if np.isscalar(n):
-        nseq = (int(n),) * diff.dim
+        nseq = (int(n),) * geo.dim
     else:
         nseq = tuple(int(k) for k in n)
     h = max((hi - lo) / k for (lo, hi), k in zip(bounds, nseq))

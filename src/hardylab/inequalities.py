@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calculus import Diffusion, l_of_square
-from .catalog import GeometrySpec, Weight, as_diffusion, estimate_kappa, make_weight
+from .catalog import GeometrySpec, Weight, estimate_kappa, make_weight
 from .errors import DegenerateInputError, PreconditionError, UsageError
 from .fields import ScalarField, memo
 from .grid import Grid, integrate
@@ -176,7 +176,7 @@ def hardy_report(geo, psi: Weight, Q: float, alpha: float, f: ScalarField,
                  grid: Grid) -> HardyReport:
     """General weighted Hardy inequality with constant (2/(Q + alpha - 2))^2."""
     const = _hardy_constant(Q, alpha, "log_hardy_report / weighted_log_hardy_report")
-    return _form("hardy", grid, f, _hardy_sides(as_diffusion(geo), psi.psi, alpha, const, f,
+    return _form("hardy", grid, f, _hardy_sides(geo, psi.psi, alpha, const, f,
                                                 {"Q": Q, "alpha": alpha, "weight": psi.name}))
 
 
@@ -185,11 +185,10 @@ def log_hardy_report(geo, psi: Weight, alpha: float, f: ScalarField,
     """Critical-case Hardy inequality with logarithmic weights,
     constant (2/(alpha - 1))^2; log^p psi means |log psi|^p."""
     const = _log_constant(alpha)
-    diff = as_diffusion(geo)
 
     def parts(pts):
-        return (1.0, _gamma_psi(diff, psi.psi, pts), _values(psi.psi, pts) ** 2,
-                diff.gamma(f, f, pts))
+        return (1.0, _gamma_psi(geo, psi.psi, pts), _values(psi.psi, pts) ** 2,
+                geo.gamma(f, f, pts))
 
     return _form("log-hardy", grid, f, _log_sides(const, alpha, psi.psi, parts,
                                                   {"alpha": alpha, "weight": psi.name}))
@@ -202,11 +201,10 @@ def weighted_log_hardy_report(geo, psi: Weight, Q: float, alpha: float,
     if Q == 2.0:
         raise UsageError("Q = 2 reduces to log_hardy_report")
     const = _log_constant(alpha)
-    diff = as_diffusion(geo)
 
     def parts(pts):
-        return (_power(psi.psi, 2.0 - Q, pts), _gamma_psi(diff, psi.psi, pts),
-                _values(psi.psi, pts) ** 2, diff.gamma(f, f, pts))
+        return (_power(psi.psi, 2.0 - Q, pts), _gamma_psi(geo, psi.psi, pts),
+                _values(psi.psi, pts) ** 2, geo.gamma(f, f, pts))
 
     return _form("weighted-log-hardy", grid, f, _log_sides(
         const, alpha, psi.psi, parts, {"Q": Q, "alpha": alpha, "weight": psi.name}))
@@ -235,14 +233,13 @@ def radial_hardy_report(geo, psi: Weight, Q: float, alpha: float, f: ScalarField
     """Radial-derivative Hardy inequality: the right side only sees
     Gamma(psi, f)^2.  Requires Gamma(psi, Gamma(psi)) = 0 on the grid."""
     const = _hardy_constant(Q, alpha, "radial_log_hardy_report")
-    diff = as_diffusion(geo)
 
     def sides(pts, fv):
-        _require_secondary(diff, psi.psi, pts, secondary_tol)
+        _require_secondary(geo, psi.psi, pts, secondary_tol)
         pa = _power(psi.psi, alpha, pts)
-        gpsi = _gamma_psi(diff, psi.psi, pts)
+        gpsi = _gamma_psi(geo, psi.psi, pts)
         return (const, [(1.0, pa * gpsi ** 2 / _values(psi.psi, pts) ** 2)],
-                [(const, pa * diff.gamma(psi.psi, f, pts) ** 2)],
+                [(const, pa * geo.gamma(psi.psi, f, pts) ** 2)],
                 {"Q": Q, "alpha": alpha, "weight": psi.name})
 
     return _form("radial", grid, f, sides)
@@ -254,12 +251,11 @@ def radial_log_hardy_report(geo, psi: Weight, Q: float, alpha: float,
     """Logarithmic variant of the radial family (factor psi^(2-Q), constant
     (2/(alpha-1))^2)."""
     const = _log_constant(alpha)
-    diff = as_diffusion(geo)
 
     def parts(pts):
-        _require_secondary(diff, psi.psi, pts, secondary_tol)
-        return (_power(psi.psi, 2.0 - Q, pts), _gamma_psi(diff, psi.psi, pts) ** 2,
-                _values(psi.psi, pts) ** 2, diff.gamma(psi.psi, f, pts) ** 2)
+        _require_secondary(geo, psi.psi, pts, secondary_tol)
+        return (_power(psi.psi, 2.0 - Q, pts), _gamma_psi(geo, psi.psi, pts) ** 2,
+                _values(psi.psi, pts) ** 2, geo.gamma(psi.psi, f, pts) ** 2)
 
     return _form("radial-log", grid, f, _log_sides(
         const, alpha, psi.psi, parts, {"Q": Q, "alpha": alpha, "weight": psi.name}))
@@ -274,7 +270,7 @@ def _require_euler(geo: GeometrySpec, dil, psi: ScalarField, pts, tol: float):
         scale = max(float(np.max(np.abs(pv))), 1.0)
         return float(np.max(np.abs(dil.dilation.apply(psi, p) - pv))), scale
 
-    defect, scale = memo(psi, "_weight_memo", (as_diffusion(geo), "euler"), pts, compute)
+    defect, scale = memo(psi, "_weight_memo", (geo, "euler"), pts, compute)
     if defect > tol * scale:
         raise PreconditionError("Euler identity D psi = psi fails on the grid; "
                                 "the weight is not a homogeneous quasinorm")
@@ -321,7 +317,6 @@ def funcineq_report(diff, W: ScalarField, gamma: float, f: ScalarField,
                     grid: Grid) -> HardyReport:
     """The multiplier functional inequality
     int L(W^2) f^2 <= 2 int W^2 G(f) - 2 gamma int W^2 f^2."""
-    diff = as_diffusion(diff)
 
     def sides(pts, fv):
         wv2 = _power(W, 2, pts)
@@ -337,7 +332,6 @@ def funcineqgeneral_report(diff, W: ScalarField, beta: float, f: ScalarField,
     """The beta-transformed family
     (1-b) int W^(1-2b) LW f^2 + (b^2-b+1) int W^(-2b) G(W) f^2
         <= int W^(2-2b) G(f)."""
-    diff = as_diffusion(diff)
 
     def sides(pts, fv):
         lw = memo(W, "_weight_memo", (diff, "L(W)"), pts, lambda p: diff.apply_L(W, p))
@@ -362,7 +356,6 @@ def homogeneous_norm_report(geo: GeometrySpec, rho: Weight, f: ScalarField,
     eps -> 0 limit.  The kappa estimates are made once per (geometry, rho,
     points array).
     """
-    diff = as_diffusion(geo)
 
     def sides(pts, fv):
         if geo.stratification is None:
@@ -380,10 +373,10 @@ def homogeneous_norm_report(geo: GeometrySpec, rho: Weight, f: ScalarField,
                     else make_weight(geo, "coordinate", index=hor[0]))
             return estimate_kappa(comp, nw, grid), estimate_kappa(rho, nw, grid)
 
-        k_comp, k_rho = memo(rho.psi, "_weight_memo", (diff, "kappa"), pts, kappas)
+        k_comp, k_rho = memo(rho.psi, "_weight_memo", (geo, "kappa"), pts, kappas)
         const = branch_const * k_comp ** 2 * k_rho ** 2
         return (const, [(1.0, 1.0 / _values(rho.psi, pts) ** 2)],
-                [(const, diff.gamma(f, f, pts))],
+                [(const, geo.gamma(f, f, pts))],
                 {"n0": n0, "kappa_comp": k_comp, "kappa_rho": k_rho, "eps": eps,
                  "weight": rho.name})
 
@@ -397,7 +390,7 @@ def homogeneous_norm_report(geo: GeometrySpec, rho: Weight, f: ScalarField,
 def rayleigh_ratio(geo, psi: Weight, alpha: float, f: ScalarField, grid: Grid) -> float:
     """R(f) = int psi^a (G(psi)/psi^2) f^2 / int psi^a G(f) (no constant).
     The support is not checked: callers that need it check it first."""
-    rep = _form("rayleigh", grid, f, _hardy_sides(as_diffusion(geo), psi.psi, alpha, 1.0, f, {}),
+    rep = _form("rayleigh", grid, f, _hardy_sides(geo, psi.psi, alpha, 1.0, f, {}),
                 check_support=False)
     if rep.ratio is None:
         raise DegenerateInputError("trial function has vanishing energy")

@@ -34,7 +34,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .catalog import as_diffusion
 from .errors import NumericError, PreconditionError
 from .fields import ConstField, ScalarField
 from .grid import Grid
@@ -55,7 +54,6 @@ def _nonzero_axes(vector_field, m: int):
 def assemble_generator(diff, grid: Grid):
     """(w, A): quadrature weights and the stiffness matrix with
     <u, L_h v>_mu = -u^T A v.  A is symmetric positive semidefinite."""
-    diff = as_diffusion(diff)
     n = grid.n_nodes
     pts = grid.points
     w = grid.weights
@@ -215,7 +213,6 @@ def contraction_trace(diff, W: ScalarField, f0: ScalarField, grid: Grid,
     evaluated on it first; a violation only flags the trace, it does not
     suppress it.
     """
-    diff = as_diffusion(diff)
     stepper = _Stepper(diff, grid, dt)
     flag = None
     if precheck_corpus is not None:

@@ -58,7 +58,7 @@ def test_criterion_1_qcond_exactness():
     worst = 0.0
     for geo, w, Q, bounds, n in cases:
         grid = hl.default_grid(geo, w, bounds=bounds, n=n)
-        rep = qcond_report(geo.diffusion, w, grid, tol=1e-8)
+        rep = qcond_report(geo, w, grid, tol=1e-8)
         assert grid.n_nodes > 9e4, (geo.name, grid.n_nodes)
         assert rep.verdict == "exact", (geo.name, w.name, rep.verdict)
         assert rep.Q_estimate == pytest.approx(Q, abs=1e-8)
@@ -78,7 +78,7 @@ def test_criterion_2_one_sided():
     delta = hl.make_weight(sq, "boundary-distance", corner_tube=0.1)
     grid = hl.default_grid(sq, delta, bounds=[(-1, 1), (-1, 1)], n=96,
                            excision_radius=0.05)
-    rep = qcond_report(sq.diffusion, delta, grid, tol=1e-10)
+    rep = qcond_report(sq, delta, grid, tol=1e-10)
     ok_sq = rep.verdict == "upper-bound" and rep.sup_ratio <= 1.0 + 1e-10
 
     h1 = hl.make_geometry("heisenberg", m=1)
@@ -86,7 +86,7 @@ def test_criterion_2_one_sided():
     shifted = hl.make_weight(h1, "shifted", eps=eps)
     grid_h = hl.default_grid(h1, shifted, bounds=[(-2, 2)] * 3, n=32,
                              excision_radius=0.15)
-    rep_h = qcond_report(h1.diffusion, shifted, grid_h, tol=1e-8)
+    rep_h = qcond_report(h1, shifted, grid_h, tol=1e-8)
     n0 = 2.0
     ok_sh = rep_h.inf_ratio >= n0 - 1.0 - 10.0 * eps
     report("2 one-sided-comparisons", ok_sq and ok_sh,
@@ -104,7 +104,7 @@ def test_criterion_3_suffcond():
     pts = rng.uniform(-2.0, 2.0, size=(1000, 3))
     n0, eps = 3.0, 0.25
     W_eps = ComposeField(power_map((n0 - 2.0) / 4.0), SquareNormField() + eps)
-    got = suffcond_values(eu3.diffusion, W_eps, pts)
+    got = suffcond_values(eu3, W_eps, pts)
     expected = eps * n0 * (n0 - 2.0) / 2.0 * (eps + np.sum(pts ** 2, axis=1)) ** -2
     defect = float(np.max(np.abs(got - expected)))
     ok_closed = defect <= 1e-8 and float(np.min(got)) >= 0.0
@@ -129,7 +129,7 @@ def test_criterion_3_suffcond():
     for geo, w, grid in pairs:
         for p in interior_powers(w.claimed_Q, 5):
             W = ComposeField(power_map(p), w.psi)
-            passed, inf_val = check_suffcond(geo.diffusion, W, grid, 0.0)
+            passed, inf_val = check_suffcond(geo, W, grid, 0.0)
             ok_powers = ok_powers and passed
     report("3 suffcond", ok_closed and ok_powers,
            f"W_eps defect {defect:.2e}; interior powers pass on "
@@ -204,10 +204,10 @@ def test_criterion_4_inequality_suite():
 
     W = ComposeField(power_map(0.5), w3.psi)
     results["funcineq"] = _worst(
-        [funcineq_report(eu3.diffusion, W, 0.0, f, g3) for f in c3])
+        [funcineq_report(eu3, W, 0.0, f, g3) for f in c3])
     for beta in (-1.0, 0.0, 2.0):
         results[f"funcineq-general b={beta}"] = _worst(
-            [funcineqgeneral_report(eu3.diffusion, W, beta, f, g3) for f in c3])
+            [funcineqgeneral_report(eu3, W, beta, f, g3) for f in c3])
 
     elapsed = time.time() - t0
     worst_name = max(results, key=results.get)
@@ -263,13 +263,13 @@ def test_criterion_6_semigroup():
     geo1 = hl.make_geometry("euclidean", m=1)
     grid1 = hl.make_grid(geo1, [(0.0, 1.0)], n=512)  # h = 1/512 <= 1/200
     f0 = FuncField(lambda p: np.sin(np.pi * p[:, 0]))
-    times, states = evolve(geo1.diffusion, f0, grid1, t_max=0.1, dt=1e-4)
+    times, states = evolve(geo1, f0, grid1, t_max=0.1, dt=1e-4)
     w1 = grid1.weights
     decay = np.sqrt(np.sum(w1 * states[-1] ** 2) / np.sum(w1 * states[0] ** 2))
     decay_err = abs(decay / np.exp(-np.pi ** 2 * 0.1) - 1.0)
     ok_decay = decay_err <= 0.02
 
-    sym = symmetry_defect(geo1.diffusion, grid1, seed=3)
+    sym = symmetry_defect(geo1, grid1, seed=3)
     ok_sym = sym <= 1e-12
 
     norms = [np.sqrt(np.sum(w1 * s ** 2)) for s in states]
@@ -280,7 +280,7 @@ def test_criterion_6_semigroup():
     gridr = hl.make_grid(rad, [(0.2, 6.0)], n=512)
     W = ComposeField(power_map(0.5), wr.psi)
     f0r = radial_bump(wr.psi, 1.0, 3.0)
-    tr = contraction_trace(rad.diffusion, W, f0r, gridr, t_max=0.2, dt=1e-3)
+    tr = contraction_trace(rad, W, f0r, gridr, t_max=0.2, dt=1e-3)
     ok_trace = tr.passes(1e-8)
 
     eu3 = hl.make_geometry("euclidean", m=3)
@@ -292,7 +292,7 @@ def test_criterion_6_semigroup():
     for n, dt in ((16, 2e-3), (32, 1e-3)):
         grid = hl.default_grid(eu3, w3, bounds=[(-2, 2)] * 3, n=n,
                                excision_radius=0.25)
-        d = subcommutation_check(eu3.diffusion, W3, f03, grid, 0.05, dt)
+        d = subcommutation_check(eu3, W3, f03, grid, 0.05, dt)
         h2 = float(np.max(grid.spacing)) ** 2
         scale = float(np.max(W3.value_at(grid.points) ** 2
                              * f03.value_at(grid.points) ** 2))
@@ -321,7 +321,7 @@ def test_criterion_7_identities():
         pts = rng.uniform(0.4, 1.6, size=(1000, geo.dim))
         f = random_polynomial(geo.dim, 2, rng)
         g = random_polynomial(geo.dim, 2, rng)
-        d = geo.diffusion
+        d = geo
         gf, gg, fg = d.gamma(f, f, pts), d.gamma(g, g, pts), d.gamma(f, g, pts)
         cs = float(np.max(fg ** 2 - gf * gg))
         worst = max(worst, cs)
@@ -344,9 +344,9 @@ def test_criterion_7_identities():
     slopes = []
     steps = (0.02, 0.01, 0.005)
     for defect_fn in (
-            lambda h: chain_rule_defect(h1.diffusion, power_map(3),
+            lambda h: chain_rule_defect(h1, power_map(3),
                                         with_fd(wn.psi, h), pts),
-            lambda h: gamma_definition_defect(h1.diffusion, with_fd(wn.psi, h),
+            lambda h: gamma_definition_defect(h1, with_fd(wn.psi, h),
                                               with_fd(NormField([0, 1]), h), pts)):
         ds = [defect_fn(h) for h in steps]
         slopes += [np.log2(ds[i] / ds[i + 1]) for i in range(len(ds) - 1)]
@@ -365,10 +365,10 @@ def test_criterion_8_cross_path():
     w3 = hl.make_weight(eu3, "euclid-norm")
     grid = hl.default_grid(eu3, w3, bounds=[(-2, 2)] * 3, n=32, excision_radius=0.3)
     W = ComposeField(power_map(0.5), w3.psi)
-    passed, s = check_suffcond(eu3.diffusion, W, grid, 0.0)
+    passed, s = check_suffcond(eu3, W, grid, 0.0)
     assert passed
     corpus = polynomial_bump_corpus(grid, 20, seed=201)
-    worst_curv = min(check_curvature(eu3.diffusion, W, f, 0.0, grid)
+    worst_curv = min(check_curvature(eu3, W, f, 0.0, grid)
                      for f in corpus)
     ok_curv = worst_curv >= -1e-8
 
@@ -381,8 +381,8 @@ def test_criterion_8_cross_path():
     bumps = bump_corpus(wr.psi, gridr, 8, seed=202, psi_range=(0.8, 5.0))
     ok_equiv = True
     for f in bumps:
-        holds = funcineq_report(rad.diffusion, Wr, 0.0, f, gridr).ratio <= 1.0 + 1e-6
-        decays = contraction_trace(rad.diffusion, Wr, f, gridr,
+        holds = funcineq_report(rad, Wr, 0.0, f, gridr).ratio <= 1.0 + 1e-6
+        decays = contraction_trace(rad, Wr, f, gridr,
                                    t_max=0.05, dt=1e-3).passes(1e-8)
         ok_equiv = ok_equiv and (holds == decays) and holds
 
@@ -395,8 +395,8 @@ def test_criterion_8_cross_path():
     bad = ComposeField(power_map(-1.0), wl.psi)
     f_bad = smoothed_power(wl.psi, 0.01, float(np.exp(-5.5)), float(np.exp(1.5)),
                            base_exponent=0.5, ramp_factor=float(np.exp(1.5)))
-    violates = funcineq_report(logr.diffusion, bad, 0.0, f_bad, gridl).ratio > 1.0
-    grows = not contraction_trace(logr.diffusion, bad, f_bad, gridl,
+    violates = funcineq_report(logr, bad, 0.0, f_bad, gridl).ratio > 1.0
+    grows = not contraction_trace(logr, bad, f_bad, gridl,
                                   t_max=0.01, dt=1e-4).passes(1e-8)
     ok_neg = violates and grows
 

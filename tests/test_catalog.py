@@ -13,7 +13,7 @@ def test_euclidean_spec():
     geo = make_geometry("euclidean", m=3)
     assert geo.dim == 3 and geo.Q_hom == 3.0
     pts = np.array([[0.3, -1.0, 2.0]])
-    C = geo.diffusion.frame_values(pts)
+    C = geo.frame_values(pts)
     assert np.allclose(C[:, 0, :], np.eye(3))
 
 
@@ -27,7 +27,7 @@ def test_heisenberg_spec():
 def test_grushin_homogeneous_dimension_verified_by_ratio(gru1):
     geo, w, grid = gru1
     assert geo.Q_hom == 3.0
-    rep = hl.qcond_report(geo.diffusion, w, grid)
+    rep = hl.qcond_report(geo, w, grid)
     assert rep.Q_estimate == pytest.approx(3.0, abs=1e-8)
 
 
@@ -56,7 +56,7 @@ def test_power_weight_transforms_constant(eu3):
     # L psi^2 ratio: (Q-2)/p + 2 = 2.5
     assert w2.claimed_Q == pytest.approx(2.5)
     pts = sample_points(np.random.default_rng(0), 50, [(-2, 2)] * 3)
-    ratios, _ = qcond_ratios(geo.diffusion, w2.psi, pts)
+    ratios, _ = qcond_ratios(geo, w2.psi, pts)
     assert np.max(np.abs(ratios - 1.5)) < 1e-10
 
 
@@ -64,8 +64,8 @@ def test_qcond_scaling_invariance(h1):
     # the ratio psi L psi / Gamma(psi) is invariant under psi -> lambda psi
     geo, w, _ = h1
     pts = sample_points(np.random.default_rng(1), 100, [(-2, 2)] * 3, indices=(0, 1))
-    r1, _ = qcond_ratios(geo.diffusion, w.psi, pts)
-    r2, _ = qcond_ratios(geo.diffusion, 7.5 * w.psi, pts)
+    r1, _ = qcond_ratios(geo, w.psi, pts)
+    r2, _ = qcond_ratios(geo, 7.5 * w.psi, pts)
     assert np.max(np.abs(r1 - r2)) < 1e-10
 
 
@@ -86,7 +86,7 @@ def test_boundary_distance_upper_bound():
     w = make_weight(geo, "boundary-distance", corner_tube=0.1)
     grid = hl.default_grid(geo, w, bounds=[(-1, 1), (-1, 1)], n=64,
                            excision_radius=0.05)
-    rep = hl.qcond_report(geo.diffusion, w, grid, tol=1e-10)
+    rep = hl.qcond_report(geo, w, grid, tol=1e-10)
     assert rep.verdict == "upper-bound"
     assert rep.sup_ratio <= 1.0 + 1e-10
 
@@ -97,7 +97,7 @@ def test_shifted_weight_lower_bound(h1):
     w = make_weight(geo, "shifted", eps=eps)
     assert w.comparison == "lower"
     grid = hl.default_grid(geo, w, bounds=[(-2, 2)] * 3, n=24, excision_radius=0.2)
-    rep = hl.qcond_report(geo.diffusion, w, grid, tol=1e-8)
+    rep = hl.qcond_report(geo, w, grid, tol=1e-8)
     n0 = 2.0
     assert rep.inf_ratio >= n0 - 1.0 - 10.0 * eps
     assert rep.verdict in ("lower-bound", "exact")
@@ -110,12 +110,12 @@ def test_heisenberg_m2_gauge_and_subcoordinate_norm():
     rng = np.random.default_rng(8)
     pts = rng.uniform(-1.5, 1.5, size=(300, 5))
     pts = pts[np.sqrt(np.sum(pts[:, :4] ** 2, axis=1)) > 0.4]
-    ratios, _ = qcond_ratios(geo.diffusion, N.psi, pts)
+    ratios, _ = qcond_ratios(geo, N.psi, pts)
     assert np.max(np.abs(ratios - 5.0)) < 1e-8
     # subcoordinate horizontal norm over 3 of the 4 horizontal coordinates
     sub = make_weight(geo, "horizontal-norm", indices=(0, 1, 2))
     assert sub.claimed_Q == 3.0
-    ratios_s, _ = qcond_ratios(geo.diffusion, sub.psi, pts)
+    ratios_s, _ = qcond_ratios(geo, sub.psi, pts)
     assert np.max(np.abs(ratios_s - 2.0)) < 1e-8
     with pytest.raises(UsageError):
         make_weight(geo, "horizontal-norm", indices=(0, 4))  # 4 is the vertical
@@ -128,8 +128,8 @@ def test_hyperbolic_requires_m_at_least_2():
 
 def test_box_facets_and_domain():
     geo = make_geometry("convex-domain", m=2, facets=box_facets([(-1, 1), (0, 2)]))
-    inside = geo.diffusion.mask(np.array([[0.0, 1.0]]))
-    outside = geo.diffusion.mask(np.array([[0.0, 2.5]]))
+    inside = geo.mask(np.array([[0.0, 1.0]]))
+    outside = geo.mask(np.array([[0.0, 2.5]]))
     assert inside and not outside
 
 
@@ -148,14 +148,14 @@ def test_log_weight_branches(eu2):
 
 def test_halfspace_and_radial_models():
     hs = make_geometry("halfspace-euclidean", m=1)
-    assert not hs.diffusion.mask(np.array([[-0.5]]))
+    assert not hs.mask(np.array([[-0.5]]))
     rad = make_geometry("euclidean-radial", m=3)
     w = make_weight(rad, "euclid-norm")
     pts = np.linspace(0.5, 3.0, 7)[:, None]
-    ratios, _ = qcond_ratios(rad.diffusion, w.psi, pts)
+    ratios, _ = qcond_ratios(rad, w.psi, pts)
     assert np.allclose(ratios, 2.0, atol=1e-12)
     logr = make_geometry("logradial", m=3)
     wl = make_weight(logr, "euclid-norm")
     upts = np.linspace(-3.0, 2.0, 9)[:, None]
-    lr, _ = qcond_ratios(logr.diffusion, wl.psi, upts)
+    lr, _ = qcond_ratios(logr, wl.psi, upts)
     assert np.allclose(lr, 2.0, atol=1e-10)

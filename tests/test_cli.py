@@ -313,6 +313,8 @@ SMALL_HARDY = {
     pytest.param(dict(SMALL_HARDY, grid={"bounds": [[-2, 2], [-2, 2]], "n": 16,
                                          "excision_radius": "0.2"}),
                  id="excision-radius-not-number"),
+    pytest.param(dict(SMALL_HARDY, grid={"bounds": [[-2, 2], [-2, 2]], "n": [16]}),
+                 id="n-wrong-length"),
 ])
 def test_config_value_faults_exit_2_with_one_line(tmp_path, capsys, payload):
     cfg = write_config(tmp_path, payload)
@@ -388,6 +390,20 @@ def test_null_Q_exits_2_with_one_line(tmp_path, capsys, base, operation, alpha):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "parameters.Q" in err
+
+
+def test_best_constant_at_Q_plus_alpha_2_exits_2_before_the_search(tmp_path, capsys,
+                                                                  monkeypatch):
+    from hardylab import inequalities
+
+    searched = []
+    monkeypatch.setattr(inequalities, "estimate_best_constant",
+                        lambda *a, **k: searched.append(a) or (0.0, {}))
+    payload = dict(SMALL_BEST_CONSTANT, parameters={"alpha": 0.0, "Q": 2})
+    assert main(["run", "--config", write_config(tmp_path, payload)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Q + alpha = 2") and err.count("\n") == 1
+    assert searched == []
 
 
 def test_weight_claiming_no_Q_exits_2(tmp_path, capsys, monkeypatch):

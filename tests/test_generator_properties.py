@@ -37,8 +37,8 @@ def small_grids(draw):
 @given(small_grids(), st.integers(0, 2 ** 16))
 def test_generator_is_symmetric_positive_semidefinite(case, seed):
     geo, grid = case
-    assert symmetry_defect(geo.diffusion, grid, n_trials=3, seed=seed) < 1e-12
-    _, A = assemble_generator(geo.diffusion, grid)
+    assert symmetry_defect(geo, grid, n_trials=3, seed=seed) < 1e-12
+    _, A = assemble_generator(geo, grid)
     dense = A.toarray()
     scale = max(float(np.max(np.abs(dense))), 1.0)
     assert np.max(np.abs(dense - dense.T)) <= 1e-12 * scale

@@ -57,7 +57,7 @@ def test_grid_weights_positive_and_measure_weighted(hyp3):
     geo, _, grid = hyp3
     assert np.all(grid.weights > 0)
     cell = float(np.prod(grid.spacing))
-    dens = geo.diffusion.measure_density.value_at(grid.points)
+    dens = geo.measure_density.value_at(grid.points)
     assert np.allclose(grid.weights, cell * dens)
 
 

@@ -143,7 +143,7 @@ def test_radial_lhs_weight_matches_gauge_formula(h1):
     # the left weight Gamma(N)^2/N^2 equals |x_0|^4 / N^6 on the gauge
     geo, w, _ = h1
     pts = np.array([[0.7, -0.4, 0.3], [1.2, 0.5, -0.8]])
-    gpsi = geo.diffusion.gamma(w.psi, w.psi, pts)
+    gpsi = geo.gamma(w.psi, w.psi, pts)
     nv = w.psi.value_at(pts)
     x0sq = pts[:, 0] ** 2 + pts[:, 1] ** 2
     assert np.allclose(gpsi ** 2 / nv ** 2, x0sq ** 2 / nv ** 6, atol=1e-14)
@@ -227,12 +227,12 @@ def test_funcineq_trivial_and_corpus(eu3):
     geo, w, grid = eu3
     from hardylab.fields import ConstField
     f = radial_bump(w.psi, 0.8, 1.6)
-    rep = funcineq_report(geo.diffusion, ConstField(1.0), 0.0, f, grid)
+    rep = funcineq_report(geo, ConstField(1.0), 0.0, f, grid)
     assert rep.lhs == pytest.approx(0.0, abs=1e-12)
     assert rep.rhs > 0
     W = ComposeField(power_map(0.5), w.psi)
     for f in bump_corpus(w.psi, grid, 10, seed=2, psi_range=(0.5, 1.7)):
-        assert funcineq_report(geo.diffusion, W, 0.0, f, grid).ratio <= 1.0
+        assert funcineq_report(geo, W, 0.0, f, grid).ratio <= 1.0
 
 
 def test_funcineq_transformation_identity(eu3):
@@ -243,11 +243,11 @@ def test_funcineq_transformation_identity(eu3):
     W = ComposeField(power_map(0.5), w.psi)
     f = radial_bump(w.psi, 0.8, 1.6)
     g = QuotientField(f, W)
-    rep = funcineq_report(geo.diffusion, W, 0.0, g, grid)
+    rep = funcineq_report(geo, W, 0.0, g, grid)
     d1 = rep.rhs - rep.lhs
     pts = grid.points
-    gw = geo.diffusion.gamma(W, W, pts)
-    gf = geo.diffusion.gamma(f, f, pts)
+    gw = geo.gamma(W, W, pts)
+    gf = geo.gamma(f, f, pts)
     fv = f.value_at(pts)
     d2 = 2.0 * (hl.integrate(grid, gf) - hl.integrate(grid, gw / W.value_at(pts) ** 2 * fv ** 2))
     assert d1 == pytest.approx(d2, rel=2e-3)
@@ -259,15 +259,15 @@ def test_funcineqgeneral_specializations(eu3):
     f = radial_bump(w.psi, 0.8, 1.6)
     from hardylab.fields import ConstField
     # W == 1: left side vanishes
-    triv = funcineqgeneral_report(geo.diffusion, ConstField(1.0), 2.0, f, grid)
+    triv = funcineqgeneral_report(geo, ConstField(1.0), 2.0, f, grid)
     assert triv.lhs == pytest.approx(0.0, abs=1e-12)
     # beta = 0 is half the multiplier inequality at gamma = 0
-    base = funcineq_report(geo.diffusion, W, 0.0, f, grid)
-    gen = funcineqgeneral_report(geo.diffusion, W, 0.0, f, grid)
+    base = funcineq_report(geo, W, 0.0, f, grid)
+    gen = funcineqgeneral_report(geo, W, 0.0, f, grid)
     assert gen.lhs == pytest.approx(base.lhs / 2.0, rel=1e-10)
     assert gen.rhs == pytest.approx(base.rhs / 2.0, rel=1e-10)
     for beta in (-1.0, 2.0):
-        rep = funcineqgeneral_report(geo.diffusion, W, beta, f, grid)
+        rep = funcineqgeneral_report(geo, W, beta, f, grid)
         assert rep.passes(1e-8)
 
 
@@ -370,7 +370,7 @@ def _report_values(geo, w, W, grid, f, alpha):
             dilation_hardy_report(geo, w, alpha, f, grid),
             rayleigh_ratio(geo, w, alpha, f, grid),
             weighted_log_hardy_report(geo, w, 3.5 + alpha, 0.0, f, grid),
-            funcineqgeneral_report(geo.diffusion, W, alpha, f, grid)]
+            funcineqgeneral_report(geo, W, alpha, f, grid)]
     return [r if isinstance(r, float) else (r.lhs, r.rhs, r.ratio) for r in reps]
 
 
@@ -421,7 +421,7 @@ def test_weight_side_cache_keys_the_diffusion(eu3, h1):
     def values(g, grid):
         return [(r.lhs, r.rhs) for r in (
             hardy_report(g, w, 2.5, 0.5, f, grid),
-            funcineq_report(g.diffusion, W, 0.0, f, grid))]
+            funcineq_report(g, W, 0.0, f, grid))]
 
     grid = build()
     f = radial_bump(w.psi, 1.05, 1.45)

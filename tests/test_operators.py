@@ -16,18 +16,18 @@ from conftest import sample_points
 
 def test_weighted_unit_weight_is_base(eu3):
     geo, w, _ = eu3
-    lw = weighted_operator(geo.diffusion, ConstField(1.0))
+    lw = weighted_operator(geo, ConstField(1.0))
     pts = sample_points(np.random.default_rng(0), 20, [(-2, 2)] * 3)
     f = random_polynomial(3, 2, np.random.default_rng(1))
-    assert np.allclose(lw.apply_L(f, pts), geo.diffusion.apply_L(f, pts), atol=1e-13)
-    assert np.allclose(lw.gamma(f, f, pts), geo.diffusion.gamma(f, f, pts), atol=1e-13)
+    assert np.allclose(lw.apply_L(f, pts), geo.apply_L(f, pts), atol=1e-13)
+    assert np.allclose(lw.gamma(f, f, pts), geo.gamma(f, f, pts), atol=1e-13)
 
 
 @pytest.mark.parametrize("alpha", [-1.0, 0.5, 2.0])
 def test_weighted_power_shifts_comparison_constant(eu3, alpha):
     geo, w, _ = eu3
     omega = ComposeField(power_map(alpha), w.psi)
-    lw = weighted_operator(geo.diffusion, omega)
+    lw = weighted_operator(geo, omega)
     pts = sample_points(np.random.default_rng(2), 200, [(-2, 2)] * 3)
     ratios, _ = qcond_ratios(lw, w.psi, pts)
     assert np.max(np.abs(ratios - (3.0 + alpha - 1.0))) < 1e-8
@@ -38,7 +38,7 @@ def test_weighted_horizontal_power_on_gauge(h1):
     geo, w, _ = h1
     alpha = 1.5
     omega = ComposeField(power_map(alpha), NormField([0, 1]))
-    lw = weighted_operator(geo.diffusion, omega)
+    lw = weighted_operator(geo, omega)
     pts = sample_points(np.random.default_rng(3), 200, [(-2, 2)] * 3, indices=(0, 1))
     ratios, _ = qcond_ratios(lw, w.psi, pts)
     assert np.max(np.abs(ratios - (geo.Q_hom + alpha - 1.0))) < 1e-8
@@ -53,8 +53,8 @@ def test_shift_law_on_catalog_pairs(request, fixture):
     pts = grid.points[::17]
     omega = ComposeField(power_map(alpha), w.psi)
     sigma = alpha * ComposeField(log_map(), w.psi)
-    for derived in (weighted_operator(geo.diffusion, omega),
-                    drifted_operator(geo.diffusion, sigma)):
+    for derived in (weighted_operator(geo, omega),
+                    drifted_operator(geo, sigma)):
         ratios, _ = qcond_ratios(derived, w.psi, pts)
         assert np.max(np.abs(ratios - (w.claimed_Q + alpha - 1.0))) < 1e-8, \
             (fixture, derived.kind)
@@ -62,17 +62,17 @@ def test_shift_law_on_catalog_pairs(request, fixture):
 
 def test_weighted_rejects_negative_weight(eu3):
     geo, _, _ = eu3
-    lw = weighted_operator(geo.diffusion, CoordinateField(0))
+    lw = weighted_operator(geo, CoordinateField(0))
     with pytest.raises(PreconditionError):
         lw.apply_L(NormField(), np.array([[-1.0, 0.0, 0.0]]))
 
 
 def test_drifted_zero_drift_is_base(eu3):
     geo, _, _ = eu3
-    ld = drifted_operator(geo.diffusion, ConstField(0.0))
+    ld = drifted_operator(geo, ConstField(0.0))
     pts = sample_points(np.random.default_rng(4), 20, [(-2, 2)] * 3)
     f = random_polynomial(3, 2, np.random.default_rng(5))
-    assert np.allclose(ld.apply_L(f, pts), geo.diffusion.apply_L(f, pts), atol=1e-13)
+    assert np.allclose(ld.apply_L(f, pts), geo.apply_L(f, pts), atol=1e-13)
     assert np.allclose(ld.measure_density._value(pts), 1.0, atol=1e-13)
 
 
@@ -80,7 +80,7 @@ def test_drifted_zero_drift_is_base(eu3):
 def test_drifted_log_power_shifts_comparison_constant(eu3, alpha):
     geo, w, _ = eu3
     sigma = alpha * ComposeField(log_map(), w.psi)
-    ld = drifted_operator(geo.diffusion, sigma)
+    ld = drifted_operator(geo, sigma)
     pts = sample_points(np.random.default_rng(6), 200, [(-2, 2)] * 3)
     ratios, _ = qcond_ratios(ld, w.psi, pts)
     assert np.max(np.abs(ratios - (3.0 + alpha - 1.0))) < 1e-8
@@ -90,7 +90,7 @@ def test_drifted_reversibility_quadrature(eu3):
     # int f L_s g dmu_s = int g L_s f dmu_s at O(h^2)
     geo, w, _ = eu3
     sigma = 0.5 * ComposeField(log_map(), w.psi)
-    ld = drifted_operator(geo.diffusion, sigma)
+    ld = drifted_operator(geo, sigma)
     f = radial_bump(w.psi, 0.7, 1.55)
     g = radial_bump(w.psi, 0.8, 1.5)
     defects = []
@@ -109,7 +109,7 @@ def test_drifted_reversibility_quadrature(eu3):
 
 def test_radial_gamma_is_squared_radial_derivative(eu3):
     geo, w, _ = eu3
-    rad = radial_operator(geo.diffusion, w.psi)
+    rad = radial_operator(geo, w.psi)
     f = random_polynomial(3, 2, np.random.default_rng(7))
     pts = sample_points(np.random.default_rng(8), 30, [(-2, 2)] * 3)
     dr_f = np.einsum("ni,ni->n", w.psi._grad(pts), f._grad(pts))
@@ -119,7 +119,7 @@ def test_radial_gamma_is_squared_radial_derivative(eu3):
 def test_radial_operator_on_its_own_weight(eu3):
     # L_psi psi = Gamma(psi, Gamma(psi)) + (L psi) Gamma(psi) = 0 + (2/r) * 1
     geo, w, _ = eu3
-    rad = radial_operator(geo.diffusion, w.psi)
+    rad = radial_operator(geo, w.psi)
     p = np.array([2.0, 0.0, 0.0])
     assert rad.apply_L(w.psi, p) == pytest.approx(1.0, abs=1e-12)
 
@@ -127,14 +127,14 @@ def test_radial_operator_on_its_own_weight(eu3):
 def test_radial_secondary_condition_gate(h1):
     geo, w, _ = h1
     pts = sample_points(np.random.default_rng(9), 200, [(-2, 2)] * 3, indices=(0, 1))
-    gfield = geo.diffusion.gamma_field(w.psi, w.psi)
-    defect = np.max(np.abs(geo.diffusion.gamma(w.psi, gfield, pts)))
+    gfield = geo.gamma_field(w.psi, w.psi)
+    defect = np.max(np.abs(geo.gamma(w.psi, gfield, pts)))
     assert defect < 1e-8
 
 
 def test_radial_preserves_comparison_constant(h1):
     geo, w, _ = h1
-    rad = radial_operator(geo.diffusion, w.psi)
+    rad = radial_operator(geo, w.psi)
     pts = sample_points(np.random.default_rng(10), 200, [(-2, 2)] * 3, indices=(0, 1))
     ratios, _ = qcond_ratios(rad, w.psi, pts)
     assert np.max(np.abs(ratios - (geo.Q_hom - 1.0))) < 1e-8
@@ -142,7 +142,7 @@ def test_radial_preserves_comparison_constant(h1):
 
 def test_radial_requires_frame_base(eu3):
     geo, w, _ = eu3
-    lw = weighted_operator(geo.diffusion, ConstField(1.0))
+    lw = weighted_operator(geo, ConstField(1.0))
     with pytest.raises(UsageError):
         radial_operator(lw, w.psi)
 
@@ -211,9 +211,9 @@ def test_derived_symmetry_quadrature(eu3):
     f = radial_bump(w.psi, 0.7, 1.55)
     g = radial_bump(w.psi, 0.8, 1.5)
     derived = [
-        weighted_operator(geo.diffusion, ComposeField(power_map(1.0), w.psi)),
-        drifted_operator(geo.diffusion, ComposeField(log_map(), w.psi)),
-        radial_operator(geo.diffusion, w.psi),
+        weighted_operator(geo, ComposeField(power_map(1.0), w.psi)),
+        drifted_operator(geo, ComposeField(log_map(), w.psi)),
+        radial_operator(geo, w.psi),
         dilation_operator(geo),
     ]
     for diff in derived:

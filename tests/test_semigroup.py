@@ -22,7 +22,7 @@ def interval_grid():
 
 def test_evolve_zero_initial_state(interval_grid):
     geo, grid = interval_grid
-    times, states = evolve(geo.diffusion, ConstField(0.0), grid, 0.01, 1e-3)
+    times, states = evolve(geo, ConstField(0.0), grid, 0.01, 1e-3)
     assert np.all(states == 0.0)
 
 
@@ -30,7 +30,7 @@ def test_dirichlet_eigenmode_decay(interval_grid):
     # |u(t)| ~ e^(-pi^2 t) for the lowest Dirichlet mode, within 2%
     geo, grid = interval_grid
     f0 = FuncField(lambda p: np.sin(np.pi * p[:, 0]))
-    times, states = evolve(geo.diffusion, f0, grid, t_max=0.1, dt=1e-4)
+    times, states = evolve(geo, f0, grid, t_max=0.1, dt=1e-4)
     w = grid.weights
     ratio = np.sqrt(np.sum(w * states[-1] ** 2) / np.sum(w * states[0] ** 2))
     assert ratio == pytest.approx(np.exp(-np.pi ** 2 * 0.1), rel=0.02)
@@ -39,23 +39,23 @@ def test_dirichlet_eigenmode_decay(interval_grid):
 def test_mass_monotone_for_nonnegative_data(interval_grid):
     geo, grid = interval_grid
     f0 = radial_bump(hl.CoordinateField(0), 0.2, 0.8)
-    times, states = evolve(geo.diffusion, f0, grid, t_max=0.05, dt=1e-3)
+    times, states = evolve(geo, f0, grid, t_max=0.05, dt=1e-3)
     mass = np.array([np.sum(grid.weights * s) for s in states])
     assert np.all(np.diff(mass) <= 1e-12)
 
 
 def test_discrete_self_adjointness(interval_grid, eu3):
     geo, grid = interval_grid
-    assert symmetry_defect(geo.diffusion, grid, seed=1) < 1e-12
+    assert symmetry_defect(geo, grid, seed=1) < 1e-12
     geo3, w3, _ = eu3
     grid3 = hl.default_grid(geo3, w3, bounds=[(-2, 2)] * 3, n=16, excision_radius=0.4)
-    assert symmetry_defect(geo3.diffusion, grid3, seed=2) < 1e-12
+    assert symmetry_defect(geo3, grid3, seed=2) < 1e-12
 
 
 def test_per_step_contraction_exact(interval_grid):
     geo, grid = interval_grid
     f0 = FuncField(lambda p: np.sign(p[:, 0] - 0.37))  # rough data
-    times, states = evolve(geo.diffusion, f0, grid, t_max=0.01, dt=1e-3,
+    times, states = evolve(geo, f0, grid, t_max=0.01, dt=1e-3,
                            n_samples=11)
     norms = [np.sqrt(np.sum(grid.weights * s ** 2)) for s in states]
     for a, b in zip(norms[:-1], norms[1:]):
@@ -65,7 +65,7 @@ def test_per_step_contraction_exact(interval_grid):
 def test_maximum_principle(interval_grid):
     geo, grid = interval_grid
     f0 = radial_bump(hl.CoordinateField(0), 0.1, 0.9)
-    times, states = evolve(geo.diffusion, f0, grid, t_max=0.05, dt=1e-3)
+    times, states = evolve(geo, f0, grid, t_max=0.05, dt=1e-3)
     assert states.min() >= -1e-10
     assert states.max() <= 1.0 + 1e-10
 
@@ -73,7 +73,7 @@ def test_maximum_principle(interval_grid):
 def test_contraction_trace_unweighted(interval_grid):
     geo, grid = interval_grid
     f0 = radial_bump(hl.CoordinateField(0), 0.2, 0.8)
-    tr = contraction_trace(geo.diffusion, ConstField(1.0), f0, grid,
+    tr = contraction_trace(geo, ConstField(1.0), f0, grid,
                            t_max=0.05, dt=1e-3)
     assert tr.passes(0.0)  # spectral contraction is exact for W == 1
     assert np.all(tr.I_values >= 0)
@@ -84,7 +84,7 @@ def test_contraction_trace_weighted_radial_model(radial3):
     geo, w, grid = radial3
     W = ComposeField(power_map(0.5), w.psi)
     f0 = radial_bump(w.psi, 1.0, 3.0)
-    tr = contraction_trace(geo.diffusion, W, f0, grid, t_max=0.2, dt=1e-3,
+    tr = contraction_trace(geo, W, f0, grid, t_max=0.2, dt=1e-3,
                            precheck_corpus=[f0])
     assert tr.funcineq_flag is False
     assert tr.passes(1e-8)
@@ -98,11 +98,11 @@ def test_contraction_trace_gronwall_with_positive_gamma(eu3):
     eps = 0.5
     W = ComposeField(power_map(0.25), SquareNormField() + eps)
     from hardylab.conditions import check_suffcond
-    _, s = check_suffcond(geo.diffusion, W, grid, 0.0)
+    _, s = check_suffcond(geo, W, grid, 0.0)
     assert s > 0
     gamma = 0.5 * s
     f0 = radial_bump(w.psi, 0.8, 1.5)
-    tr = contraction_trace(geo.diffusion, W, f0, grid, t_max=0.05, dt=1e-3,
+    tr = contraction_trace(geo, W, f0, grid, t_max=0.05, dt=1e-3,
                            gamma=gamma, precheck_corpus=[f0])
     assert tr.funcineq_flag is False
     assert tr.passes(1e-8)
@@ -114,13 +114,13 @@ def test_subcommutation_time_zero_is_exact(radial3):
     geo, w, grid = radial3
     W = ComposeField(power_map(0.5), w.psi)
     f0 = radial_bump(w.psi, 1.0, 3.0)
-    assert subcommutation_check(geo.diffusion, W, f0, grid, 0.0, 1e-3) == 0.0
+    assert subcommutation_check(geo, W, f0, grid, 0.0, 1e-3) == 0.0
 
 
 def test_subcommutation_unit_weight_kernel_cauchy_schwarz(interval_grid):
     geo, grid = interval_grid
     f0 = radial_bump(hl.CoordinateField(0), 0.2, 0.8)
-    d = subcommutation_check(geo.diffusion, ConstField(1.0), f0, grid, 0.05, 1e-3)
+    d = subcommutation_check(geo, ConstField(1.0), f0, grid, 0.05, 1e-3)
     assert d >= -1e-12
 
 
@@ -132,7 +132,7 @@ def test_subcommutation_defect_shrinks_under_refinement(eu3):
     for n, dt in ((16, 2e-3), (32, 1e-3)):
         grid = hl.default_grid(geo, w, bounds=[(-2, 2)] * 3, n=n,
                                excision_radius=0.25)
-        defects.append(subcommutation_check(geo.diffusion, W, f0, grid, 0.05, dt))
+        defects.append(subcommutation_check(geo, W, f0, grid, 0.05, dt))
     floor0 = min(defects[0], 0.0)
     floor1 = min(defects[1], 0.0)
     assert abs(floor1) <= 0.6 * abs(floor0) + 1e-12
@@ -144,9 +144,9 @@ def test_initial_slope_matches_functional_inequality_integrands(radial3):
     W = ComposeField(power_map(0.5), w.psi)
     f0 = radial_bump(w.psi, 1.0, 3.0)
     dt = 1e-5
-    tr = contraction_trace(geo.diffusion, W, f0, grid, t_max=10 * dt, dt=dt)
+    tr = contraction_trace(geo, W, f0, grid, t_max=10 * dt, dt=dt)
     slope = (tr.I_values[1] - tr.I_values[0]) / dt
-    rep = funcineq_report(geo.diffusion, W, 0.0, f0, grid)
+    rep = funcineq_report(geo, W, 0.0, f0, grid)
     expected = rep.lhs - rep.rhs
     assert slope == pytest.approx(expected, rel=2e-3)
 
@@ -157,9 +157,9 @@ def test_equivalence_both_directions(radial3):
     geo, w, grid = radial3
     good = ComposeField(power_map(0.5), w.psi)
     f_good = radial_bump(w.psi, 1.0, 3.0)
-    rep = funcineq_report(geo.diffusion, good, 0.0, f_good, grid)
+    rep = funcineq_report(geo, good, 0.0, f_good, grid)
     assert rep.ratio <= 1.0
-    tr = contraction_trace(geo.diffusion, good, f_good, grid, t_max=0.1, dt=1e-3)
+    tr = contraction_trace(geo, good, f_good, grid, t_max=0.1, dt=1e-3)
     assert tr.passes(1e-8)
 
     # a violating multiplier needs a wide logarithmic range: the spectral cap
@@ -170,9 +170,9 @@ def test_equivalence_both_directions(radial3):
     bad = ComposeField(power_map(-1.0), w_l.psi)
     f_bad = smoothed_power(w_l.psi, 0.01, float(np.exp(-5.5)), float(np.exp(1.5)),
                            base_exponent=0.5, ramp_factor=float(np.exp(1.5)))
-    rep_bad = funcineq_report(geo_l.diffusion, bad, 0.0, f_bad, grid_l)
+    rep_bad = funcineq_report(geo_l, bad, 0.0, f_bad, grid_l)
     assert rep_bad.ratio > 1.0
-    tr_bad = contraction_trace(geo_l.diffusion, bad, f_bad, grid_l, t_max=0.01,
+    tr_bad = contraction_trace(geo_l, bad, f_bad, grid_l, t_max=0.01,
                                dt=1e-4, precheck_corpus=[f_bad])
     assert tr_bad.funcineq_flag is True
     assert not tr_bad.passes(1e-8)
@@ -181,7 +181,7 @@ def test_equivalence_both_directions(radial3):
 def test_evolve_rejects_bad_dt(interval_grid):
     geo, grid = interval_grid
     with pytest.raises(PreconditionError):
-        evolve(geo.diffusion, ConstField(0.0), grid, 0.1, 0.0)
+        evolve(geo, ConstField(0.0), grid, 0.1, 0.0)
 
 
 @pytest.mark.parametrize("dt", [0.0, -1e-3, float("nan")])
@@ -189,7 +189,7 @@ def test_subcommutation_rejects_bad_dt(interval_grid, dt):
     geo, grid = interval_grid
     f0 = radial_bump(hl.CoordinateField(0), 0.2, 0.8)
     with pytest.raises(PreconditionError):
-        subcommutation_check(geo.diffusion, ConstField(1.0), f0, grid, 0.05, dt)
+        subcommutation_check(geo, ConstField(1.0), f0, grid, 0.05, dt)
 
 
 @pytest.mark.parametrize("dt", [0.0, -1e-3, float("nan")])
@@ -197,7 +197,7 @@ def test_contraction_trace_rejects_bad_dt(interval_grid, dt):
     geo, grid = interval_grid
     f0 = radial_bump(hl.CoordinateField(0), 0.2, 0.8)
     with pytest.raises(PreconditionError):
-        contraction_trace(geo.diffusion, ConstField(1.0), f0, grid, 0.05, dt)
+        contraction_trace(geo, ConstField(1.0), f0, grid, 0.05, dt)
 
 
 def _solver_after_one_step(diff, grid, dt):
@@ -209,10 +209,10 @@ def _solver_after_one_step(diff, grid, dt):
 def test_solver_choice_follows_cg_probe(interval_grid, eu3):
     # a stiff 1D grid stalls the CG probe and factors; a 3D grid does not
     geo, grid = interval_grid
-    assert _solver_after_one_step(geo.diffusion, grid, 1e-4) == "lu"
+    assert _solver_after_one_step(geo, grid, 1e-4) == "lu"
     geo3, w3, _ = eu3
     grid3 = hl.default_grid(geo3, w3, bounds=[(-2, 2)] * 3, n=16, excision_radius=0.25)
-    assert _solver_after_one_step(geo3.diffusion, grid3, 2e-3) == "cg"
+    assert _solver_after_one_step(geo3, grid3, 2e-3) == "cg"
 
 
 def test_cg_and_lu_paths_agree(eu3, monkeypatch):
@@ -222,9 +222,9 @@ def test_cg_and_lu_paths_agree(eu3, monkeypatch):
     f0 = radial_bump(w.psi, 0.6, 1.6)
 
     def run():
-        _, states = evolve(geo.diffusion, f0, grid, t_max=0.05, dt=2e-3)
-        d = subcommutation_check(geo.diffusion, W, f0, grid, 0.05, 2e-3)
-        return _solver_after_one_step(geo.diffusion, grid, 2e-3), states, d
+        _, states = evolve(geo, f0, grid, t_max=0.05, dt=2e-3)
+        d = subcommutation_check(geo, W, f0, grid, 0.05, 2e-3)
+        return _solver_after_one_step(geo, grid, 2e-3), states, d
 
     kind_cg, states_cg, d_cg = run()
     monkeypatch.setattr(semigroup, "_CG_PROBE_ITERS", 1)
@@ -243,9 +243,9 @@ def test_generator_action_is_consistent(interval_grid):
     from hardylab.fields import AffineField, exp_map
     u = AffineField([1.0 / 0.15], -0.5 / 0.15)
     f = ComposeField(exp_map(), -1.0 * (u * u))
-    w, A = assemble_generator(geo.diffusion, grid)
+    w, A = assemble_generator(geo, grid)
     lh = apply_Lh(w, A, f.value_at(grid.points))
-    exact = geo.diffusion.apply_L(f, grid.points)
+    exact = geo.apply_L(f, grid.points)
     interior = grid.interior_depth(2) >= 2
     err = np.max(np.abs(lh - exact)[interior])
     assert err < 5e-2  # h = 1/512, fourth derivative O(1e4)

@@ -92,7 +92,7 @@ def test_supported_corpus_bumps_equal_their_full_trees(setup, request):
     pv = w.psi.value_at(pts)
     corpus = (bump_corpus(w.psi, grid, 4, seed=5, psi_range=(float(pv.min()), float(pv.max())))
               + polynomial_bump_corpus(grid, 2, seed=5) + [_edge_bump(w, grid)])
-    diff = geo.diffusion
+    diff = geo
     for f in corpus:
         assert isinstance(f, SupportedField)
         rows, sub = f.rows_at(pts)
@@ -113,8 +113,8 @@ def test_supported_bump_feeds_gamma_w_unchanged(h1):
     geo, w, grid = h1
     f = polynomial_bump_corpus(grid, 1, seed=2)[0]
     W = w.psi ** 0.5
-    got = gamma_w(geo.diffusion, W, f, grid.points)
-    assert np.array_equal(got, gamma_w(geo.diffusion, W, f.base, grid.points))
+    got = gamma_w(geo, W, f, grid.points)
+    assert np.array_equal(got, gamma_w(geo, W, f.base, grid.points))
 
 
 def test_gamma_on_a_one_row_support(eu3):
@@ -125,6 +125,6 @@ def test_gamma_on_a_one_row_support(eu3):
     f = SupportedField(tensor_bump([(c - 0.75 * s, c + 0.75 * s) for c, s in zip(x, h)]))
     pts = grid.points
     assert len(f.rows_at(pts)[0]) == 1
-    diff = geo.diffusion
+    diff = geo
     assert np.array_equal(diff.gamma(f, f, pts), diff.gamma(f.base, f.base, pts))
     assert np.array_equal(diff.gamma(w.psi, f, pts), diff.gamma(w.psi, f.base, pts))
