@@ -18,45 +18,30 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, NumericError, PreconditionError
-from .fields import (ComposeField, FDField, FuncField, ProductField,
-                     ScalarField, SmoothMap, SupportedField, VectorField,
-                     as_points, memo, squared, unsupported, with_fd)
+from .fields import (ComposeField, FDField, ProductField, ScalarField,
+                     SmoothMap, SupportedField, VectorField, as_points, memo,
+                     squared, unsupported, with_fd)
 
 
 class Diffusion:
-    """Abstract generator: subclasses provide apply_L and gamma on batches."""
+    """Abstract generator: subclasses provide apply_L and gamma on (n, m)
+    point batches; only the checked entry points below take a single point."""
 
     dim: int
     measure_density: ScalarField
-    kind = "base"
 
     def domain(self, pts):
         """Boolean mask of points where the generator's data is smooth."""
         return np.ones(len(pts), dtype=bool)
 
-    def mask(self, x):
-        pts, single = as_points(x, self.dim)
-        m = self.domain(pts) & self.measure_density._mask(pts)
-        return bool(m[0]) if single else m
+    def mask(self, pts):
+        return self.domain(pts) & self.measure_density._mask(pts)
 
-    def apply_L(self, f: ScalarField, x):
+    def apply_L(self, f: ScalarField, pts):
         raise NotImplementedError
 
-    def gamma(self, f: ScalarField, g: ScalarField | None, x):
+    def gamma(self, f: ScalarField, g: ScalarField | None, pts):
         raise NotImplementedError
-
-    def gamma_field(self, f: ScalarField, g: ScalarField | None = None) -> ScalarField:
-        """Gamma(f, g) as a field (difference-oracle derivatives by default)."""
-        g = f if g is None else g
-        return FuncField(lambda pts: self.gamma(f, g, pts), name="Gamma(f,g)")
-
-    def l_field(self, f: ScalarField) -> ScalarField:
-        """L f as a value-exact field (difference-oracle derivatives)."""
-        return FuncField(lambda pts: self.apply_L(f, pts), name="Lf")
-
-    def frame_values(self, pts):
-        """(l, n, m) frame coefficients; needed by the grid semigroup."""
-        raise NotImplementedError(f"{type(self).__name__} exposes no frame")
 
 
 class FrameDiffusion(Diffusion):
@@ -68,13 +53,12 @@ class FrameDiffusion(Diffusion):
     """
 
     def __init__(self, frame, drift: VectorField | None, measure_density: ScalarField,
-                 dim: int, domain_mask=None, kind: str = "frame"):
+                 dim: int, domain_mask=None):
         self.frame = tuple(frame)
         self.drift = drift
         self.measure_density = measure_density
         self.dim = int(dim)
         self._domain_mask = domain_mask
-        self.kind = kind
 
     def domain(self, pts):
         if self._domain_mask is None:
@@ -109,8 +93,7 @@ class FrameDiffusion(Diffusion):
 
     # -- generator and carre du champ -----------------------------------------
 
-    def apply_L(self, f: ScalarField, x):
-        pts, single = as_points(x, self.dim)
+    def apply_L(self, f: ScalarField, pts):
         C = self.frame_values(pts)
         G = self.frame_grads(pts)
         gf = f.grad_at(pts)
@@ -120,13 +103,12 @@ class FrameDiffusion(Diffusion):
         if self.drift is not None:
             first = first + self.drift.coeff_values(pts)
         val += np.einsum("nk,nk->n", first, gf)
-        return float(val[0]) if single else val
+        return val
 
-    def gamma(self, f: ScalarField, g: ScalarField | None, x):
+    def gamma(self, f: ScalarField, g: ScalarField | None, pts):
         """Gamma(f, g) on the points.  When f or g is a supported field, only
         its support rows are computed (with the full trees of both fields,
         on the same sub-array) and the rest is zero."""
-        pts, single = as_points(x, self.dim)
         g = f if g is None else g
         C = self.frame_values(pts)
         sup = f if isinstance(f, SupportedField) else g
@@ -139,7 +121,7 @@ class FrameDiffusion(Diffusion):
             # take keeps C's (j, n, i) layout, so einsum sums in the same order
             val[rows] = _frame_gamma(np.take(C, rows, axis=1), unsupported(f),
                                      unsupported(g), sub)
-        return float(val[0]) if single else val
+        return val
 
     def gamma_field(self, f: ScalarField, g: ScalarField | None = None) -> ScalarField:
         return FrameGammaField(self, f, f if g is None else g)
@@ -206,7 +188,7 @@ def _checked(diff: Diffusion, f: ScalarField, x):
 def eval_L(diff: Diffusion, f: ScalarField, p):
     """(L f)(p); exact when f carries closed-form derivatives."""
     pts, single = _checked(diff, f, p)
-    v = np.atleast_1d(diff.apply_L(f, pts))
+    v = diff.apply_L(f, pts)
     if not np.all(np.isfinite(v)):
         raise NumericError("non-finite derivative in L f")
     return float(v[0]) if single else v
@@ -220,7 +202,7 @@ def gamma(diff: Diffusion, f: ScalarField, g: ScalarField | None = None, p=None)
     pts, single = _checked(diff, f, p)
     if not np.all(g._mask(pts)):
         raise DomainError("point outside the domain mask of g")
-    v = np.atleast_1d(diff.gamma(f, g, pts))
+    v = diff.gamma(f, g, pts)
     if not np.all(np.isfinite(v)):
         raise NumericError("non-finite value in Gamma(f, g)")
     return float(v[0]) if single else v
@@ -247,7 +229,7 @@ def gamma_w(diff: Diffusion, W: ScalarField, f: ScalarField, p):
     val = 0.5 * (l_of_square(diff, W, pts) * fv ** 2
                  + 2.0 * diff.gamma(W2, f2, pts)
                  + 2.0 * W2.value_at(pts) * diff.gamma(f, f, pts))
-    if not np.all(np.isfinite(np.atleast_1d(val))):
+    if not np.all(np.isfinite(val)):
         raise NumericError("non-finite value in Gamma^W(f)")
     return float(val[0]) if single else val
 

@@ -25,6 +25,8 @@ by the qcond test suite rather than taken on faith.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -41,16 +43,14 @@ class GeometrySpec(FrameDiffusion):
     """A named diffusion plus optional stratification data.
 
     A geometry is a ``FrameDiffusion``: frame, drift, measure density,
-    dimension and domain mask are the diffusion's own, and its ``kind`` is
-    its name.  It hashes by identity, which the per-(grid, weight) memo keys
-    that hold it rely on."""
+    dimension and domain mask are the diffusion's own.  It hashes by
+    identity, which the per-(grid, weight) memo keys that hold it rely on."""
 
     def __init__(self, name: str, dim: int, frame, drift: VectorField | None,
                  measure_density: ScalarField, stratification: tuple[int, ...] | None = None,
                  Q_hom: float | None = None, domain_mask: Callable | None = None,
                  params: dict | None = None):
-        super().__init__(frame, drift, measure_density, dim, domain_mask=domain_mask,
-                         kind=name)
+        super().__init__(frame, drift, measure_density, dim, domain_mask=domain_mask)
         if stratification is not None:
             if len(stratification) != self.dim:
                 raise UsageError("stratification must assign a stratum to every coordinate")
@@ -111,16 +111,12 @@ def _heisenberg(m: int) -> GeometrySpec:
     for i in range(m):
         cx = [ConstField(0.0)] * dim
         cx[i] = ConstField(1.0)
-        w = np.zeros(dim)
-        w[m + i] = -0.5
-        cx[zi] = AffineField(w)
+        cx[zi] = AffineField([0.0] * (m + i) + [-0.5])
         frames.append(VectorField(cx))
     for i in range(m):
         cy = [ConstField(0.0)] * dim
         cy[m + i] = ConstField(1.0)
-        w = np.zeros(dim)
-        w[i] = 0.5
-        cy[zi] = AffineField(w)
+        cy[zi] = AffineField([0.0] * i + [0.5])
         frames.append(VectorField(cy))
     strat = tuple([0] * (2 * m) + [1])
     return GeometrySpec(name="heisenberg", dim=dim, frame=tuple(frames), drift=None,
@@ -221,13 +217,35 @@ def _logradial(m: int) -> GeometrySpec:
                         measure_density=density, params={"m": m})
 
 
+def _is_number(value) -> bool:
+    """A finite real number that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _is_count(value, least: int) -> bool:
+    """An integer >= ``least`` that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
+
+
+def _is_bounds(value) -> bool:
+    """A non-empty list of [lo, hi] pairs of finite numbers with lo < hi."""
+    return (isinstance(value, (list, tuple)) and len(value) > 0
+            and all(isinstance(b, (list, tuple)) and len(b) == 2 and all(map(_is_number, b))
+                    and b[0] < b[1] for b in value))
+
+
+def _param(params: dict, key: str, where: str, ok, what: str, default=None):
+    """``params[key]``, or ``default`` when absent; a UsageError unless ``ok``."""
+    value = params.get(key, default)
+    if not ok(value):
+        raise UsageError(f"{where} parameter {key!r} must be {what}, got {value!r}")
+    return value
+
+
 def _positive_int(params: dict, key: str, geometry: str) -> int:
     """The positive integer parameter ``key`` of a geometry."""
-    value = params.get(key)
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise UsageError(f"geometry {geometry!r} needs a positive integer "
-                         f"parameter {key!r}, got {value!r}")
-    return int(value)
+    return int(_param(params, key, f"geometry {geometry!r}", lambda v: _is_count(v, 1),
+                      "a positive integer"))
 
 
 def make_geometry(name: str, **params) -> GeometrySpec:
@@ -260,7 +278,9 @@ def make_geometry(name: str, **params) -> GeometrySpec:
         if "facets" in params:
             facets = params["facets"]
         elif "box" in params:
-            facets = box_facets(params["box"])
+            facets = box_facets(_param(params, "box", f"geometry {name!r}",
+                                       lambda v: _is_bounds(v) and len(v) == m,
+                                       f"{m} [lo, hi] pairs with lo < hi"))
         else:
             raise UsageError("convex-domain requires facets= or box=")
         return _convex_domain(m, facets)
@@ -367,6 +387,7 @@ def make_weight(geo: GeometrySpec, name: str, **params) -> Weight:
     hyperbolic-height, grushin-gauge, boundary-distance, log-of, power-of,
     shifted.
     """
+    where = f"weight {name!r}"
     if name == "euclid-norm":
         if geo.name == "euclidean-radial":
             return Weight("euclid-norm", CoordinateField(0), float(geo.params["m"]),
@@ -381,7 +402,8 @@ def make_weight(geo: GeometrySpec, name: str, **params) -> Weight:
         return Weight("euclid-norm", NormField(), float(geo.dim), singular_set="{0}")
 
     if name == "horizontal-norm":
-        idx = params.get("indices")
+        idx = _param(params, "indices", where, lambda v: v is None or (
+            isinstance(v, (list, tuple)) and all(_is_count(k, 0) for k in v)), "a list of indices")
         if idx is None:
             idx = _horizontal_indices(geo)
         else:
@@ -398,7 +420,7 @@ def make_weight(geo: GeometrySpec, name: str, **params) -> Weight:
                       singular_set="{0}")
 
     if name == "coordinate":
-        j = int(params["index"])
+        j = int(_param(params, "index", where, lambda v: _is_count(v, 0), "an integer >= 0"))
         if not 0 <= j < geo.dim:
             raise UsageError("coordinate index out of range")
         return Weight(f"coordinate({j})", NormField([j]), 1.0,
@@ -420,7 +442,7 @@ def make_weight(geo: GeometrySpec, name: str, **params) -> Weight:
     if name == "boundary-distance":
         if geo.name != "convex-domain":
             raise UsageError("boundary-distance needs a convex-domain geometry")
-        tube = float(params.get("corner_tube", 0.0))
+        tube = float(_param(params, "corner_tube", where, _is_number, "a finite number", 0.0))
         f, near_corner = boundary_distance_field(geo, tube)
         return Weight("boundary-distance", f, 2.0,
                       singular_set="the boundary and facet intersections",
@@ -428,13 +450,14 @@ def make_weight(geo: GeometrySpec, name: str, **params) -> Weight:
                       extra_excised=near_corner if tube > 0 else None)
 
     if name == "log-of":
-        return log_weight(params["weight"], params["branch"])
+        return log_weight(params["weight"], params.get("branch"))
 
     if name == "power-of":
-        return power_weight(params["weight"], float(params["p"]))
+        p = _param(params, "p", where, _is_number, "a finite number")
+        return power_weight(params["weight"], float(p))
 
     if name == "shifted":
-        eps = float(params.get("eps", 1e-3))
+        eps = float(_param(params, "eps", where, _is_number, "a finite number", 1e-3))
         hor = _horizontal_indices(geo)
         if geo.name != "heisenberg":
             raise UsageError("shifted |x_0| + eps N is defined on Heisenberg geometries")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -21,7 +20,8 @@ from typing import Callable
 import numpy as np
 
 from . import inequalities as ineq
-from .catalog import GeometrySpec, Weight, make_geometry, make_weight
+from .catalog import (GeometrySpec, Weight, _is_bounds, _is_count, _is_number,
+                      make_geometry, make_weight)
 from .conditions import check_curvature, check_suffcond, qcond_report
 from .errors import DegenerateInputError, PreconditionError, UsageError
 from .fields import ComposeField, ScalarField, power_map
@@ -124,11 +124,8 @@ class RunConfig:
             _require(len(counts) > 0 and all(_is_count(k, 1) for k in counts),
                      "grid.n must be a positive integer or a list of them", n)
         bounds = self.grid.get("bounds")
-        if bounds is not None:
-            _require(isinstance(bounds, list) and len(bounds) > 0
-                     and all(isinstance(b, list) and len(b) == 2 and all(map(_is_number, b))
-                             and b[0] < b[1] for b in bounds),
-                     "grid.bounds must be a list of [lo, hi] pairs with lo < hi", bounds)
+        _require(bounds is None or _is_bounds(bounds),
+                 "grid.bounds must be a list of [lo, hi] pairs with lo < hi", bounds)
         radius = self.grid.get("excision_radius")
         _require(radius is None or _is_number(radius),
                  "grid.excision_radius must be a finite number", radius)
@@ -149,15 +146,6 @@ def _check_weight_spec(spec, where: str) -> None:
         _require("base" in params, f"{where}.params.base must give the weight {spec['name']} "
                  "is built on", params)
         _check_weight_spec(params["base"], f"{where}.params.base")
-
-
-def _is_number(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
-def _is_count(value, least: int) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
 def _require(ok: bool, message: str, value) -> None:

@@ -56,13 +56,13 @@ class QcondReport:
 def qcond_ratios(diff: Diffusion, psi: ScalarField, pts):
     """(ratios, skipped): the comparison ratio where Gamma(psi) is
     nondegenerate, and the count of skipped degenerate nodes."""
-    gam = np.atleast_1d(diff.gamma(psi, psi, pts))
+    gam = diff.gamma(psi, psi, pts)
     scale = float(np.max(gam)) if len(gam) else 0.0
     ok = gam > DEGENERATE_GAMMA_REL * max(scale, 1.0)
     skipped = int(len(gam) - np.count_nonzero(ok))
     if not np.any(ok):
         raise DegenerateInputError("Gamma(psi) degenerate at every retained node")
-    lpsi = np.atleast_1d(diff.apply_L(psi, pts))[ok]
+    lpsi = diff.apply_L(psi, pts)[ok]
     vals = psi.value_at(pts)[ok]
     return vals * lpsi / gam[ok], skipped
 
@@ -103,8 +103,7 @@ def suffcond_values(diff, W: ScalarField, pts):
     wv = W.value_at(pts)
     if np.any(wv <= 0):
         raise PreconditionError("W must be positive at retained nodes")
-    return np.atleast_1d(diff.apply_L(W, pts)) / wv \
-        - 3.0 * np.atleast_1d(diff.gamma(W, W, pts)) / wv ** 2
+    return diff.apply_L(W, pts) / wv - 3.0 * diff.gamma(W, W, pts) / wv ** 2
 
 
 def check_suffcond(diff, W: ScalarField, grid, gamma: float,
@@ -118,7 +117,7 @@ def check_curvature(diff, W: ScalarField, f: ScalarField, gamma: float, grid) ->
     """min over retained nodes of Gamma^W(f) - gamma W^2 f^2; a nonnegative
     minimum certifies the curvature condition for this f."""
     pts = grid.points
-    vals = np.atleast_1d(gamma_w(diff, W, f, pts))
+    vals = gamma_w(diff, W, f, pts)
     phi = (W.value_at(pts) * f.value_at(pts)) ** 2
     return float(np.min(vals - gamma * phi))
 

@@ -8,8 +8,16 @@ calculus rules.  Fields lacking a closed form fall back to central differences
 of order 2 with step ``fd_step``; :func:`with_fd` forces that mode for any
 field, which is how the difference-oracle refinement studies are run.
 
-All evaluation methods accept a single point of shape ``(m,)`` or a batch of
-shape ``(n, m)`` and are pure, so fields are safe to share across threads.
+The polynomial leaves share one evaluator: ``ConstField``, ``CoordinateField``
+and ``AffineField`` only build the term list of a :class:`PolyField`, whose
+gradient and Hessian are the values of its own partial derivatives.
+``NormField`` and ``SquareNormField`` stay separate: the norm is not a
+polynomial, and with ``indices=None`` both act on every coordinate of
+whatever points they are given, which a fixed term list cannot say.
+
+``value``/``grad``/``hess``/``mask`` accept a single point of shape ``(m,)``
+or a batch of shape ``(n, m)``; every other method takes a batch.  All are
+pure, so fields are safe to share across threads.
 
 Compactly supported fields can be wrapped in :class:`SupportedField`.  Its
 rows on a points array are a superset of the points where the value,
@@ -418,109 +426,79 @@ def squared(field: ScalarField) -> ScalarField:
     return sq
 
 
-class ConstField(ScalarField):
-    def __init__(self, c: float):
-        self.c = float(c)
-
-    def _value(self, pts):
-        return np.full(len(pts), self.c)
-
-    def _grad(self, pts):
-        return np.zeros_like(pts)
-
-    def _hess(self, pts):
-        m = pts.shape[1]
-        return np.zeros((len(pts), m, m))
-
-
-class CoordinateField(ScalarField):
-    """The coordinate function x_j."""
-
-    def __init__(self, index: int):
-        self.index = int(index)
-
-    def _value(self, pts):
-        return pts[:, self.index].copy()
-
-    def _grad(self, pts):
-        g = np.zeros_like(pts)
-        g[:, self.index] = 1.0
-        return g
-
-    def _hess(self, pts):
-        m = pts.shape[1]
-        return np.zeros((len(pts), m, m))
-
-
-class AffineField(ScalarField):
-    """w . x + b with constant w."""
-
-    def __init__(self, weights, offset: float = 0.0):
-        self.weights = np.asarray(weights, dtype=float)
-        self.offset = float(offset)
-
-    def _value(self, pts):
-        return pts[:, :len(self.weights)] @ self.weights + self.offset
-
-    def _grad(self, pts):
-        g = np.zeros_like(pts)
-        g[:, :len(self.weights)] = self.weights
-        return g
-
-    def _hess(self, pts):
-        m = pts.shape[1]
-        return np.zeros((len(pts), m, m))
+def _monomial(c: float, exps, pts):
+    """c * prod_i pts[:, i]**e_i as a new array, multiplied left to right."""
+    t = None
+    for i, e in enumerate(exps):
+        if e:
+            x = pts[:, i] if e == 1 else pts[:, i] ** e
+            t = c * x if t is None else t * x
+    return np.full(len(pts), c) if t is None else t
 
 
 class PolyField(ScalarField):
-    """Multivariate polynomial sum_t c_t * prod_i x_i**e_{t,i}."""
+    """Multivariate polynomial sum_t c_t * prod_i x_i**e_{t,i}, without zero
+    terms; exponents missing at the end of a tuple are 0.  The gradient and
+    Hessian are the values of its cached partial derivatives (``partial``)."""
 
     def __init__(self, terms):
-        self.terms = [(float(c), tuple(int(e) for e in exps)) for c, exps in terms]
+        self.terms = [(float(c), tuple(int(e) for e in exps)) for c, exps in terms if c != 0]
+        self._partials = {}
+
+    def partial(self, j: int) -> PolyField:
+        """d/dx_j, as a polynomial."""
+        d = self._partials.get(j)
+        if d is None:
+            d = PolyField([(c * exps[j], exps[:j] + (exps[j] - 1,) + exps[j + 1:])
+                           for c, exps in self.terms if j < len(exps) and exps[j]])
+            self._partials[j] = d
+        return d
 
     def _value(self, pts):
-        out = np.zeros(len(pts))
-        for c, exps in self.terms:
-            t = np.full(len(pts), c)
-            for i, e in enumerate(exps):
-                if e:
-                    t = t * pts[:, i] ** e
-            out += t
+        if not self.terms:
+            return np.zeros(len(pts))
+        out = _monomial(*self.terms[0], pts)
+        for c, exps in self.terms[1:]:
+            out += _monomial(c, exps, pts)
         return out
 
     def _grad(self, pts):
-        n, m = pts.shape
-        out = np.zeros((n, m))
-        for c, exps in self.terms:
-            for j, ej in enumerate(exps):
-                if ej == 0:
-                    continue
-                t = np.full(n, c * ej)
-                for i, e in enumerate(exps):
-                    ee = e - 1 if i == j else e
-                    if ee:
-                        t = t * pts[:, i] ** ee
-                out[:, j] += t
+        out = np.zeros(pts.shape)
+        for j in range(pts.shape[1]):
+            d = self.partial(j)
+            if d.terms:
+                out[:, j] = d._value(pts)
         return out
 
     def _hess(self, pts):
         n, m = pts.shape
         out = np.zeros((n, m, m))
-        for c, exps in self.terms:
-            for j, ej in enumerate(exps):
-                if ej == 0:
-                    continue
-                for k, ek in enumerate(exps):
-                    fac = ej * (ej - 1) if j == k else ej * ek
-                    if fac == 0:
-                        continue
-                    t = np.full(n, c * fac)
-                    for i, e in enumerate(exps):
-                        ee = e - (2 if (i == j and j == k) else (1 if i in (j, k) else 0))
-                        if ee:
-                            t = t * pts[:, i] ** ee
-                    out[:, j, k] += t
+        for j in range(m):
+            for k in range(j, m):
+                djk = self.partial(j).partial(k)
+                if djk.terms:
+                    out[:, j, k] = out[:, k, j] = djk._value(pts)
         return out
+
+
+class ConstField(PolyField):
+    def __init__(self, c: float):
+        super().__init__([(c, ())])
+
+
+class CoordinateField(PolyField):
+    """The coordinate function x_j."""
+
+    def __init__(self, index: int):
+        super().__init__([(1.0, (0,) * int(index) + (1,))])
+
+
+class AffineField(PolyField):
+    """w . x + b with constant w."""
+
+    def __init__(self, weights, offset: float = 0.0):
+        super().__init__([(w, (0,) * j + (1,)) for j, w in enumerate(weights)]
+                         + [(offset, ())])
 
 
 class NormField(ScalarField):
@@ -860,11 +838,9 @@ class VectorField:
         """(n, m, m) array with [p, i, l] = d_l c_i."""
         return np.stack([c.grad_at(pts) for c in self.coeffs], axis=1)
 
-    def apply(self, f: ScalarField, x):
-        """(V f)(x) = sum_i c_i(x) d_i f(x)."""
-        pts, single = as_points(x)
-        v = np.einsum("ni,ni->n", self.coeff_values(pts), f.grad_at(pts))
-        return float(v[0]) if single else v
+    def apply(self, f: ScalarField, pts):
+        """(V f)(x) = sum_i c_i(x) d_i f(x) on a batch of points."""
+        return np.einsum("ni,ni->n", self.coeff_values(pts), f.grad_at(pts))
 
 
 def coordinate_frame(m: int) -> list[VectorField]:

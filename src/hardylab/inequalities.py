@@ -128,14 +128,19 @@ def _power(psi: ScalarField, a: float, pts):
     return memo(psi, "_weight_memo", ("power", a), pts, lambda p: _values(psi, p) ** a)
 
 
+def _excluded(value: float, point: float, *operands: float) -> bool:
+    """Whether ``value``, formed from ``operands``, is ``point`` up to rounding."""
+    return abs(value - point) <= 1e-12 * max(1.0, *(abs(x) for x in operands))
+
+
 def _hardy_constant(Q: float, alpha: float, log_variant: str) -> float:
-    if Q + alpha == 2.0:
+    if _excluded(Q + alpha, 2.0, Q, alpha):
         raise UsageError(f"Q + alpha = 2 is the logarithmic case; use {log_variant}")
     return (2.0 / (Q + alpha - 2.0)) ** 2
 
 
 def _log_constant(alpha: float) -> float:
-    if alpha == 1.0:
+    if _excluded(alpha, 1.0, alpha):
         raise UsageError("alpha = 1 is excluded in the logarithmic family")
     return (2.0 / (alpha - 1.0)) ** 2
 
@@ -198,7 +203,7 @@ def weighted_log_hardy_report(geo, psi: Weight, Q: float, alpha: float,
                               f: ScalarField, grid: Grid) -> HardyReport:
     """Log family with the extra factor psi^(2-Q) on both sides (the
     Q + alpha = 2 branch of the weighted inequalities)."""
-    if Q == 2.0:
+    if _excluded(Q, 2.0, Q):
         raise UsageError("Q = 2 reduces to log_hardy_report")
     const = _log_constant(alpha)
 
@@ -285,7 +290,7 @@ def dilation_hardy_report(geo: GeometrySpec, psi: Weight, alpha: float,
     D psi = psi is verified on the grid before reporting.
     """
     dil = dilation_operator(geo)
-    if dil.Q_hom + alpha == 0.0:
+    if _excluded(dil.Q_hom + alpha, 0.0, dil.Q_hom, alpha):
         raise UsageError("alpha = -Q_hom is excluded for the dilation family")
     const = (2.0 / (dil.Q_hom + alpha)) ** 2
 

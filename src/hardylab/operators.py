@@ -20,14 +20,12 @@ import numpy as np
 
 from .calculus import Diffusion, FrameDiffusion
 from .errors import PreconditionError, UsageError
-from .fields import (AffineField, ComposeField, ConstField, ProductField,
-                     ScalarField, VectorField, as_points, exp_map)
+from .fields import (AffineField, ComposeField, ConstField, FuncField,
+                     ProductField, ScalarField, VectorField, exp_map)
 
 
 class WeightedDiffusion(Diffusion):
     """L_w f = w L f + Gamma(w, f) with Gamma_w = w Gamma and measure of the base."""
-
-    kind = "weighted"
 
     def __init__(self, base: Diffusion, omega: ScalarField):
         self.base = base
@@ -45,17 +43,12 @@ class WeightedDiffusion(Diffusion):
             raise PreconditionError("weight omega is negative at a masked point")
         return w
 
-    def apply_L(self, f, x):
-        pts, single = as_points(x, self.dim)
+    def apply_L(self, f, pts):
         w = self._omega_values(pts)
-        val = w * np.atleast_1d(self.base.apply_L(f, pts)) \
-            + np.atleast_1d(self.base.gamma(self.omega, f, pts))
-        return float(val[0]) if single else val
+        return w * self.base.apply_L(f, pts) + self.base.gamma(self.omega, f, pts)
 
-    def gamma(self, f, g, x):
-        pts, single = as_points(x, self.dim)
-        val = self._omega_values(pts) * np.atleast_1d(self.base.gamma(f, g, pts))
-        return float(val[0]) if single else val
+    def gamma(self, f, g, pts):
+        return self._omega_values(pts) * self.base.gamma(f, g, pts)
 
     def gamma_field(self, f, g=None):
         return ProductField(self.omega, self.base.gamma_field(f, g))
@@ -68,8 +61,6 @@ class WeightedDiffusion(Diffusion):
 class DriftedDiffusion(Diffusion):
     """L_s f = L f + Gamma(s, f); Gamma unchanged, measure density times e^s."""
 
-    kind = "drifted"
-
     def __init__(self, base: Diffusion, sigma: ScalarField):
         self.base = base
         self.sigma = sigma
@@ -80,14 +71,11 @@ class DriftedDiffusion(Diffusion):
     def domain(self, pts):
         return self.base.domain(pts) & self.sigma._mask(pts)
 
-    def apply_L(self, f, x):
-        pts, single = as_points(x, self.dim)
-        val = np.atleast_1d(self.base.apply_L(f, pts)) \
-            + np.atleast_1d(self.base.gamma(self.sigma, f, pts))
-        return float(val[0]) if single else val
+    def apply_L(self, f, pts):
+        return self.base.apply_L(f, pts) + self.base.gamma(self.sigma, f, pts)
 
-    def gamma(self, f, g, x):
-        return self.base.gamma(f, g, x)
+    def gamma(self, f, g, pts):
+        return self.base.gamma(f, g, pts)
 
     def gamma_field(self, f, g=None):
         return self.base.gamma_field(f, g)
@@ -126,14 +114,13 @@ class ZCoefficientField(ScalarField):
 class RadialDiffusion(FrameDiffusion):
     """One-field diffusion L_psi = Z^2 + (L psi) Z built from a base frame."""
 
-    kind = "radial"
-
     def __init__(self, base: FrameDiffusion, psi: ScalarField):
         zc = [ZCoefficientField(base, psi, k) for k in range(base.dim)]
-        lpsi = base.l_field(psi)
+        # L psi enters through its values only
+        lpsi = FuncField(lambda pts: base.apply_L(psi, pts), name="Lf")
         drift = VectorField([ProductField(lpsi, c) for c in zc])
         super().__init__([VectorField(zc)], drift, base.measure_density,
-                         base.dim, domain_mask=base.domain, kind="radial")
+                         base.dim, domain_mask=base.domain)
         self.base = base
         self.psi = psi
 
@@ -141,11 +128,9 @@ class RadialDiffusion(FrameDiffusion):
 class DilationDiffusion(FrameDiffusion):
     """L = D^2 + Q_hom D for the stratum-weighted dilation derivation D."""
 
-    kind = "dilation"
-
     def __init__(self, dilation: VectorField, Q_hom: float, dim: int):
         drift = VectorField([Q_hom * c for c in dilation.coeffs])
-        super().__init__([dilation], drift, ConstField(1.0), dim, kind="dilation")
+        super().__init__([dilation], drift, ConstField(1.0), dim)
         self.dilation = dilation
         self.Q_hom = float(Q_hom)
 
@@ -180,12 +165,6 @@ def dilation_operator(geo) -> DilationDiffusion:
     """
     if geo.stratification is None:
         raise PreconditionError(f"geometry {geo.name!r} carries no stratification")
-    m = geo.dim
-    weights = [s + 1.0 for s in geo.stratification]
-    coeffs = []
-    for j in range(m):
-        w = np.zeros(m)
-        w[j] = weights[j]
-        coeffs.append(AffineField(w))
-    return DilationDiffusion(VectorField(coeffs), geo.Q_hom, m)
+    coeffs = [AffineField([0.0] * j + [s + 1.0]) for j, s in enumerate(geo.stratification)]
+    return DilationDiffusion(VectorField(coeffs), geo.Q_hom, geo.dim)
 

@@ -35,7 +35,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import NumericError, PreconditionError
-from .fields import ConstField, ScalarField
+from .fields import PolyField, ScalarField
 from .grid import Grid
 
 _CG_PROBE_ITERS = 40
@@ -45,7 +45,7 @@ def _nonzero_axes(vector_field, m: int):
     axes = []
     for i in range(m):
         c = vector_field.coeffs[i]
-        if isinstance(c, ConstField) and c.c == 0.0:
+        if isinstance(c, PolyField) and not c.terms:
             continue
         axes.append(i)
     return axes

@@ -286,6 +286,12 @@ SMALL_HARDY = {
 }
 
 
+SMALL_QCOND = dict(SMALL_HARDY, operation="qcond")
+HEISENBERG = {"geometry": {"name": "heisenberg", "params": {"m": 1}},
+              "grid": {"bounds": [[-2, 2]] * 3, "n": 12}}
+SQUARE = {"geometry": {"name": "convex-domain", "params": {"m": 2, "box": [[-2, 2], [-2, 2]]}}}
+
+
 @pytest.mark.parametrize("payload", [
     pytest.param(dict(SMALL_HARDY, grid={"bounds": [[-2, 2], [-2, 2]], "n": 0}),
                  id="zero-grid-n"),
@@ -315,6 +321,29 @@ SMALL_HARDY = {
                  id="excision-radius-not-number"),
     pytest.param(dict(SMALL_HARDY, grid={"bounds": [[-2, 2], [-2, 2]], "n": [16]}),
                  id="n-wrong-length"),
+    # each of the next nine runs when the one bad value is made valid
+    pytest.param(dict(SMALL_QCOND, weight={"name": "coordinate", "params": {"index": "a"}}),
+                 id="coordinate-index-not-integer"),
+    pytest.param(dict(SMALL_QCOND, weight={"name": "coordinate"}),
+                 id="coordinate-without-index"),
+    pytest.param(dict(SMALL_QCOND, weight={"name": "power-of", "params": {
+        "p": "x", "base": {"name": "euclid-norm"}}}), id="power-of-p-not-number"),
+    pytest.param(dict(SMALL_QCOND, weight={"name": "power-of", "params": {
+        "base": {"name": "euclid-norm"}}}), id="power-of-without-p"),
+    pytest.param(dict(SMALL_QCOND, weight={"name": "log-of", "params": {
+        "base": {"name": "euclid-norm"}}}), id="log-of-without-branch"),
+    pytest.param(dict(SMALL_QCOND, **HEISENBERG,
+                      weight={"name": "shifted", "params": {"eps": "a"}}),
+                 id="shifted-eps-not-number"),
+    pytest.param(dict(SMALL_QCOND, **HEISENBERG,
+                      weight={"name": "horizontal-norm", "params": {"indices": 5}}),
+                 id="horizontal-norm-indices-not-list"),
+    pytest.param(dict(SMALL_QCOND, **SQUARE,
+                      weight={"name": "boundary-distance", "params": {"corner_tube": "x"}}),
+                 id="boundary-distance-corner-tube-not-number"),
+    pytest.param(dict(SMALL_HARDY, geometry={"name": "convex-domain",
+                                             "params": {"m": 2, "box": 3}}),
+                 id="convex-domain-box-not-pairs"),
 ])
 def test_config_value_faults_exit_2_with_one_line(tmp_path, capsys, payload):
     cfg = write_config(tmp_path, payload)
@@ -404,6 +433,14 @@ def test_best_constant_at_Q_plus_alpha_2_exits_2_before_the_search(tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith("error: Q + alpha = 2") and err.count("\n") == 1
     assert searched == []
+
+
+def test_Q_plus_alpha_2_up_to_rounding_exits_2(tmp_path, capsys):
+    # 2.3 + -0.3 is 1.9999999999999998, which an exact == 2 test lets through
+    payload = dict(SMALL_HARDY, parameters={"Q": 2.3, "alpha": -0.3, "psi_range": [0.5, 1.6]})
+    assert main(["run", "--config", write_config(tmp_path, payload)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Q + alpha = 2") and err.count("\n") == 1
 
 
 def test_weight_claiming_no_Q_exits_2(tmp_path, capsys, monkeypatch):

@@ -9,6 +9,7 @@ from hardylab.fields import (AffineField, ComposeField, ConstField,
                              log_map, power_map, poly_bump_map,
                              smoothed_power_profile, smoothstep_map, squared,
                              with_fd)
+from hardylab.testfunctions import random_polynomial
 
 RNG = np.random.default_rng(42)
 
@@ -30,6 +31,64 @@ def test_leaf_fields_match_difference_oracle():
     fd_check(SquareNormField(), pts)
     fd_check(AffineField([1.0, -2.0, 0.5], 3.0), pts)
     fd_check(PolyField([(1.5, (2, 0, 1)), (-0.7, (0, 3, 0)), (2.0, (1, 1, 1))]), pts)
+
+
+def test_polynomial_leaves_match_their_closed_forms_bit_for_bit():
+    pts = RNG.uniform(-2.0, 2.0, size=(25, 3))
+    pts[0] = 0.0
+    n = len(pts)
+    zero_grad, zero_hess = np.zeros((n, 3)), np.zeros((n, 3, 3))
+    cases = [(ConstField(-1.7), np.full(n, -1.7), zero_grad),
+             (ConstField(0.0), np.zeros(n), zero_grad)]
+    for j in range(3):
+        cases.append((CoordinateField(j), pts[:, j], np.tile(np.eye(3)[j], (n, 1))))
+        w = np.zeros(3)
+        w[j] = -0.5 if j < 2 else 1.0
+        cases.append((AffineField(w), w[j] * pts[:, j], np.tile(w, (n, 1))))
+    for field, value, grad in cases:
+        assert isinstance(field, PolyField)
+        assert np.array_equal(field.value(pts), value)
+        assert np.array_equal(field.grad(pts), grad)
+        assert np.array_equal(field.hess(pts), zero_hess)
+    assert ConstField(0.0).terms == []
+
+
+def _per_term_derivatives(poly, pts):
+    """Gradient and Hessian of a PolyField summed term by term: the
+    reference for the evaluator built on its partial derivatives."""
+    n, m = pts.shape
+    grad, hess = np.zeros((n, m)), np.zeros((n, m, m))
+    for c, exps in poly.terms:
+        exps = exps + (0,) * (m - len(exps))
+        for j in range(m):
+            for k in [None, *range(m)]:
+                low = list(exps)
+                low[j] -= 1
+                if k is not None:
+                    low[k] -= 1
+                fac = exps[j] * (1 if k is None else (exps[k] - (j == k)))
+                if fac == 0:
+                    continue
+                t = np.full(n, c * fac)
+                for i, e in enumerate(low):
+                    if e:
+                        t = t * pts[:, i] ** e
+                if k is None:
+                    grad[:, j] += t
+                else:
+                    hess[:, j, k] += t
+    return grad, hess
+
+
+def test_poly_derivatives_equal_per_term_sums_on_the_curvature_corpus():
+    # the corpus polynomials have degree 2, where c * (a * b) == (c * a) * b
+    rng = np.random.default_rng(11)
+    pts = rng.uniform(-2.0, 2.0, size=(40, 3))
+    for dim in (1, 2, 3):
+        poly = random_polynomial(dim, 2, rng)
+        grad, hess = _per_term_derivatives(poly, pts[:, :dim])
+        assert np.array_equal(poly.grad(pts[:, :dim]), grad)
+        assert np.array_equal(poly.hess(pts[:, :dim]), hess)
 
 
 def test_composite_fields_match_difference_oracle():
