@@ -18,9 +18,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, NumericError, PreconditionError
-from .fields import (ComposeField, FDField, ProductField, ScalarField,
-                     SmoothMap, SupportedField, VectorField, as_points, memo,
-                     squared, unsupported, with_fd)
+from .fields import (ComposeField, ProductField, ScalarField, SmoothMap,
+                     SupportedField, VectorField, as_points, memo, squared,
+                     unsupported, with_fd)
 
 
 class Diffusion:
@@ -151,9 +151,6 @@ class FrameGammaField(ScalarField):
     def _value(self, pts):
         return self.diff.gamma(self.f, self.g, pts)
 
-    def has_closed_grad(self):
-        return True
-
     def _grad(self, pts):
         A = self.diff.coefficient_matrix(pts)
         dA = self.diff.coefficient_matrix_grad(pts)
@@ -239,7 +236,7 @@ def _match_oracle(derived: ScalarField, *parents: ScalarField) -> ScalarField:
     when a parent runs in difference-oracle mode the derived field must be
     differenced directly for the identity checks to measure anything."""
     for p in parents:
-        if isinstance(p, FDField):
+        if not p.has_closed_grad():
             return with_fd(derived, p.fd_step)
     return derived
 

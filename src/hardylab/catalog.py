@@ -48,20 +48,13 @@ class GeometrySpec(FrameDiffusion):
 
     def __init__(self, name: str, dim: int, frame, drift: VectorField | None,
                  measure_density: ScalarField, stratification: tuple[int, ...] | None = None,
-                 Q_hom: float | None = None, domain_mask: Callable | None = None,
-                 params: dict | None = None):
+                 domain_mask: Callable | None = None, params: dict | None = None):
         super().__init__(frame, drift, measure_density, dim, domain_mask=domain_mask)
-        if stratification is not None:
-            if len(stratification) != self.dim:
-                raise UsageError("stratification must assign a stratum to every coordinate")
-            q = sum(k + 1 for k in stratification)
-            if Q_hom is None:
-                Q_hom = float(q)
-            elif abs(Q_hom - q) > 1e-12:
-                raise UsageError("Q_hom inconsistent with the stratification")
+        if stratification is not None and len(stratification) != self.dim:
+            raise UsageError("stratification must assign a stratum to every coordinate")
         self.name = name
         self.stratification = stratification
-        self.Q_hom = Q_hom
+        self.Q_hom = None if stratification is None else float(sum(k + 1 for k in stratification))
         self.params = {} if params is None else params
 
 
@@ -234,6 +227,17 @@ def _is_bounds(value) -> bool:
                     and b[0] < b[1] for b in value))
 
 
+def _is_facets(value, m: int) -> bool:
+    """A non-empty list of [normal, offset] pairs: m finite numbers, then one."""
+    def is_normal(a):
+        return ((isinstance(a, (list, tuple)) or isinstance(a, np.ndarray) and a.ndim == 1)
+                and len(a) == m and all(map(_is_number, a)))
+
+    return (isinstance(value, (list, tuple)) and len(value) > 0
+            and all(isinstance(f, (list, tuple)) and len(f) == 2 and is_normal(f[0])
+                    and _is_number(f[1]) for f in value))
+
+
 def _param(params: dict, key: str, where: str, ok, what: str, default=None):
     """``params[key]``, or ``default`` when absent; a UsageError unless ``ok``."""
     value = params.get(key, default)
@@ -276,7 +280,8 @@ def make_geometry(name: str, **params) -> GeometrySpec:
     if name == "convex-domain":
         m = _positive_int(params, "m", name)
         if "facets" in params:
-            facets = params["facets"]
+            facets = _param(params, "facets", f"geometry {name!r}", lambda v: _is_facets(v, m),
+                            f"a non-empty list of [normal, offset] pairs with {m}-number normals")
         elif "box" in params:
             facets = box_facets(_param(params, "box", f"geometry {name!r}",
                                        lambda v: _is_bounds(v) and len(v) == m,
@@ -345,7 +350,7 @@ def boundary_distance_field(geo: GeometrySpec, corner_tube: float = 0.0):
         return (s[:, 1] - s[:, 0]) < corner_tube
 
     from .fields import FuncField
-    f = FuncField(fn, grad_fn=grad_fn, hess_fn=hess_fn, name="dist-to-boundary")
+    f = FuncField(fn, grad_fn=grad_fn, hess_fn=hess_fn)
     return f, near_corner
 
 
@@ -450,11 +455,13 @@ def make_weight(geo: GeometrySpec, name: str, **params) -> Weight:
                       extra_excised=near_corner if tube > 0 else None)
 
     if name == "log-of":
-        return log_weight(params["weight"], params.get("branch"))
+        base = _param(params, "weight", where, lambda v: isinstance(v, Weight), "a Weight")
+        return log_weight(base, params.get("branch"))
 
     if name == "power-of":
+        base = _param(params, "weight", where, lambda v: isinstance(v, Weight), "a Weight")
         p = _param(params, "p", where, _is_number, "a finite number")
-        return power_weight(params["weight"], float(p))
+        return power_weight(base, float(p))
 
     if name == "shifted":
         eps = float(_param(params, "eps", where, _is_number, "a finite number", 1e-3))

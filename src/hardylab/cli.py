@@ -455,6 +455,7 @@ def main(argv=None) -> int:
             cfg = RunConfig.from_json(fh.read())
         if args.seed is not None:
             cfg.corpus["seed"] = args.seed
+            cfg._check_values()
         result = run(cfg, refine=args.refine)
     except (UsageError, PreconditionError, DegenerateInputError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -575,13 +575,12 @@ class FuncField(ScalarField):
     unless closed forms are supplied."""
 
     def __init__(self, fn, grad_fn=None, hess_fn=None, mask_fn=None,
-                 fd_step: float = DEFAULT_FD_STEP, name: str = "f"):
+                 fd_step: float = DEFAULT_FD_STEP):
         self.fn = fn
         self.grad_fn = grad_fn
         self.hess_fn = hess_fn
         self.mask_fn = mask_fn
         self.fd_step = fd_step
-        self.name = name
 
     def _value(self, pts):
         return np.asarray(self.fn(pts), dtype=float)
@@ -605,26 +604,13 @@ class FuncField(ScalarField):
         return np.ones(len(pts), dtype=bool)
 
 
-class FDField(ScalarField):
+def with_fd(field: ScalarField, step: float) -> FuncField:
     """View of a field that discards its closed-form derivatives.
 
     Used to exercise the central-difference oracle at a chosen step against
     the exact one.
     """
-
-    def __init__(self, base: ScalarField, step: float):
-        self.base = base
-        self.fd_step = float(step)
-
-    def _value(self, pts):
-        return self.base._value(pts)
-
-    def _mask(self, pts):
-        return self.base._mask(pts)
-
-
-def with_fd(field: ScalarField, step: float) -> ScalarField:
-    return FDField(field, step)
+    return FuncField(field._value, mask_fn=field._mask, fd_step=float(step))
 
 
 # -- composite fields ---------------------------------------------------------
@@ -721,10 +707,9 @@ class QuotientField(ScalarField):
 class ComposeField(ScalarField):
     """phi(f) for a smooth 1D map phi."""
 
-    def __init__(self, phi: SmoothMap, f: ScalarField, positive_domain: bool | None = None):
+    def __init__(self, phi: SmoothMap, f: ScalarField):
         self.phi = phi
         self.f = f
-        self.positive_domain = phi.domain_positive if positive_domain is None else positive_domain
 
     def _value(self, pts):
         return self.phi.f(self.f.value_at(pts))
@@ -742,7 +727,7 @@ class ComposeField(ScalarField):
 
     def _mask(self, pts):
         m = self.f._mask(pts)
-        if self.positive_domain:
+        if self.phi.domain_positive:
             m = m & (self.f.value_at(pts) > 0)
         return m
 
@@ -825,10 +810,6 @@ class VectorField:
 
     def __init__(self, coeffs):
         self.coeffs = tuple(_as_field(c) for c in coeffs)
-
-    @property
-    def dim(self) -> int:
-        return len(self.coeffs)
 
     def coeff_values(self, pts):
         """(n, m) array of coefficient values."""

@@ -11,6 +11,7 @@ Starting from a base generator L these constructors produce
 * ``dilation_operator``:  D^2 + Q_hom D for the stratum-weighted Euler field
   D = sum_j c_j y_j d_j, against coordinate volume.
 
+The drifted and radial operators need a frame base (a ``FrameDiffusion``).
 Construction is pure; derived diffusions share immutable base state.
 """
 
@@ -58,32 +59,6 @@ class WeightedDiffusion(Diffusion):
         return np.sqrt(np.maximum(w, 0.0))[None, :, None] * self.base.frame_values(pts)
 
 
-class DriftedDiffusion(Diffusion):
-    """L_s f = L f + Gamma(s, f); Gamma unchanged, measure density times e^s."""
-
-    def __init__(self, base: Diffusion, sigma: ScalarField):
-        self.base = base
-        self.sigma = sigma
-        self.dim = base.dim
-        self.measure_density = ProductField(base.measure_density,
-                                            ComposeField(exp_map(), sigma))
-
-    def domain(self, pts):
-        return self.base.domain(pts) & self.sigma._mask(pts)
-
-    def apply_L(self, f, pts):
-        return self.base.apply_L(f, pts) + self.base.gamma(self.sigma, f, pts)
-
-    def gamma(self, f, g, pts):
-        return self.base.gamma(f, g, pts)
-
-    def gamma_field(self, f, g=None):
-        return self.base.gamma_field(f, g)
-
-    def frame_values(self, pts):
-        return self.base.frame_values(pts)
-
-
 class ZCoefficientField(ScalarField):
     """k-th coefficient of Z = Gamma(psi, .): z_k = sum_i a_{ik} d_i psi."""
 
@@ -95,9 +70,6 @@ class ZCoefficientField(ScalarField):
     def _value(self, pts):
         A = self.base.coefficient_matrix(pts)
         return np.einsum("ni,ni->n", A[:, :, self.k], self.psi.grad_at(pts))
-
-    def has_closed_grad(self):
-        return True
 
     def _grad(self, pts):
         A = self.base.coefficient_matrix(pts)
@@ -117,12 +89,22 @@ class RadialDiffusion(FrameDiffusion):
     def __init__(self, base: FrameDiffusion, psi: ScalarField):
         zc = [ZCoefficientField(base, psi, k) for k in range(base.dim)]
         # L psi enters through its values only
-        lpsi = FuncField(lambda pts: base.apply_L(psi, pts), name="Lf")
+        lpsi = FuncField(lambda pts: base.apply_L(psi, pts))
         drift = VectorField([ProductField(lpsi, c) for c in zc])
         super().__init__([VectorField(zc)], drift, base.measure_density,
                          base.dim, domain_mask=base.domain)
-        self.base = base
-        self.psi = psi
+
+
+class DriftedDiffusion(FrameDiffusion):
+    """L_s f = L f + Gamma(s, f): the base frame, the base drift plus
+    Z = Gamma(s, .), and the measure density times e^s."""
+
+    def __init__(self, base: FrameDiffusion, sigma: ScalarField):
+        zc = [ZCoefficientField(base, sigma, k) for k in range(base.dim)]
+        drift = zc if base.drift is None else [b + z for b, z in zip(base.drift.coeffs, zc)]
+        density = ProductField(base.measure_density, ComposeField(exp_map(), sigma))
+        super().__init__(base.frame, VectorField(drift), density, base.dim,
+                         domain_mask=lambda pts: base.domain(pts) & sigma._mask(pts))
 
 
 class DilationDiffusion(FrameDiffusion):
@@ -141,9 +123,11 @@ def weighted_operator(base: Diffusion, omega: ScalarField) -> WeightedDiffusion:
 
 
 def drifted_operator(base: Diffusion, sigma: ScalarField) -> DriftedDiffusion:
-    """Carry a weight e^sigma on the reversible measure instead."""
-    d = DriftedDiffusion(base, sigma)
-    return d
+    """Carry a weight e^sigma on the reversible measure instead; requires a
+    frame base, whose drift gains Z = Gamma(sigma, .)."""
+    if not isinstance(base, FrameDiffusion):
+        raise UsageError("drifted_operator requires a frame-based diffusion")
+    return DriftedDiffusion(base, sigma)
 
 
 def radial_operator(base: Diffusion, psi: ScalarField) -> RadialDiffusion:

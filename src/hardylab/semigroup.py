@@ -71,19 +71,13 @@ def assemble_generator(diff, grid: Grid):
             c_idx = []
             diag = np.zeros(n)
             for i in axes:
-                coeff = C[j, :, i] / h[i]
+                coeff = s * C[j, :, i] / h[i]
                 nb = grid.neighbor_rows(i, s)
                 valid = nb >= 0
-                if s > 0:
-                    diag -= coeff
-                    r_idx.append(rows[valid])
-                    c_idx.append(nb[valid])
-                    data.append(coeff[valid])
-                else:
-                    diag += coeff
-                    r_idx.append(rows[valid])
-                    c_idx.append(nb[valid])
-                    data.append(-coeff[valid])
+                diag -= coeff
+                r_idx.append(rows[valid])
+                c_idx.append(nb[valid])
+                data.append(coeff[valid])
             r_idx.append(rows)
             c_idx.append(rows)
             data.append(diag)

@@ -26,7 +26,7 @@ def radial_bump(psi: ScalarField, a: float, b: float) -> ScalarField:
     """Bump in the level sets of psi, supported exactly on {a <= psi <= b}."""
     if not 0 <= a < b:
         raise UsageError("radial bump needs 0 <= a < b")
-    return ComposeField(bump_window_map(a, b), psi, positive_domain=False)
+    return ComposeField(bump_window_map(a, b), psi)
 
 
 def tensor_bump(box) -> ScalarField:
@@ -34,7 +34,7 @@ def tensor_bump(box) -> ScalarField:
     f = None
     for i, (lo, hi) in enumerate(box):
         factor = ComposeField(bump_window_map(float(lo), float(hi)),
-                              CoordinateField(i), positive_domain=False)
+                              CoordinateField(i))
         f = factor if f is None else ProductField(f, factor)
     if f is None:
         raise UsageError("tensor bump needs at least one axis")
@@ -48,7 +48,7 @@ def smoothed_power(psi: ScalarField, eps: float, a: float, b: float,
     Equals the pure power exactly on {ramp_factor*a <= psi <= b/ramp_factor}.
     """
     prof = smoothed_power_profile(base_exponent + eps, a, b, ramp_factor)
-    return ComposeField(prof, psi, positive_domain=False)
+    return ComposeField(prof, psi)
 
 
 def make_test_function(kind: str, **params) -> ScalarField:

@@ -133,6 +133,18 @@ def test_box_facets_and_domain():
     assert inside and not outside
 
 
+@pytest.mark.parametrize("name, params", [
+    ("log-of", {"branch": "upper"}),
+    ("power-of", {"p": 2.0}),
+    ("log-of", {"weight": "euclid-norm", "branch": "upper"}),
+    ("power-of", {"weight": None, "p": 2.0}),
+])
+def test_derived_weight_without_a_base_weight_is_a_usage_error(name, params):
+    geo = make_geometry("euclidean", m=2)
+    with pytest.raises(UsageError, match="'weight'"):
+        make_weight(geo, name, **params)
+
+
 def test_log_weight_branches(eu2):
     geo, w, _ = eu2
     lower = make_weight(geo, "log-of", weight=w, branch="lower")

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import hardylab as hl
@@ -290,6 +291,14 @@ SMALL_QCOND = dict(SMALL_HARDY, operation="qcond")
 HEISENBERG = {"geometry": {"name": "heisenberg", "params": {"m": 1}},
               "grid": {"bounds": [[-2, 2]] * 3, "n": 12}}
 SQUARE = {"geometry": {"name": "convex-domain", "params": {"m": 2, "box": [[-2, 2], [-2, 2]]}}}
+FACETS = [[[1.0, 0.0], 2.0], [[-1.0, 0.0], 2.0], [[0.0, 1.0], 2.0], [[0.0, -1.0], 2.0]]
+
+
+def _on_facets(facets):
+    """A convex-domain(2) qcond config with the given facets."""
+    return dict(SMALL_QCOND, geometry={"name": "convex-domain",
+                                       "params": {"m": 2, "facets": facets}},
+                weight={"name": "boundary-distance"})
 
 
 @pytest.mark.parametrize("payload", [
@@ -344,12 +353,91 @@ SQUARE = {"geometry": {"name": "convex-domain", "params": {"m": 2, "box": [[-2, 
     pytest.param(dict(SMALL_HARDY, geometry={"name": "convex-domain",
                                              "params": {"m": 2, "box": 3}}),
                  id="convex-domain-box-not-pairs"),
+    # each facets case runs when its facets are made FACETS
+    pytest.param(_on_facets(3), id="facets-not-list"),
+    pytest.param(_on_facets([]), id="facets-empty"),
+    pytest.param(_on_facets([[1.0, 0.0]]), id="facet-not-normal-offset-pair"),
+    pytest.param(_on_facets([[[1.0, 0.0, 0.0], 2.0]] + FACETS[1:]), id="facet-normal-length-3"),
+    pytest.param(_on_facets([[[1.0, 0.0], "x"]] + FACETS[1:]), id="facet-offset-not-number"),
 ])
 def test_config_value_faults_exit_2_with_one_line(tmp_path, capsys, payload):
     cfg = write_config(tmp_path, payload)
     assert main(["run", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_facets_config_runs(tmp_path, capsys):
+    assert main(["run", "--config", write_config(tmp_path, _on_facets(FACETS))]) == 0
+
+
+def test_negative_seed_override_exits_2_with_one_line(tmp_path, capsys):
+    cfg = write_config(tmp_path, SMALL_HARDY)
+    assert main(["run", "--config", cfg, "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "seed" in err
+
+
+@pytest.mark.parametrize("name, params, bounds, n", [
+    ("hyperbolic", {"m": 2}, [(-2.0, 2.0), (0.04, 2.0)], (64, 64)),
+    ("halfspace-euclidean", {"m": 3}, [(-2.0, 2.0)] * 2 + [(0.04, 2.0)], (48,) * 3),
+    ("euclidean-radial", {"m": 3}, [(0.04, 2.0)], (64,)),
+    ("euclidean", {"m": 2}, [(-2.0, 2.0)] * 2, (64, 64)),
+    ("heisenberg", {"m": 1}, [(-2.0, 2.0)] * 3, (48,) * 3),
+    ("logradial", {"m": 3}, [(-2.0, 2.0)], (64,)),
+])
+def test_default_grid_bounds_and_size(monkeypatch, name, params, bounds, n):
+    """Without grid.bounds, grid.n and psi_range: [-2, 2] per axis, the last
+    from 0.04 on the half-space models; 64 nodes per axis up to m = 2, 48 above."""
+    from hardylab import cli
+
+    seen = {}
+    monkeypatch.setattr(cli, "default_grid", lambda geo, **kw: seen.update(kw))
+    cli._build_grid(cli.make_geometry(name, **params), None, {}, None)
+    assert seen["bounds"] == bounds and seen["n"] == n
+
+
+def test_corpus_bumps_default_to_the_middle_70_percent_of_psi(monkeypatch):
+    from hardylab import cli
+
+    seen = []
+    monkeypatch.setattr(cli, "bump_corpus", lambda psi, grid, size, seed, psi_range:
+                        seen.append(psi_range))
+    cfg = RunConfig.from_json(json.dumps(dict(SMALL_HARDY, parameters={"alpha": 1.0})))
+    geo = cli.make_geometry("euclidean", m=2)
+    weight = cli.make_weight(geo, "euclid-norm")
+    grid = hl.default_grid(geo, weight, bounds=[(-2, 2)] * 2, n=16)
+    cli._Context(cfg, geo, weight, grid, weight.psi, 2.0, {}, 0, 1, 1).bumps(1)
+    vals = weight.psi.value_at(grid.points)
+    lo, hi = float(np.min(vals)), float(np.max(vals))
+    assert seen == [pytest.approx((lo + 0.15 * (hi - lo), hi - 0.15 * (hi - lo)))]
+
+
+def test_violation_resolved_at_halved_spacing_reports_the_recheck(monkeypatch):
+    from hardylab import cli
+
+    calls = []
+
+    def dispatch(cfg, refine=1, threads=1):
+        calls.append(refine)
+        code = 1 if len(calls) == 1 else 0
+        return cli.RunResult(code, {"verdict": "violation" if code else "pass"},
+                             [{"index": 0, "refine": refine}])
+
+    monkeypatch.setattr(cli, "_dispatch", dispatch)
+    result = cli.run(RunConfig.from_json(json.dumps(SMALL_HARDY)))
+    assert calls == [1, 2] and result.exit_code == 0
+    assert result.summary == {"verdict": "pass", "note": "violation resolved at halved spacing"}
+    assert result.rows == [{"index": 0, "refine": 2}]
+
+
+def test_console_script_is_cli_main():
+    tomllib = pytest.importorskip("tomllib")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts["hardylab"] == "hardylab.cli:main"
 
 
 def test_no_trial_function_in_grid_exits_2_with_one_line(tmp_path, capsys):

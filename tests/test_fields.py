@@ -3,7 +3,7 @@ import pytest
 
 from hardylab.errors import DomainError
 from hardylab.fields import (AffineField, ComposeField, ConstField,
-                             CoordinateField, NormField, PolyField,
+                             CoordinateField, FuncField, NormField, PolyField,
                              ProductField, SquareNormField, SupportedField,
                              VectorField, as_points, bump_window_map, exp_map,
                              log_map, power_map, poly_bump_map,
@@ -176,6 +176,29 @@ def test_fd_field_drops_closed_forms():
     assert not fd.has_closed_grad()
     pts = RNG.uniform(0.5, 1.5, size=(10, 3))
     assert np.max(np.abs(fd._grad(pts) - r._grad(pts))) < 1e-6
+
+
+def test_hessian_differences_a_closed_gradient_at_second_order():
+    # f = exp(x0) sin(x1) + x0 x2^2, given with its gradient only
+    def fn(p):
+        return np.exp(p[:, 0]) * np.sin(p[:, 1]) + p[:, 0] * p[:, 2] ** 2
+
+    def grad_fn(p):
+        e, s, c = np.exp(p[:, 0]), np.sin(p[:, 1]), np.cos(p[:, 1])
+        return np.stack([e * s + p[:, 2] ** 2, e * c, 2.0 * p[:, 0] * p[:, 2]], axis=1)
+
+    pts = RNG.uniform(-1.0, 1.0, size=(20, 3))
+    e, s, c = np.exp(pts[:, 0]), np.sin(pts[:, 1]), np.cos(pts[:, 1])
+    exact = np.zeros((20, 3, 3))
+    exact[:, 0, 0], exact[:, 1, 1], exact[:, 2, 2] = e * s, -e * s, 2.0 * pts[:, 0]
+    exact[:, 0, 1] = exact[:, 1, 0] = e * c
+    exact[:, 0, 2] = exact[:, 2, 0] = 2.0 * pts[:, 2]
+    errors = []
+    for h in (2e-2, 1e-2):
+        f = FuncField(fn, grad_fn=grad_fn, fd_step=h)
+        assert f.has_closed_grad()
+        errors.append(np.max(np.abs(f._hess(pts) - exact)))
+    assert errors[1] < 0.3 * errors[0]
 
 
 def _unmasked_bump(u):

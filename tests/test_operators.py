@@ -145,6 +145,8 @@ def test_radial_requires_frame_base(eu3):
     lw = weighted_operator(geo, ConstField(1.0))
     with pytest.raises(UsageError):
         radial_operator(lw, w.psi)
+    with pytest.raises(UsageError):
+        drifted_operator(lw, w.psi)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hardylab.errors import PreconditionError
 from hardylab.fields import (ComposeField, ConstField, FuncField,
                              SquareNormField, power_map)
 from hardylab.inequalities import funcineq_report
+from hardylab.operators import weighted_operator
 from hardylab.semigroup import (apply_Lh, assemble_generator,
                                 contraction_trace, evolve,
                                 subcommutation_check, symmetry_defect)
@@ -50,6 +51,17 @@ def test_discrete_self_adjointness(interval_grid, eu3):
     geo3, w3, _ = eu3
     grid3 = hl.default_grid(geo3, w3, bounds=[(-2, 2)] * 3, n=16, excision_radius=0.4)
     assert symmetry_defect(geo3, grid3, seed=2) < 1e-12
+
+
+def test_weighted_generator_assembles_from_the_scaled_frame(eu3):
+    # the weighted operator has no frame of its own: its frame values are the
+    # base's times sqrt(omega), on every axis
+    geo, w, _ = eu3
+    grid = hl.default_grid(geo, w, bounds=[(-2, 2)] * 3, n=8)
+    _, A = assemble_generator(geo, grid)
+    _, A1 = assemble_generator(weighted_operator(geo, ConstField(1.0)), grid)
+    assert np.array_equal(A1.toarray(), A.toarray())
+    assert symmetry_defect(weighted_operator(geo, w.psi), grid, seed=3) < 1e-12
 
 
 def test_per_step_contraction_exact(interval_grid):
