@@ -1,21 +1,8 @@
 r"""Ready-made geometries and weights with their comparison constants.
 
-Geometries
-----------
-``euclidean(m)``            coordinate frame, Lebesgue measure
-``halfspace-euclidean(m)``  same, restricted to {x_m > 0}
-``heisenberg(m)``           frame X_i = d_{x_i} - (y_i/2) d_z,
-                            Y_i = d_{y_i} + (x_i/2) d_z on R^{2m+1}
-``hyperbolic(m)``           half-space model: frame x_m d_i,
-                            drift -(m-1) x_m d_m, density x_m^{-m}
-``grushin(n)``              frame d_{x_i} and x_i d_y on R^{n+1}
-``convex-domain(m)``        Euclidean frame inside a convex polytope
-``euclidean-radial(m)``     1D radial model d_rr + ((m-1)/r) d_r,
-                            density r^{m-1} on r > 0
-``logradial(m)``            the same model in u = log r coordinates:
-                            frame e^{-u} d_u, drift (m-1) e^{-2u} d_u,
-                            density e^{mu}; resolves huge radius ranges
-                            on a uniform lattice
+``GEOMETRIES`` and ``WEIGHTS`` declare every name once: its builder, the
+parameters it reads and its ``hardylab list`` line; a weight also names the
+geometries it is defined on.
 
 Weights carry the comparison constant Q they satisfy in the generalized
 Laplacian comparison psi L psi = (Q - 1) Gamma(psi), one-sided weights
@@ -69,7 +56,6 @@ class Weight:
     name: str
     psi: ScalarField
     claimed_Q: float | None
-    singular_set: str
     comparison: str = "exact"
     extra_excised: Callable | None = None
     base_weight: "Weight | None" = None
@@ -118,6 +104,8 @@ def _heisenberg(m: int) -> GeometrySpec:
 
 
 def _hyperbolic(m: int) -> GeometrySpec:
+    if m < 2:
+        raise UsageError("hyperbolic half-space needs m >= 2")
     xm = CoordinateField(m - 1)
     frames = []
     for i in range(m):
@@ -154,7 +142,18 @@ def _grushin(n: int) -> GeometrySpec:
                         params={"n": n})
 
 
-def _convex_domain(m: int, facets) -> GeometrySpec:
+def _convex_domain(m: int, **params) -> GeometrySpec:
+    where = "geometry 'convex-domain'"
+    if "facets" in params and "box" in params:
+        raise UsageError("convex-domain takes facets= or box=, not both")
+    if "facets" in params:
+        facets = _param(params, "facets", where, lambda v: _is_facets(v, m),
+                        f"a non-empty list of [normal, offset] pairs with {m}-number normals")
+    elif "box" in params:
+        facets = box_facets(_param(params, "box", where, lambda v: _is_bounds(v) and len(v) == m,
+                                   f"{m} [lo, hi] pairs with lo < hi"))
+    else:
+        raise UsageError("convex-domain requires facets= or box=")
     facets = [(np.asarray(a, dtype=float), float(b)) for a, b in facets]
     for a, _ in facets:
         if abs(np.linalg.norm(a) - 1.0) > 1e-12:
@@ -166,9 +165,7 @@ def _convex_domain(m: int, facets) -> GeometrySpec:
             ok &= pts @ a < b
         return ok
 
-    g = _euclidean(m, domain_mask=mask, name="convex-domain")
-    g.params["facets"] = facets
-    return g
+    return _euclidean(m, domain_mask=mask, name="convex-domain", facets=facets)
 
 
 def box_facets(bounds):
@@ -246,54 +243,47 @@ def _param(params: dict, key: str, where: str, ok, what: str, default=None):
     return value
 
 
-def _positive_int(params: dict, key: str, geometry: str) -> int:
-    """The positive integer parameter ``key`` of a geometry."""
-    return int(_param(params, key, f"geometry {geometry!r}", lambda v: _is_count(v, 1),
-                      "a positive integer"))
+def _entry(table: dict, kind: str, name, params: dict) -> tuple:
+    """The ``table`` entry for ``name``; a UsageError for an unknown name or
+    for a parameter the entry does not read."""
+    if not isinstance(name, str) or name not in table:
+        raise UsageError(f"unknown {kind} {name!r}")
+    entry = table[name]
+    for key in params:
+        if key not in entry[1]:
+            raise UsageError(f"{kind} {name!r} reads no parameter {key!r}; "
+                             f"it reads {', '.join(entry[1]) or 'none'}")
+    return entry
 
 
-def make_geometry(name: str, **params) -> GeometrySpec:
-    """Build a catalog geometry by name.
+# name: (builder, the parameters it reads with the size first, its `hardylab list` line)
+GEOMETRIES = {
+    "euclidean": (_euclidean, ("m",),
+                  "euclidean(m): coordinate frame, Lebesgue measure, Q_hom = m"),
+    "halfspace-euclidean": (lambda m: _euclidean(m, domain_mask=lambda pts: pts[:, m - 1] > 0,
+                                                 name="halfspace-euclidean"),
+                            ("m",), "halfspace-euclidean(m): euclidean frame on {x_m > 0}"),
+    "heisenberg": (_heisenberg, ("m",),
+                   "heisenberg(m): sublaplacian frame on R^(2m+1), Q_hom = 2m+2"),
+    "hyperbolic": (_hyperbolic, ("m",),
+                   "hyperbolic(m): half-space Laplace-Beltrami, density x_m^-m"),
+    "grushin": (_grushin, ("n",), "grushin(n): frame d_x_i and x_i d_y, Q_hom = n+2"),
+    "convex-domain": (_convex_domain, ("m", "facets", "box"),
+                      "convex-domain(m): euclidean frame inside a convex polytope"),
+    "euclidean-radial": (_euclidean_radial, ("m",),
+                         "euclidean-radial(m): 1D radial model, density r^(m-1)"),
+    "logradial": (_logradial, ("m",),
+                  "logradial(m): radial model in u = log r, density e^(m u)"),
+}
 
-    Known names: euclidean(m), halfspace-euclidean(m), heisenberg(m),
-    hyperbolic(m), grushin(n), convex-domain(m, facets=... | box=...),
-    euclidean-radial(m), logradial(m).
-    """
-    if name == "euclidean":
-        return _euclidean(_positive_int(params, "m", name))
-    if name == "halfspace-euclidean":
-        m = _positive_int(params, "m", name)
 
-        def mask(pts):
-            return pts[:, m - 1] > 0
-
-        return _euclidean(m, domain_mask=mask, name="halfspace-euclidean")
-    if name == "heisenberg":
-        return _heisenberg(_positive_int(params, "m", name))
-    if name == "hyperbolic":
-        m = _positive_int(params, "m", name)
-        if m < 2:
-            raise UsageError("hyperbolic half-space needs m >= 2")
-        return _hyperbolic(m)
-    if name == "grushin":
-        return _grushin(_positive_int(params, "n", name))
-    if name == "convex-domain":
-        m = _positive_int(params, "m", name)
-        if "facets" in params:
-            facets = _param(params, "facets", f"geometry {name!r}", lambda v: _is_facets(v, m),
-                            f"a non-empty list of [normal, offset] pairs with {m}-number normals")
-        elif "box" in params:
-            facets = box_facets(_param(params, "box", f"geometry {name!r}",
-                                       lambda v: _is_bounds(v) and len(v) == m,
-                                       f"{m} [lo, hi] pairs with lo < hi"))
-        else:
-            raise UsageError("convex-domain requires facets= or box=")
-        return _convex_domain(m, facets)
-    if name == "euclidean-radial":
-        return _euclidean_radial(_positive_int(params, "m", name))
-    if name == "logradial":
-        return _logradial(_positive_int(params, "m", name))
-    raise UsageError(f"unknown geometry {name!r}")
+def make_geometry(name: str, /, **params) -> GeometrySpec:
+    """Build the catalog geometry ``name``; ``GEOMETRIES`` lists the names
+    and the parameters each one reads."""
+    build, reads, _ = _entry(GEOMETRIES, "geometry", name, params)
+    size = _param(params, reads[0], f"geometry {name!r}", lambda v: _is_count(v, 1),
+                  "a positive integer")
+    return build(int(size), **{key: v for key, v in params.items() if key != reads[0]})
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +357,6 @@ def log_weight(base: Weight, branch: str) -> Weight:
         return v <= 1.0 if branch == "upper" else v >= 1.0
 
     return Weight(name=f"log-of-{base.name}[{branch}]", psi=phi, claimed_Q=1.0,
-                  singular_set=base.singular_set + " and {psi = 1}",
                   comparison=base.comparison, extra_excised=off_branch,
                   base_weight=base)
 
@@ -381,99 +370,104 @@ def power_weight(base: Weight, p: float) -> Weight:
     if p < 0 and comparison != "exact":
         comparison = {"lower": "upper", "upper": "lower"}[comparison]
     return Weight(name=f"{base.name}^{p}", psi=ComposeField(power_map(p), base.psi),
-                  claimed_Q=q, singular_set=base.singular_set, comparison=comparison,
-                  base_weight=base)
+                  claimed_Q=q, comparison=comparison, base_weight=base)
 
 
-def make_weight(geo: GeometrySpec, name: str, **params) -> Weight:
-    """Build a catalog weight by name for the given geometry.
+def _euclid_norm(geo: GeometrySpec) -> Weight:
+    if geo.name == "euclidean-radial":
+        return Weight("euclid-norm", CoordinateField(0), float(geo.params["m"]))
+    if geo.name == "logradial":
+        # the radius e^u is positive in log coordinates: no singular set
+        psi = ComposeField(exp_map(), CoordinateField(0))
+        return Weight("euclid-norm", psi, float(geo.params["m"]), has_singular_set=False)
+    return Weight("euclid-norm", NormField(), float(geo.dim))
 
-    Known names: euclid-norm, horizontal-norm, koranyi-gauge, coordinate,
-    hyperbolic-height, grushin-gauge, boundary-distance, log-of, power-of,
-    shifted.
-    """
-    where = f"weight {name!r}"
-    if name == "euclid-norm":
-        if geo.name == "euclidean-radial":
-            return Weight("euclid-norm", CoordinateField(0), float(geo.params["m"]),
-                          singular_set="{r = 0}")
-        if geo.name == "logradial":
-            psi = ComposeField(exp_map(), CoordinateField(0))
-            return Weight("euclid-norm", psi, float(geo.params["m"]),
-                          singular_set="none (the radius is positive in log coordinates)",
-                          has_singular_set=False)
-        if geo.name not in ("euclidean", "halfspace-euclidean", "convex-domain"):
-            raise UsageError(f"euclid-norm is not defined on {geo.name!r}")
-        return Weight("euclid-norm", NormField(), float(geo.dim), singular_set="{0}")
 
-    if name == "horizontal-norm":
-        idx = _param(params, "indices", where, lambda v: v is None or (
-            isinstance(v, (list, tuple)) and all(_is_count(k, 0) for k in v)), "a list of indices")
-        if idx is None:
-            idx = _horizontal_indices(geo)
-        else:
-            hor = set(_horizontal_indices(geo))
-            if not set(idx) <= hor:
-                raise UsageError("horizontal-norm indices must be horizontal coordinates")
-        return Weight("horizontal-norm", NormField(idx), float(len(idx)),
-                      singular_set="{|x_0'| = 0}")
+def _horizontal_norm(geo: GeometrySpec, **params) -> Weight:
+    idx = _param(params, "indices", "weight 'horizontal-norm'", lambda v: v is None or (
+        isinstance(v, (list, tuple)) and all(_is_count(k, 0) for k in v)), "a list of indices")
+    if idx is None:
+        idx = _horizontal_indices(geo)
+    elif not idx or len(set(idx)) < len(idx) or not set(idx) <= set(_horizontal_indices(geo)):
+        raise UsageError("horizontal-norm indices must be distinct horizontal coordinates")
+    return Weight("horizontal-norm", NormField(idx), float(len(idx)))
 
-    if name == "koranyi-gauge":
-        if geo.name != "heisenberg":
-            raise UsageError(f"koranyi-gauge is not defined on {geo.name!r}")
-        return Weight("koranyi-gauge", koranyi_gauge_field(geo), float(geo.Q_hom),
-                      singular_set="{0}")
 
-    if name == "coordinate":
-        j = int(_param(params, "index", where, lambda v: _is_count(v, 0), "an integer >= 0"))
-        if not 0 <= j < geo.dim:
-            raise UsageError("coordinate index out of range")
-        return Weight(f"coordinate({j})", NormField([j]), 1.0,
-                      singular_set=f"{{x_{j} = 0}}")
+def _coordinate(geo: GeometrySpec, **params) -> Weight:
+    j = int(_param(params, "index", "weight 'coordinate'", lambda v: _is_count(v, 0),
+                   "an integer >= 0"))
+    if not 0 <= j < geo.dim:
+        raise UsageError("coordinate index out of range")
+    return Weight(f"coordinate({j})", NormField([j]), 1.0)
 
-    if name == "hyperbolic-height":
-        if geo.name != "hyperbolic":
-            raise UsageError(f"hyperbolic-height is not defined on {geo.name!r}")
-        m = geo.params["m"]
-        return Weight("hyperbolic-height", CoordinateField(m - 1), 3.0 - m,
-                      singular_set="{x_m = 0} (the boundary at infinity)")
 
-    if name == "grushin-gauge":
-        if geo.name != "grushin":
-            raise UsageError(f"grushin-gauge is not defined on {geo.name!r}")
-        return Weight("grushin-gauge", grushin_gauge_field(geo),
-                      float(geo.params["n"] + 2), singular_set="{0}")
+def _boundary_distance(geo: GeometrySpec, **params) -> Weight:
+    tube = float(_param(params, "corner_tube", "weight 'boundary-distance'", _is_number,
+                        "a finite number", 0.0))
+    f, near_corner = boundary_distance_field(geo, tube)
+    return Weight("boundary-distance", f, 2.0, comparison="upper",
+                  extra_excised=near_corner if tube > 0 else None)
 
-    if name == "boundary-distance":
-        if geo.name != "convex-domain":
-            raise UsageError("boundary-distance needs a convex-domain geometry")
-        tube = float(_param(params, "corner_tube", where, _is_number, "a finite number", 0.0))
-        f, near_corner = boundary_distance_field(geo, tube)
-        return Weight("boundary-distance", f, 2.0,
-                      singular_set="the boundary and facet intersections",
-                      comparison="upper",
-                      extra_excised=near_corner if tube > 0 else None)
 
-    if name == "log-of":
-        base = _param(params, "weight", where, lambda v: isinstance(v, Weight), "a Weight")
-        return log_weight(base, params.get("branch"))
+def _base_weight(params: dict, name: str) -> Weight:
+    """The weight a derived weight is built on."""
+    return _param(params, "weight", f"weight {name!r}", lambda v: isinstance(v, Weight),
+                  "a Weight")
 
-    if name == "power-of":
-        base = _param(params, "weight", where, lambda v: isinstance(v, Weight), "a Weight")
-        p = _param(params, "p", where, _is_number, "a finite number")
-        return power_weight(base, float(p))
 
-    if name == "shifted":
-        eps = float(_param(params, "eps", where, _is_number, "a finite number", 1e-3))
-        hor = _horizontal_indices(geo)
-        if geo.name != "heisenberg":
-            raise UsageError("shifted |x_0| + eps N is defined on Heisenberg geometries")
-        psi = NormField(hor) + eps * koranyi_gauge_field(geo)
-        n0 = float(len(hor))
-        return Weight(f"shifted(|x_0|+{eps}N)", psi, n0,
-                      singular_set="{|x_0| = 0}", comparison="lower")
+def _log_of(geo: GeometrySpec, **params) -> Weight:
+    return log_weight(_base_weight(params, "log-of"), params.get("branch"))
 
-    raise UsageError(f"unknown weight {name!r}")
+
+def _power_of(geo: GeometrySpec, **params) -> Weight:
+    base = _base_weight(params, "power-of")
+    p = _param(params, "p", "weight 'power-of'", _is_number, "a finite number")
+    return power_weight(base, float(p))
+
+
+def _shifted(geo: GeometrySpec, **params) -> Weight:
+    eps = float(_param(params, "eps", "weight 'shifted'", _is_number, "a finite number", 1e-3))
+    hor = _horizontal_indices(geo)
+    psi = NormField(hor) + eps * koranyi_gauge_field(geo)
+    return Weight(f"shifted(|x_0|+{eps}N)", psi, float(len(hor)), comparison="lower")
+
+
+# name: (builder, the parameters it reads, the geometries it is defined on
+# (None: any), its `hardylab list` line)
+WEIGHTS = {
+    "euclid-norm": (_euclid_norm, (), ("euclidean", "halfspace-euclidean", "convex-domain",
+                                       "euclidean-radial", "logradial"),
+                    "euclid-norm: |x|, Q = m"),
+    "horizontal-norm": (_horizontal_norm, ("indices",), None,
+                        "horizontal-norm: |x_0'| over n_0 horizontal coordinates, Q = n_0"),
+    "koranyi-gauge": (lambda geo: Weight("koranyi-gauge", koranyi_gauge_field(geo),
+                                         float(geo.Q_hom)),
+                      (), ("heisenberg",), "koranyi-gauge: Q = Q(G)"),
+    "coordinate": (_coordinate, ("index",), None, "coordinate(j): |x_j|, Q = 1"),
+    "hyperbolic-height": (lambda geo: Weight("hyperbolic-height", CoordinateField(geo.dim - 1),
+                                             3.0 - geo.dim),
+                          (), ("hyperbolic",), "hyperbolic(m): weight x_m, Q = 3-m"),
+    "grushin-gauge": (lambda geo: Weight("grushin-gauge", grushin_gauge_field(geo),
+                                         float(geo.params["n"] + 2)),
+                      (), ("grushin",), "grushin-gauge: Q = n+2"),
+    "boundary-distance": (_boundary_distance, ("corner_tube",), ("convex-domain",),
+                          "boundary-distance: one-sided upper, Q = 2"),
+    "log-of": (_log_of, ("weight", "branch"), None,
+               "log-of(weight, branch): +-log psi, Q = 1"),
+    "power-of": (_power_of, ("weight", "p"), None,
+                 "power-of(weight, p): psi^p, Q -> (Q-2)/p + 2"),
+    "shifted": (_shifted, ("eps",), ("heisenberg",),
+                "shifted(|x_0|+eps N): one-sided lower, Q = n_0 + o(eps)"),
+}
+
+
+def make_weight(geo: GeometrySpec, name: str, /, **params) -> Weight:
+    """Build the catalog weight ``name`` on ``geo``; ``WEIGHTS`` lists the
+    names, the parameters each one reads and the geometries it is defined on."""
+    build, _, on, _ = _entry(WEIGHTS, "weight", name, params)
+    if on is not None and geo.name not in on:
+        raise UsageError(f"{name} is not defined on {geo.name!r}")
+    return build(geo, **params)
 
 
 def estimate_kappa(rho: Weight, N: Weight, grid) -> float:

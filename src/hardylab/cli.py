@@ -20,10 +20,10 @@ from typing import Callable
 import numpy as np
 
 from . import inequalities as ineq
-from .catalog import (GeometrySpec, Weight, _is_bounds, _is_count, _is_number,
-                      make_geometry, make_weight)
+from .catalog import (GEOMETRIES, WEIGHTS, GeometrySpec, Weight, _is_bounds, _is_count,
+                      _is_number, make_geometry, make_weight)
 from .conditions import check_curvature, check_suffcond, qcond_report
-from .errors import DegenerateInputError, PreconditionError, UsageError
+from .errors import DegenerateInputError, NumericError, PreconditionError, UsageError
 from .fields import ComposeField, ScalarField, power_map
 from .grid import Grid, default_grid
 from .testfunctions import bump_corpus, polynomial_bump_corpus
@@ -32,26 +32,6 @@ SCHEMA_VERSION = 1
 RATIO_TOL = 1e-6
 
 _CATALOG_LINES = (
-    "geometries:",
-    "  euclidean(m): coordinate frame, Lebesgue measure, Q_hom = m",
-    "  halfspace-euclidean(m): euclidean frame on {x_m > 0}",
-    "  heisenberg(m): sublaplacian frame on R^(2m+1), Q_hom = 2m+2",
-    "  hyperbolic(m): half-space Laplace-Beltrami, density x_m^-m",
-    "  grushin(n): frame d_x_i and x_i d_y, Q_hom = n+2",
-    "  convex-domain(m): euclidean frame inside a convex polytope",
-    "  euclidean-radial(m): 1D radial model, density r^(m-1)",
-    "  logradial(m): radial model in u = log r, density e^(m u)",
-    "weights:",
-    "  euclid-norm: |x|, Q = m",
-    "  horizontal-norm: |x_0'| over n_0 horizontal coordinates, Q = n_0",
-    "  koranyi-gauge: Q = Q(G)",
-    "  coordinate(j): |x_j|, Q = 1",
-    "  hyperbolic(m): weight x_m, Q = 3-m",
-    "  grushin-gauge: Q = n+2",
-    "  boundary-distance: one-sided upper, Q = 2",
-    "  log-of(weight, branch): +-log psi, Q = 1",
-    "  power-of(weight, p): psi^p, Q -> (Q-2)/p + 2",
-    "  shifted(|x_0|+eps N): one-sided lower, Q = n_0 + o(eps)",
     "inequalities (constant):",
     "  hardy: (2/(Q+alpha-2))^2",
     "  log-hardy, weighted-log-hardy: (2/(alpha-1))^2",
@@ -64,7 +44,9 @@ _CATALOG_LINES = (
 
 def list_catalog() -> str:
     """Deterministic text listing of geometries, weights and constants."""
-    return "\n".join(_CATALOG_LINES) + "\n"
+    lines = ["geometries:", *(f"  {entry[-1]}" for entry in GEOMETRIES.values()),
+             "weights:", *(f"  {entry[-1]}" for entry in WEIGHTS.values()), *_CATALOG_LINES]
+    return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -127,8 +109,8 @@ class RunConfig:
         _require(bounds is None or _is_bounds(bounds),
                  "grid.bounds must be a list of [lo, hi] pairs with lo < hi", bounds)
         radius = self.grid.get("excision_radius")
-        _require(radius is None or _is_number(radius),
-                 "grid.excision_radius must be a finite number", radius)
+        _require(radius is None or _is_number(radius) and radius >= 0,
+                 "grid.excision_radius must be a finite number >= 0", radius)
         for key, least in (("size", 1), ("seed", 0)):
             if key in self.corpus:
                 _require(_is_count(self.corpus[key], least),
@@ -457,7 +439,8 @@ def main(argv=None) -> int:
             cfg.corpus["seed"] = args.seed
             cfg._check_values()
         result = run(cfg, refine=args.refine)
-    except (UsageError, PreconditionError, DegenerateInputError, FileNotFoundError) as e:
+    except (UsageError, PreconditionError, DegenerateInputError, NumericError,
+            FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

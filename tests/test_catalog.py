@@ -32,13 +32,37 @@ def test_grushin_homogeneous_dimension_verified_by_ratio(gru1):
 
 
 def test_unknown_names_raise():
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="^unknown geometry 'minkowski'$"):
         make_geometry("minkowski", m=4)
     geo = make_geometry("euclidean", m=3)
     with pytest.raises(UsageError):
         make_weight(geo, "koranyi-gauge")
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="^unknown weight 'no-such-weight'$"):
         make_weight(geo, "no-such-weight")
+
+
+@pytest.mark.parametrize("build, key", [
+    pytest.param(lambda: make_geometry("euclidean", m=2, mm=3), "'mm'", id="geometry-mm"),
+    pytest.param(lambda: make_weight(make_geometry("euclidean", m=2), "euclid-norm", foo=1),
+                 "'foo'", id="euclid-norm-foo"),
+    pytest.param(lambda: make_weight(make_geometry("heisenberg", m=1), "horizontal-norm",
+                                     index=[0]), "'index'", id="horizontal-norm-index"),
+    pytest.param(lambda: make_geometry("convex-domain", m=2, box=[(-1, 1)] * 2, facet=[]),
+                 "'facet'", id="convex-domain-facet"),
+])
+def test_a_parameter_the_entry_does_not_read_is_a_usage_error(build, key):
+    with pytest.raises(UsageError, match=key):
+        build()
+
+
+@pytest.mark.parametrize("weight, geometry", [
+    ("euclid-norm", "heisenberg"), ("koranyi-gauge", "euclidean"),
+    ("hyperbolic-height", "euclidean"), ("grushin-gauge", "euclidean"),
+    ("boundary-distance", "euclidean"), ("shifted", "hyperbolic"),
+])
+def test_a_weight_off_its_geometries_names_the_geometry(weight, geometry):
+    with pytest.raises(UsageError, match=f"^{weight} is not defined on '{geometry}'$"):
+        make_weight(make_geometry(geometry, m=2), weight)
 
 
 def test_weight_claimed_constants(eu3, h1, hyp3, gru1):
@@ -72,7 +96,7 @@ def test_qcond_scaling_invariance(h1):
 def test_estimate_kappa(h1):
     geo, N, grid = h1
     assert hl.estimate_kappa(N, N, grid) == pytest.approx(1.0, abs=1e-12)
-    two_n = hl.Weight("2N", 2.0 * N.psi, None, "{0}")
+    two_n = hl.Weight("2N", 2.0 * N.psi, None)
     assert hl.estimate_kappa(two_n, N, grid) == pytest.approx(2.0, abs=1e-12)
     # |x_0|^4 <= |x_0|^4 + 16 z^2 with equality on {z = 0}: the grid sup
     # approaches 1 from below

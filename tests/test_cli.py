@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -162,11 +163,40 @@ def test_thread_count_env_keeps_output_identical(tmp_path, monkeypatch):
     assert open(out1, "rb").read() == open(out2, "rb").read()
 
 
+LISTING = (
+    "geometries:\n"
+    "  euclidean(m): coordinate frame, Lebesgue measure, Q_hom = m\n"
+    "  halfspace-euclidean(m): euclidean frame on {x_m > 0}\n"
+    "  heisenberg(m): sublaplacian frame on R^(2m+1), Q_hom = 2m+2\n"
+    "  hyperbolic(m): half-space Laplace-Beltrami, density x_m^-m\n"
+    "  grushin(n): frame d_x_i and x_i d_y, Q_hom = n+2\n"
+    "  convex-domain(m): euclidean frame inside a convex polytope\n"
+    "  euclidean-radial(m): 1D radial model, density r^(m-1)\n"
+    "  logradial(m): radial model in u = log r, density e^(m u)\n"
+    "weights:\n"
+    "  euclid-norm: |x|, Q = m\n"
+    "  horizontal-norm: |x_0'| over n_0 horizontal coordinates, Q = n_0\n"
+    "  koranyi-gauge: Q = Q(G)\n"
+    "  coordinate(j): |x_j|, Q = 1\n"
+    "  hyperbolic(m): weight x_m, Q = 3-m\n"
+    "  grushin-gauge: Q = n+2\n"
+    "  boundary-distance: one-sided upper, Q = 2\n"
+    "  log-of(weight, branch): +-log psi, Q = 1\n"
+    "  power-of(weight, p): psi^p, Q -> (Q-2)/p + 2\n"
+    "  shifted(|x_0|+eps N): one-sided lower, Q = n_0 + o(eps)\n"
+    "inequalities (constant):\n"
+    "  hardy: (2/(Q+alpha-2))^2\n"
+    "  log-hardy, weighted-log-hardy: (2/(alpha-1))^2\n"
+    "  radial: (2/(Q+alpha-2))^2 against Gamma(psi,f)^2\n"
+    "  dilation: (2/(Q_hom+alpha))^2\n"
+    "  homo-norm: min(4, (2/(n_0-2)))^2 kappa^2(|x_0|) kappa^2(rho)\n"
+    "  funcineq: 2 int W^2 Gamma(f) - 2 gamma int W^2 f^2\n"
+)
+
+
 def test_list_catalog_contents_and_determinism(capsys):
     listing = list_catalog()
-    assert "hyperbolic(m): weight x_m, Q = 3-m" in listing
-    assert "koranyi-gauge: Q = Q(G)" in listing
-    assert listing == list_catalog()
+    assert listing == LISTING
     assert main(["list"]) == 0
     assert capsys.readouterr().out == listing
 
@@ -330,7 +360,31 @@ def _on_facets(facets):
                  id="excision-radius-not-number"),
     pytest.param(dict(SMALL_HARDY, grid={"bounds": [[-2, 2], [-2, 2]], "n": [16]}),
                  id="n-wrong-length"),
-    # each of the next nine runs when the one bad value is made valid
+    # each of the next eight runs when the one bad value is made valid (see
+    # test_config_value_faults_have_running_twins)
+    # psi^alpha overflows: numpy warns, then the integrand check raises NumericError
+    pytest.param(dict(SMALL_HARDY, parameters={"alpha": 1e308, "psi_range": [0.5, 1.6]}),
+                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"),
+                 id="alpha-overflows-the-integrand"),
+    pytest.param(dict(SMALL_HARDY, grid={"bounds": [[-2, 2], [-2, 2]], "n": 16,
+                                         "excision_radius": -0.5}),
+                 id="negative-excision-radius"),
+    pytest.param(dict(SMALL_HARDY, geometry={"name": "euclidean", "params": {"m": 2, "mm": 3}}),
+                 id="geometry-unknown-param"),
+    pytest.param(dict(SMALL_HARDY, geometry={"name": "euclidean",
+                                             "params": {"m": 2, "name": "euclidean"}}),
+                 id="geometry-param-named-name"),
+    pytest.param(dict(SMALL_HARDY, weight={"name": "euclid-norm", "params": {"geo": 1}}),
+                 id="weight-param-named-geo"),
+    pytest.param(dict(SMALL_HARDY, weight={"name": "euclid-norm", "params": {"foo": 1}}),
+                 id="weight-unknown-param"),
+    pytest.param(dict(SMALL_QCOND, **HEISENBERG,
+                      weight={"name": "horizontal-norm", "params": {"index": [0]}}),
+                 id="horizontal-norm-index-for-indices"),
+    pytest.param(dict(SMALL_QCOND, weight={"name": "power-of", "params": {
+        "p": 2.0, "base": {"name": "euclid-norm", "params": {"foo": 1}}}}),
+                 id="base-weight-unknown-param"),
+    # each of the next twelve runs when the one bad value is made valid
     pytest.param(dict(SMALL_QCOND, weight={"name": "coordinate", "params": {"index": "a"}}),
                  id="coordinate-index-not-integer"),
     pytest.param(dict(SMALL_QCOND, weight={"name": "coordinate"}),
@@ -347,12 +401,21 @@ def _on_facets(facets):
     pytest.param(dict(SMALL_QCOND, **HEISENBERG,
                       weight={"name": "horizontal-norm", "params": {"indices": 5}}),
                  id="horizontal-norm-indices-not-list"),
+    pytest.param(dict(SMALL_QCOND, **HEISENBERG,
+                      weight={"name": "horizontal-norm", "params": {"indices": [0, 0]}}),
+                 id="horizontal-norm-repeated-index"),
+    pytest.param(dict(SMALL_QCOND, **HEISENBERG,
+                      weight={"name": "horizontal-norm", "params": {"indices": []}}),
+                 id="horizontal-norm-no-index"),
     pytest.param(dict(SMALL_QCOND, **SQUARE,
                       weight={"name": "boundary-distance", "params": {"corner_tube": "x"}}),
                  id="boundary-distance-corner-tube-not-number"),
     pytest.param(dict(SMALL_HARDY, geometry={"name": "convex-domain",
                                              "params": {"m": 2, "box": 3}}),
                  id="convex-domain-box-not-pairs"),
+    pytest.param(dict(_on_facets(FACETS), geometry={"name": "convex-domain", "params": {
+        "m": 2, "facets": FACETS, "box": [[-1, 1], [-1, 1]]}}),
+                 id="convex-domain-facets-and-box"),
     # each facets case runs when its facets are made FACETS
     pytest.param(_on_facets(3), id="facets-not-list"),
     pytest.param(_on_facets([]), id="facets-empty"),
@@ -365,6 +428,24 @@ def test_config_value_faults_exit_2_with_one_line(tmp_path, capsys, payload):
     assert main(["run", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("payload", [
+    pytest.param(SMALL_HARDY, id="alpha-1"),
+    pytest.param(dict(SMALL_HARDY, grid={"bounds": [[-2, 2], [-2, 2]], "n": 16,
+                                         "excision_radius": 0.0}),
+                 id="zero-excision-radius"),
+    pytest.param(dict(SMALL_HARDY, weight={"name": "euclid-norm", "params": {}}),
+                 id="weight-without-params"),
+    pytest.param(dict(SMALL_QCOND, **HEISENBERG,
+                      weight={"name": "horizontal-norm", "params": {"indices": [0]}}),
+                 id="horizontal-norm-indices"),
+    pytest.param(dict(SMALL_QCOND, weight={"name": "power-of", "params": {
+        "p": 2.0, "base": {"name": "euclid-norm"}}}),
+                 id="power-of-euclid-norm"),
+])
+def test_config_value_faults_have_running_twins(tmp_path, capsys, payload):
+    assert main(["run", "--config", write_config(tmp_path, payload)]) == 0
 
 
 def test_facets_config_runs(tmp_path, capsys):
@@ -628,16 +709,20 @@ def test_operation_runs_through_the_cli(operation, payload, keys):
         assert len(result.rows) == 3
 
 
-def test_readme_operation_table_matches_the_cli():
-    from hardylab.cli import _OPERATIONS
-
+def readme_table_rows():
+    """The cells of every table row in the README."""
     readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                           "README.md")
     with open(readme) as fh:
-        lines = fh.read().splitlines()
+        return [[c.strip() for c in line.strip().strip("|").split("|")]
+                for line in fh.read().splitlines() if line.startswith("|")]
+
+
+def test_readme_operation_table_matches_the_cli():
+    from hardylab.cli import _OPERATIONS
+
     table = {}
-    for line in lines:
-        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+    for cells in readme_table_rows():
         if len(cells) == 3 and cells[0].startswith("`") and cells[2] in ("yes", "no"):
             params = {}
             for item in cells[1].replace("`", "").split(", "):
@@ -647,3 +732,24 @@ def test_readme_operation_table_matches_the_cli():
     assert list(table) == list(_OPERATIONS)
     for op, entry in _OPERATIONS.items():
         assert table[op] == (entry.parameters, entry.needs_Q), op
+
+
+def test_readme_catalog_table_matches_the_catalog():
+    """The README geometry column lists GEOMETRIES in order, and every weight
+    a row names builds on that row's geometry."""
+    from hardylab.catalog import GEOMETRIES
+
+    rows = {}
+    for cells in readme_table_rows():
+        geometry = re.fullmatch(r"`([a-z-]+)\(\w\)`", cells[0])
+        if geometry and len(cells) == 3:
+            rows[geometry.group(1)] = re.findall(r"`([a-z-]+)(?:\(\w\))?`", cells[2])
+    assert list(rows) == list(GEOMETRIES)
+    for name, weights in rows.items():
+        params = {GEOMETRIES[name][1][0]: 2}
+        if name == "convex-domain":
+            params["box"] = [(-1, 1)] * 2
+        geo = hl.make_geometry(name, **params)
+        assert weights, name
+        for weight in weights:
+            hl.make_weight(geo, weight, **({"index": 0} if weight == "coordinate" else {}))

@@ -37,7 +37,7 @@ def test_qcond_difference_oracle_tolerance(eu3):
     geo, w, _ = eu3
     step = 0.01
     grid = hl.default_grid(geo, w, bounds=[(-2, 2)] * 3, n=24, excision_radius=0.4)
-    fd_weight = hl.Weight("fd-norm", hl.with_fd(w.psi, step), 3.0, "{0}")
+    fd_weight = hl.Weight("fd-norm", hl.with_fd(w.psi, step), 3.0)
     rep = qcond_report(geo, fd_weight, grid, tol=10.0 * step ** 2)
     assert rep.verdict == "exact"
     assert rep.max_defect <= 10.0 * step ** 2
@@ -46,7 +46,7 @@ def test_qcond_difference_oracle_tolerance(eu3):
 
 def test_qcond_degenerate_everywhere_raises(eu3):
     geo, _, grid = eu3
-    flat = hl.Weight("flat", ConstField(1.0), None, "nowhere")
+    flat = hl.Weight("flat", ConstField(1.0), None)
     with pytest.raises(DegenerateInputError):
         qcond_report(geo, flat, grid)
 

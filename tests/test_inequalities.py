@@ -152,7 +152,7 @@ def test_radial_lhs_weight_matches_gauge_formula(h1):
 def test_radial_hardy_rejects_failing_secondary_condition():
     geo = hl.make_geometry("euclidean", m=2)
     aniso = ComposeField(power_map(0.5), SquareNormField([0]) + 4.0 * SquareNormField([1]))
-    w = hl.Weight("aniso", aniso, None, "{0}")
+    w = hl.Weight("aniso", aniso, None)
     grid = hl.default_grid(geo, w, bounds=[(-2, 2)] * 2, n=64, excision_radius=0.2)
     f = radial_bump(aniso, 0.8, 1.5)
     # the defect is computed once per grid, but every call checks it
@@ -188,7 +188,7 @@ def test_dilation_hardy_oracle_and_exclusions(eu3):
     assert rep.ratio <= 1.0
     with pytest.raises(UsageError):
         dilation_hardy_report(geo, w, -3.0, f, grid)
-    not_homogeneous = hl.Weight("r2", SquareNormField(), None, "{0}")
+    not_homogeneous = hl.Weight("r2", SquareNormField(), None)
     g = radial_bump(SquareNormField(), 1.0, 2.0)
     for _ in range(2):
         with pytest.raises(PreconditionError):
@@ -284,7 +284,7 @@ def test_homogeneous_norm_report(eu3, h1):
     assert rep_h.params["n0"] == 2
     assert rep_h.ratio <= 1.0
     # rho -> 2 rho scales the bound through kappa^2(rho)
-    two = hl.Weight("2N", 2.0 * w_h.psi, None, "{0}")
+    two = hl.Weight("2N", 2.0 * w_h.psi, None)
     rep_2 = homogeneous_norm_report(geo_h, two, f_h, grid_h)
     assert rep_2.constant_used == pytest.approx(4.0 * rep_h.constant_used, rel=1e-10)
     assert rep_2.lhs == pytest.approx(rep_h.lhs / 4.0, rel=1e-12)
@@ -358,7 +358,7 @@ def test_dilation_log_hardy_matches_radial_oracle(eu3):
         dilation_log_hardy_report(geo, w, 0.0, radial_bump(w.psi, 0.8, 1.6), grid)
     with pytest.raises(UsageError):
         dilation_log_hardy_report(geo, w, 1.0, radial_bump(w.psi, 1.2, 1.9), grid)
-    not_homogeneous = hl.Weight("r2", SquareNormField(), None, "{0}")
+    not_homogeneous = hl.Weight("r2", SquareNormField(), None)
     with pytest.raises(PreconditionError, match="Euler"):
         dilation_log_hardy_report(geo, not_homogeneous, 0.0,
                                   radial_bump(SquareNormField(), 1.5, 2.5), grid)
