@@ -55,7 +55,7 @@ class RunConfig:
 
     geometry: dict
     operation: str
-    weight: dict | None = None
+    weight: dict
     parameters: dict = field(default_factory=dict)
     grid: dict = field(default_factory=dict)
     corpus: dict = field(default_factory=dict)
@@ -66,67 +66,43 @@ class RunConfig:
             raw = json.loads(text)
         except json.JSONDecodeError as e:
             raise UsageError(f"config is not valid JSON: {e}") from e
-        if not isinstance(raw, dict):
-            raise UsageError("config must be a JSON object")
-        if raw.get("schema") != SCHEMA_VERSION:
-            raise UsageError(f"config schema must be {SCHEMA_VERSION}")
-        op = raw.get("operation")
-        if op not in OPERATIONS:
-            raise UsageError(f"unknown operation {op!r}; expected one of {OPERATIONS}")
-        for section in ("geometry", "weight", "parameters", "grid", "corpus"):
-            if raw.get(section) is not None and not isinstance(raw[section], dict):
-                raise UsageError(f"config {section} must be a JSON object")
-        if "name" not in (raw.get("geometry") or {}):
-            raise UsageError("config requires geometry.name")
-        cfg = cls(geometry=raw["geometry"], operation=op, weight=raw.get("weight"),
-                  parameters=raw.get("parameters", {}), grid=raw.get("grid", {}),
-                  corpus=raw.get("corpus", {}))
+        _require(isinstance(raw, dict), "config must be a JSON object", raw)
+        # a required key left out is null, which its check rejects
+        raw = {**dict.fromkeys(("schema", "operation", "geometry", "weight")), **raw}
+        _check_section("config", raw, _SECTIONS["config"])
+        cfg = cls(**{key: value for key, value in raw.items() if key != "schema"})
         cfg._check_values()
         return cfg
 
     def _check_values(self) -> None:
-        """Reject config values of the wrong type or range."""
-        _require(isinstance(self.geometry.get("params", {}), dict),
-                 "geometry.params must be a JSON object", self.geometry.get("params"))
-        if self.weight:
-            _check_weight_spec(self.weight, "weight")
-        for key, value in self.parameters.items():
-            # Q may be null for the operations that do not use it
-            if key in _NUMBER_PARAMETERS and not (key == "Q" and value is None):
-                _require(_is_number(value), f"parameters.{key} must be a finite number",
-                         value)
-        psi_range = self.parameters.get("psi_range")
-        if psi_range is not None:
-            _require(isinstance(psi_range, list) and len(psi_range) == 2
-                     and all(_is_number(v) for v in psi_range),
-                     "parameters.psi_range must be a list of two finite numbers", psi_range)
-        n = self.grid.get("n")
-        if n is not None:
-            counts = n if isinstance(n, list) else [n]
-            _require(len(counts) > 0 and all(_is_count(k, 1) for k in counts),
-                     "grid.n must be a positive integer or a list of them", n)
-        bounds = self.grid.get("bounds")
-        _require(bounds is None or _is_bounds(bounds),
-                 "grid.bounds must be a list of [lo, hi] pairs with lo < hi", bounds)
-        radius = self.grid.get("excision_radius")
-        _require(radius is None or _is_number(radius) and radius >= 0,
-                 "grid.excision_radius must be a finite number >= 0", radius)
-        for key, least in (("size", 1), ("seed", 0)):
-            if key in self.corpus:
-                _require(_is_count(self.corpus[key], least),
-                         f"corpus.{key} must be an integer >= {least}", self.corpus[key])
+        """Reject keys no section reads and values of the wrong type or range."""
+        _check_section("geometry", self.geometry, _SECTIONS["geometry"])
+        _check_weight_spec(self.weight, "weight")
+        _check_section("parameters", self.parameters,
+                       {**dict.fromkeys(_OPERATIONS[self.operation].parameters, _NUMBER),
+                        **_SECTIONS["parameters"]})
+        _check_section("grid", self.grid, _SECTIONS["grid"])
+        _check_section("corpus", self.corpus, _SECTIONS["corpus"])
 
 
-def _check_weight_spec(spec, where: str) -> None:
-    """A weight is {"name", "params"}; log-of and power-of name their base
-    weight, itself a weight, in params.base."""
-    _require(isinstance(spec, dict) and "name" in spec,
-             f"{where} must be a JSON object with a name", spec)
+def _check_section(where: str, section: dict, keys: dict) -> None:
+    """A UsageError for a key that ``keys`` does not list or a value failing its check."""
+    for key, value in section.items():
+        if key not in keys:
+            raise UsageError(f"{where} reads no key {key!r}; it reads {', '.join(keys)}")
+        ok, what = keys[key]
+        _require(ok(value), f"{where}.{key} must be {what}", value)
+
+
+def _check_weight_spec(spec: dict, where: str) -> None:
+    """A weight has the keys of a geometry; log-of and power-of name their
+    base weight, itself checked as a weight, in params.base only."""
+    _check_section(where, spec, _SECTIONS["geometry"])
     params = spec.get("params", {})
-    _require(isinstance(params, dict), f"{where}.params must be a JSON object", params)
     if spec["name"] in ("log-of", "power-of"):
-        _require("base" in params, f"{where}.params.base must give the weight {spec['name']} "
-                 "is built on", params)
+        is_spec, what = _SPEC
+        _require(is_spec(params.get("base")) and "weight" not in params,
+                 f"{where}.params must give base, {what}, and no weight", params)
         _check_weight_spec(params["base"], f"{where}.params.base")
 
 
@@ -324,21 +300,37 @@ _OPERATIONS = {
                                                    "p": None, "C1": 10.0, "C2": 10.0}),
 }
 OPERATIONS = tuple(_OPERATIONS)
-# parameters read as floats by some operation; Q may be null where it is not needed
-_NUMBER_PARAMETERS = {"Q", *(name for entry in _OPERATIONS.values() for name in entry.parameters)}
+
+# The keys each config section reads, each with its check and what its value
+# must be.  A weight reads a geometry's keys; the operation adds parameters.
+_NUMBER = (_is_number, "a finite number")
+_OBJECT = (lambda v: isinstance(v, dict), "a JSON object")
+_SPEC = (lambda v: isinstance(v, dict) and "name" in v, "a JSON object with a name")
+_SECTIONS = {
+    "config": {"schema": (lambda v: v == SCHEMA_VERSION, str(SCHEMA_VERSION)),
+               "geometry": _SPEC, "weight": _SPEC,
+               "operation": (lambda v: v in OPERATIONS, f"one of {', '.join(OPERATIONS)}"),
+               "parameters": _OBJECT, "grid": _OBJECT, "corpus": _OBJECT},
+    "geometry": {"name": (lambda v: isinstance(v, str), "a string"), "params": _OBJECT},
+    "parameters": {"Q": (lambda v: v is None or _is_number(v), "a finite number or null"),
+                   "psi_range": (lambda v: isinstance(v, list) and len(v) == 2
+                                 and all(map(_is_number, v)), "a list of two finite numbers")},
+    "grid": {"bounds": (_is_bounds, "a list of [lo, hi] pairs with lo < hi"),
+             "n": (lambda v: _is_count(v, 1) or isinstance(v, list) and v != []
+                   and all(_is_count(k, 1) for k in v), "a positive integer or a list of them"),
+             "excision_radius": (lambda v: _is_number(v) and v >= 0, "a finite number >= 0")},
+    "corpus": {"seed": (lambda v: _is_count(v, 0), "an integer >= 0"),
+               "size": (lambda v: _is_count(v, 1), "an integer >= 1")},
+}
 
 
 def _dispatch(cfg: RunConfig, refine: int = 1, threads: int = 1) -> RunResult:
     op = cfg.operation
-    if op not in _OPERATIONS:
-        raise UsageError(f"unknown operation {op!r}")
     entry = _OPERATIONS[op]
     geo = make_geometry(cfg.geometry["name"], **cfg.geometry.get("params", {}))
-    weight = _resolve_weight(geo, cfg.weight) if cfg.weight else None
+    weight = _resolve_weight(geo, cfg.weight)
     p = cfg.parameters
 
-    if weight is None:
-        raise UsageError(f"operation {op!r} requires a weight")
     Q = p.get("Q", weight.claimed_Q)
     if Q is None and entry.needs_Q:
         raise UsageError(f"operation {op!r} needs parameters.Q; "
@@ -365,10 +357,8 @@ def _dispatch(cfg: RunConfig, refine: int = 1, threads: int = 1) -> RunResult:
 def run(cfg: RunConfig, refine: bool = False) -> RunResult:
     """Execute a config; violations are re-checked once at halved spacing."""
     value = os.environ.get("HARDYLAB_THREADS", "1")
-    try:
-        threads = int(value)
-    except ValueError:
-        raise UsageError(f"HARDYLAB_THREADS must be an integer, got {value!r}") from None
+    threads = int(value) if value.strip().removeprefix("+").isdecimal() else 0
+    _require(threads >= 1, "HARDYLAB_THREADS must be an integer >= 1", value)
     result = _dispatch(cfg, refine=2 if refine else 1, threads=threads)
     if result.exit_code == 1 and not refine:
         rechecked = _dispatch(cfg, refine=2, threads=threads)

@@ -102,9 +102,11 @@ def _form(inequality_id: str, grid: Grid, f: ScalarField, sides,
                                 "or an excised region")
     pts = grid.points
     fv = f.value_at(pts)
-    const, lhs_terms, rhs_terms, params = sides(pts, fv)
-    lhs = _total(grid, [(a, _masked_product(fv ** 2, v)) for a, v in lhs_terms])
-    rhs = _total(grid, rhs_terms)
+    # integrate raises the NumericError for a non-finite integrand
+    with np.errstate(over="ignore", invalid="ignore"):
+        const, lhs_terms, rhs_terms, params = sides(pts, fv)
+        lhs = _total(grid, [(a, _masked_product(fv ** 2, v)) for a, v in lhs_terms])
+        rhs = _total(grid, rhs_terms)
     return HardyReport(inequality_id, lhs, rhs, const, lhs / rhs if rhs > 0 else None,
                        params)
 

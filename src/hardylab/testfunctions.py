@@ -75,23 +75,31 @@ def bump_corpus(psi: ScalarField, grid, n: int, seed: int,
     by construction.  Candidates whose support misses the retained nodes are
     rejected and redrawn, keeping the corpus deterministic for a given seed.
     """
-    rng = np.random.default_rng(seed)
     lo_psi, hi_psi = float(psi_range[0]), float(psi_range[1])
     if not 0 <= lo_psi < hi_psi:
         raise UsageError("psi_range must satisfy 0 <= lo < hi")
+
+    def draw(rng):
+        width = hi_psi - lo_psi
+        w = width * (min_rel_width + (1.0 - min_rel_width) * rng.random())
+        a = lo_psi + (width - w) * rng.random()
+        return ProductField(radial_bump(psi, a, a + w), tensor_bump(_interior_box(grid, rng)))
+
+    return _corpus(grid, n, seed, draw, 1e-6)
+
+
+def _corpus(grid, n: int, seed: int, draw, floor: float):
+    """n fields ``draw(rng)``, each redrawn until it exceeds ``floor`` on the
+    grid and the grid supports it; a UsageError after 50 n draws."""
+    rng = np.random.default_rng(seed)
     out = []
     attempts = 0
     while len(out) < n:
         attempts += 1
         if attempts > 50 * n:
             raise UsageError("could not place the requested corpus inside the grid")
-        width = hi_psi - lo_psi
-        w = width * (min_rel_width + (1.0 - min_rel_width) * rng.random())
-        a = lo_psi + (width - w) * rng.random()
-        box = _interior_box(grid, rng)
-        f = SupportedField(ProductField(radial_bump(psi, a, a + w), tensor_bump(box)))
-        vals = np.abs(f.value_at(grid.points))
-        if vals.max() > 1e-6 and grid.supports(f):
+        f = SupportedField(draw(rng))
+        if np.abs(f.value_at(grid.points)).max() > floor and grid.supports(f):
             out.append(f)
     return out
 
@@ -102,6 +110,8 @@ def _interior_box(grid, rng):
     for (lo, hi), h in zip(grid.bounds, grid.spacing):
         span = hi - lo
         margin = max(0.06 * span, 3.5 * h)
+        if span <= 2 * margin:
+            raise UsageError("could not place the requested corpus inside the grid")
         c = lo + margin + (span - 2 * margin) * rng.random()
         half = span * (0.15 + 0.25 * rng.random())
         box.append((max(lo + margin, c - half), min(hi - margin, c + half)))
@@ -125,12 +135,9 @@ def random_polynomial(dim: int, degree: int, rng) -> PolyField:
 
 def polynomial_bump_corpus(grid, n: int, seed: int, degree: int = 2):
     """Random polynomial times tensor-bump corpus (for curvature checks)."""
-    rng = np.random.default_rng(seed)
-    out = []
-    while len(out) < n:
+
+    def draw(rng):
         box = _interior_box(grid, rng)
-        f = SupportedField(ProductField(random_polynomial(len(grid.bounds), degree, rng),
-                                        tensor_bump(box)))
-        if np.abs(f.value_at(grid.points)).max() > 1e-9 and grid.supports(f):
-            out.append(f)
-    return out
+        return ProductField(random_polynomial(len(grid.bounds), degree, rng), tensor_bump(box))
+
+    return _corpus(grid, n, seed, draw, 1e-9)

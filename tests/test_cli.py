@@ -1,3 +1,4 @@
+import glob
 import json
 import os
 import re
@@ -317,7 +318,7 @@ SMALL_HARDY = {
 }
 
 
-SMALL_QCOND = dict(SMALL_HARDY, operation="qcond")
+SMALL_QCOND = dict(SMALL_HARDY, operation="qcond", parameters={"psi_range": [0.5, 1.6]})
 HEISENBERG = {"geometry": {"name": "heisenberg", "params": {"m": 1}},
               "grid": {"bounds": [[-2, 2]] * 3, "n": 12}}
 SQUARE = {"geometry": {"name": "convex-domain", "params": {"m": 2, "box": [[-2, 2], [-2, 2]]}}}
@@ -362,9 +363,8 @@ def _on_facets(facets):
                  id="n-wrong-length"),
     # each of the next eight runs when the one bad value is made valid (see
     # test_config_value_faults_have_running_twins)
-    # psi^alpha overflows: numpy warns, then the integrand check raises NumericError
+    # psi^alpha overflows, and the integrand check raises NumericError without a warning
     pytest.param(dict(SMALL_HARDY, parameters={"alpha": 1e308, "psi_range": [0.5, 1.6]}),
-                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"),
                  id="alpha-overflows-the-integrand"),
     pytest.param(dict(SMALL_HARDY, grid={"bounds": [[-2, 2], [-2, 2]], "n": 16,
                                          "excision_radius": -0.5}),
@@ -422,6 +422,33 @@ def _on_facets(facets):
     pytest.param(_on_facets([[1.0, 0.0]]), id="facet-not-normal-offset-pair"),
     pytest.param(_on_facets([[[1.0, 0.0, 0.0], 2.0]] + FACETS[1:]), id="facet-normal-length-3"),
     pytest.param(_on_facets([[[1.0, 0.0], "x"]] + FACETS[1:]), id="facet-offset-not-number"),
+    # a key no section reads; SMALL_HARDY runs without it
+    pytest.param(dict(SMALL_HARDY, parameters={"alpha": 1.0, "alpah": 3.0,
+                                               "psi_range": [0.5, 1.6]}),
+                 id="unread-parameter"),
+    pytest.param(dict(SMALL_HARDY, parameters={"alpha": 1.0, "tol": 1e-8,
+                                               "psi_range": [0.5, 1.6]}),
+                 id="parameter-of-another-operation"),
+    pytest.param(dict(SMALL_HARDY, grid={"bounds": [[-2, 2], [-2, 2]], "n": 16,
+                                         "excison_radius": 0.2}),
+                 id="unread-grid-key"),
+    pytest.param(dict(SMALL_HARDY, corpus={"seed": 3, "size": 2, "sizee": 3}),
+                 id="unread-corpus-key"),
+    pytest.param(dict(SMALL_HARDY, extra=1), id="unread-top-level-key"),
+    pytest.param(dict(SMALL_QCOND, weight={"name": "power-of", "params": {
+        "p": 2.0, "base": {"name": "euclid-norm"}, "weight": {"name": "euclid-norm"}}}),
+                 id="power-of-with-weight-beside-base"),
+    # a null section is not an absent one
+    pytest.param(dict(SMALL_HARDY, grid=None), id="null-grid"),
+    pytest.param(dict(SMALL_HARDY, corpus=None), id="null-corpus"),
+    pytest.param(dict(SMALL_HARDY, parameters=None), id="null-parameters"),
+    # no interior box fits between the margins of an 8-node axis
+    pytest.param(dict(SMALL_HARDY, grid={"bounds": [[-2, 2], [-2, 2]], "n": 8}),
+                 id="grid-too-coarse-for-a-bump-box"),
+    # no polynomial bump fits inside a 12-node Heisenberg grid
+    pytest.param(dict(SMALL_HARDY, **HEISENBERG, weight={"name": "koranyi-gauge"},
+                      operation="curvature", parameters={"p": 0.5}),
+                 id="curvature-corpus-does-not-fit"),
 ])
 def test_config_value_faults_exit_2_with_one_line(tmp_path, capsys, payload):
     cfg = write_config(tmp_path, payload)
@@ -535,16 +562,22 @@ def test_no_trial_function_in_grid_exits_2_with_one_line(tmp_path, capsys):
     assert err == "error: no trial function fits inside the grid\n"
 
 
-@pytest.mark.parametrize("operation", ["hardy", "qcond"])
+@pytest.mark.parametrize("operation,threads", [
+    pytest.param("hardy", "two", id="hardy"),
+    pytest.param("qcond", "two", id="qcond"),
+    pytest.param("hardy", "0", id="zero"),
+    pytest.param("hardy", "-2", id="negative"),
+])
 def test_non_integer_thread_count_exits_2_with_one_line(tmp_path, capsys, monkeypatch,
-                                                        operation):
-    """Checked before any operation runs, also for those that use no threads."""
+                                                        operation, threads):
+    """Checked before any operation runs, also for those that use no threads;
+    the count must be an integer >= 1."""
     from hardylab import cli
 
     ran = []
     monkeypatch.setattr(cli, "_dispatch", lambda *a, **k: ran.append(a))
-    monkeypatch.setenv("HARDYLAB_THREADS", "two")
-    payload = dict(SMALL_HARDY, operation=operation)
+    monkeypatch.setenv("HARDYLAB_THREADS", threads)
+    payload = dict(SMALL_QCOND, operation=operation)
     assert main(["run", "--config", write_config(tmp_path, payload)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -732,6 +765,35 @@ def test_readme_operation_table_matches_the_cli():
     assert list(table) == list(_OPERATIONS)
     for op, entry in _OPERATIONS.items():
         assert table[op] == (entry.parameters, entry.needs_Q), op
+
+
+def test_readme_config_key_table_matches_the_sections():
+    from hardylab.cli import _SECTIONS
+
+    rows = {cells[0].strip("`"): re.findall(r"`(\w+)`", cells[1])
+            for cells in readme_table_rows() if len(cells) == 2}
+    assert rows["top level"] == list(_SECTIONS["config"])
+    for section in ("grid", "corpus"):
+        assert rows[section] == list(_SECTIONS[section]), section
+
+
+def test_an_unread_key_is_named_with_the_keys_its_section_reads():
+    with pytest.raises(UsageError) as grid:
+        RunConfig.from_json(json.dumps(dict(SMALL_HARDY, grid={"excison_radius": 0.2})))
+    assert str(grid.value) == ("grid reads no key 'excison_radius'; "
+                               "it reads bounds, n, excision_radius")
+    with pytest.raises(UsageError) as parameters:
+        RunConfig.from_json(json.dumps(dict(SMALL_HARDY, parameters={"tol": 1e-8})))
+    assert str(parameters.value) == "parameters reads no key 'tol'; it reads alpha, Q, psi_range"
+
+
+def test_every_bench_config_parses():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    configs = sorted(glob.glob(os.path.join(root, "bench", "configs", "*.json")))
+    assert len(configs) == 10
+    for path in configs:
+        with open(path) as fh:
+            RunConfig.from_json(fh.read())
 
 
 def test_readme_catalog_table_matches_the_catalog():
