@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import DomainError, NumericError, PreconditionError
 from .fields import (ComposeField, ProductField, ScalarField, SmoothMap,
-                     SupportedField, VectorField, as_points, memo, squared,
-                     unsupported, with_fd)
+                     SupportedField, VectorField, as_points, blockwise, memo,
+                     row_block, squared, unsupported, with_fd)
 
 
 class Diffusion:
@@ -68,7 +68,15 @@ class FrameDiffusion(Diffusion):
     # -- frame data (memoized against the points-array identity) -------------
 
     def frame_values(self, pts):
-        return memo(self, "_frame_memo", "C", pts, lambda p: np.stack(
+        """(l, n, m) frame coefficients, cached per points array in a slot of
+        their own.  A row block of ``fields.blockwise`` is cut from its whole
+        array's coefficients, which the per-test-function passes read next."""
+        block = row_block(pts)
+        if block is not None:
+            whole, start, stop = block
+            return memo(self, "_frame_memo", "C", pts, lambda p: np.ascontiguousarray(
+                self.frame_values(whole)[:, start:stop]))
+        return memo(self, "_values_memo", "C", pts, lambda p: np.stack(
             [X.coeff_values(p) for X in self.frame], axis=0))
 
     def frame_grads(self, pts):
@@ -207,9 +215,9 @@ def gamma(diff: Diffusion, f: ScalarField, g: ScalarField | None = None, p=None)
 
 def l_of_square(diff: Diffusion, W: ScalarField, pts):
     """L(W^2) on pts, once per (diffusion, W, points array): a corpus sweep
-    meets the same W for every test function."""
+    meets the same W for every test function.  Computed in row blocks."""
     return memo(W, "_weight_memo", (diff, "L(W^2)"), pts,
-                lambda p: diff.apply_L(squared(W), p))
+                lambda p: blockwise(lambda b: diff.apply_L(squared(W), b), p))
 
 
 def gamma_w(diff: Diffusion, W: ScalarField, f: ScalarField, p):

@@ -23,7 +23,7 @@ from .calculus import FrameDiffusion
 from .errors import DegenerateInputError, UsageError
 from .fields import (AffineField, ComposeField, ConstField, CoordinateField,
                      NormField, ScalarField, SquareNormField, VectorField,
-                     coordinate_frame, exp_map, log_map, power_map)
+                     blockwise, coordinate_frame, exp_map, log_map, power_map)
 
 
 class GeometrySpec(FrameDiffusion):
@@ -208,8 +208,14 @@ def _logradial(m: int) -> GeometrySpec:
 
 
 def _is_number(value) -> bool:
-    """A finite real number that is not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    """A finite real number that is not a bool; an integer too large for a
+    float is not one."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _is_count(value, least: int) -> bool:
@@ -474,9 +480,9 @@ def estimate_kappa(rho: Weight, N: Weight, grid) -> float:
     """Grid estimate of kappa(rho) = inf{tau : rho <= tau N}: the sup of
     rho/N over retained nodes.  Reported as a grid value, with no claim of
     being the true constant."""
-    pts = grid.points
-    nvals = N.psi.value_at(pts)
+    nvals, rvals = blockwise(lambda p: (N.psi.value_at(p), rho.psi.value_at(p)),
+                             grid.points)
     ok = nvals > 0
     if not np.any(ok):
         raise DegenerateInputError("no retained nodes with N > 0")
-    return float(np.max(rho.psi.value_at(pts)[ok] / nvals[ok]))
+    return float(np.max(rvals[ok] / nvals[ok]))

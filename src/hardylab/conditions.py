@@ -20,7 +20,7 @@ import numpy as np
 from .calculus import Diffusion, gamma_w
 from .catalog import Weight
 from .errors import DegenerateInputError, PreconditionError
-from .fields import ScalarField
+from .fields import ScalarField, blockwise
 
 DEGENERATE_GAMMA_REL = 1e-12
 
@@ -55,16 +55,16 @@ class QcondReport:
 
 def qcond_ratios(diff: Diffusion, psi: ScalarField, pts):
     """(ratios, skipped): the comparison ratio where Gamma(psi) is
-    nondegenerate, and the count of skipped degenerate nodes."""
-    gam = diff.gamma(psi, psi, pts)
+    nondegenerate, and the count of skipped degenerate nodes.  Gamma(psi),
+    L psi and psi are computed in row blocks."""
+    gam, lpsi, vals = blockwise(lambda p: (diff.gamma(psi, psi, p), diff.apply_L(psi, p),
+                                           psi.value_at(p)), pts)
     scale = float(np.max(gam)) if len(gam) else 0.0
     ok = gam > DEGENERATE_GAMMA_REL * max(scale, 1.0)
     skipped = int(len(gam) - np.count_nonzero(ok))
     if not np.any(ok):
         raise DegenerateInputError("Gamma(psi) degenerate at every retained node")
-    lpsi = diff.apply_L(psi, pts)[ok]
-    vals = psi.value_at(pts)[ok]
-    return vals * lpsi / gam[ok], skipped
+    return vals[ok] * lpsi[ok] / gam[ok], skipped
 
 
 def qcond_report(diff, weight: Weight, grid, tol: float = 1e-8) -> QcondReport:
@@ -99,11 +99,15 @@ def qcond_report(diff, weight: Weight, grid, tol: float = 1e-8) -> QcondReport:
 
 
 def suffcond_values(diff, W: ScalarField, pts):
-    """Pointwise values of LW/W - 3 Gamma(W)/W^2."""
-    wv = W.value_at(pts)
-    if np.any(wv <= 0):
-        raise PreconditionError("W must be positive at retained nodes")
-    return diff.apply_L(W, pts) / wv - 3.0 * diff.gamma(W, W, pts) / wv ** 2
+    """Pointwise values of LW/W - 3 Gamma(W)/W^2, in row blocks."""
+
+    def values(p):
+        wv = W.value_at(p)
+        if np.any(wv <= 0):
+            raise PreconditionError("W must be positive at retained nodes")
+        return diff.apply_L(W, p) / wv - 3.0 * diff.gamma(W, W, p) / wv ** 2
+
+    return blockwise(values, pts)
 
 
 def check_suffcond(diff, W: ScalarField, grid, gamma: float,
@@ -119,7 +123,8 @@ def check_curvature(diff, W: ScalarField, f: ScalarField, gamma: float, grid) ->
     pts = grid.points
     vals = gamma_w(diff, W, f, pts)
     phi = (W.value_at(pts) * f.value_at(pts)) ** 2
-    return float(np.min(vals - gamma * phi))
+    with np.errstate(over="ignore"):  # an overflowing gamma W^2 f^2 gives -inf
+        return float(np.min(vals - gamma * phi))
 
 
 def power_range(Q: float):

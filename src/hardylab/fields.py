@@ -25,6 +25,21 @@ gradient or Hessian can be non-zero, read off the ``inside`` predicates of
 the bump maps in the expression tree; the tree is evaluated on those rows
 only and the results are scattered into full-size zeros.  Callers that sum
 over points keep summing the full arrays, so sums do not change.
+
+Passes that only need each node's own value, gradient and Hessian run in
+row blocks of at most about ``BLOCK_ROWS`` nodes (:func:`blockwise`): the
+comparison ratio of ``conditions.qcond_ratios``, ``suffcond_values``,
+``calculus.l_of_square``, the weight-side terms of ``inequalities`` and
+``catalog.estimate_kappa``.  Each block is a new array object, so the
+single-slot memos of a tree hold one block's arrays at a time, not the
+whole grid's; a frame diffusion cuts a block's frame coefficients from
+those of the whole array (:func:`row_block`), which the per-test-function
+passes read next.  The results are bit-identical to one whole-array pass:
+every operation on a row depends on that row alone, each block is
+C-contiguous like the grid, so einsum sums in the same order, and a block
+has at least 2 rows, since einsum sums a one-row array in another order.
+Reductions over the nodes (min, max, mean, sum) run once, on the
+concatenated array, because numpy's pairwise sums depend on the length.
 """
 
 from __future__ import annotations
@@ -33,9 +48,10 @@ import weakref
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, UsageError
 
 DEFAULT_FD_STEP = 1e-4
+BLOCK_ROWS = 65536
 
 
 def memo(owner, slot: str, key, pts, fn):
@@ -54,6 +70,41 @@ def memo(owner, slot: str, key, pts, fn):
     if key not in values:
         values[key] = fn(pts)
     return values[key]
+
+
+_BLOCKS = {}  # id(block) -> (whole, start, stop) while blockwise evaluates the block
+
+
+def row_block(pts):
+    """(whole, start, stop) while :func:`blockwise` evaluates ``pts`` as the
+    rows start:stop of the array ``whole``; None for any other array."""
+    return _BLOCKS.get(id(pts))
+
+
+def blockwise(fn, pts):
+    """``fn(pts)`` for a per-node ``fn``, evaluated on C-contiguous blocks of
+    ``BLOCK_ROWS`` rows and concatenated (item by item when ``fn`` returns a
+    tuple of arrays).  A tail of fewer than 2 rows joins the block before it;
+    an array of one block is passed to ``fn`` as it is.  See the module doc
+    for why the result equals ``fn(pts)`` bit for bit."""
+    starts = list(range(0, len(pts), BLOCK_ROWS))
+    if len(starts) > 1 and len(pts) - starts[-1] < 2:
+        starts.pop()
+    if len(starts) <= 1:
+        return fn(pts)
+
+    def run(start, stop):
+        block = np.ascontiguousarray(pts[start:stop])
+        _BLOCKS[id(block)] = (pts, start, stop)  # block stays alive, so its id is unique
+        try:
+            return fn(block)
+        finally:
+            del _BLOCKS[id(block)]
+
+    parts = [run(a, b) for a, b in zip(starts, starts[1:] + [len(pts)])]
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(items) for items in zip(*parts))
+    return np.concatenate(parts)
 
 
 def as_points(x, dim: int | None = None):
@@ -107,7 +158,11 @@ def identity_map() -> SmoothMap:
 
 
 def power_map(p: float) -> SmoothMap:
-    """u -> u**p for real p; valid on u > 0 (integer p >= 0 valid everywhere)."""
+    """u -> u**p for real p; valid on u > 0 (integer p >= 0 valid everywhere).
+    An exponent whose second-derivative factor p(p - 1) overflows a float is
+    a UsageError."""
+    if not np.isfinite(float(p) * (float(p) - 1.0)):
+        raise UsageError(f"power exponent {p!r} is too large: p(p - 1) overflows")
     if float(p) == int(p) and p >= 0:
         k = int(p)
 

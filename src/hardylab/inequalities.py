@@ -44,7 +44,7 @@ import numpy as np
 from .calculus import Diffusion, l_of_square
 from .catalog import GeometrySpec, Weight, estimate_kappa, make_weight
 from .errors import DegenerateInputError, PreconditionError, UsageError
-from .fields import ScalarField, memo
+from .fields import ScalarField, blockwise, memo
 from .grid import Grid, integrate
 from .operators import dilation_operator
 from .testfunctions import smoothed_power
@@ -113,10 +113,13 @@ def _form(inequality_id: str, grid: Grid, f: ScalarField, sides,
 
 # -- weight-side terms: once per (field, key, points array) -----------------
 # Each is cached in the field's "_weight_memo" slot; keys name the quantity,
-# the diffusion and every parameter it depends on.
+# the diffusion and every parameter it depends on.  The terms that need
+# derivatives are computed in row blocks (``fields.blockwise``) and cached
+# for the whole points array.
 
 def _gamma_psi(diff: Diffusion, psi: ScalarField, pts):
-    return memo(psi, "_weight_memo", (diff, "Gamma"), pts, lambda p: diff.gamma(psi, psi, p))
+    return memo(psi, "_weight_memo", (diff, "Gamma"), pts,
+                lambda p: blockwise(lambda b: diff.gamma(psi, psi, b), p))
 
 
 def _values(psi: ScalarField, pts):
@@ -222,7 +225,8 @@ def secondary_condition_defect(diff: Diffusion, psi: ScalarField, pts) -> float:
     (diffusion, psi, points array)."""
 
     def compute(p):
-        return float(np.max(np.abs(diff.gamma(psi, diff.gamma_field(psi, psi), p))))
+        gpsi = diff.gamma_field(psi, psi)
+        return float(np.max(np.abs(blockwise(lambda b: diff.gamma(psi, gpsi, b), p))))
 
     return memo(psi, "_weight_memo", (diff, "secondary"), np.asarray(pts, dtype=float),
                 compute)
@@ -275,7 +279,8 @@ def _require_euler(geo: GeometrySpec, dil, psi: ScalarField, pts, tol: float):
     def compute(p):
         pv = _values(psi, p)
         scale = max(float(np.max(np.abs(pv))), 1.0)
-        return float(np.max(np.abs(dil.dilation.apply(psi, p) - pv))), scale
+        dpsi = blockwise(lambda b: dil.dilation.apply(psi, b), p)
+        return float(np.max(np.abs(dpsi - pv))), scale
 
     defect, scale = memo(psi, "_weight_memo", (geo, "euler"), pts, compute)
     if defect > tol * scale:
@@ -341,7 +346,8 @@ def funcineqgeneral_report(diff, W: ScalarField, beta: float, f: ScalarField,
         <= int W^(2-2b) G(f)."""
 
     def sides(pts, fv):
-        lw = memo(W, "_weight_memo", (diff, "L(W)"), pts, lambda p: diff.apply_L(W, p))
+        lw = memo(W, "_weight_memo", (diff, "L(W)"), pts,
+                  lambda p: blockwise(lambda b: diff.apply_L(W, b), p))
         gw = _gamma_psi(diff, W, pts)
         return (1.0, [(1.0 - beta, _power(W, 1.0 - 2.0 * beta, pts) * lw),
                       (beta ** 2 - beta + 1.0, _power(W, -2.0 * beta, pts) * gw)],
@@ -491,7 +497,10 @@ def estimate_best_constant(geo, psi: Weight, alpha: float,
     def ratio(eps, a, b, ramp):
         """R of one trial function; -inf when it does not fit inside the grid."""
         f = trial_family.make(eps, a, b, ramp)
-        return rayleigh_ratio(geo, psi, alpha, f, grid) if grid.supports(f) else -np.inf
+        # an overflowing trial function reaches _form, which raises the NumericError
+        with np.errstate(over="ignore", invalid="ignore"):
+            fits = grid.supports(f)
+        return rayleigh_ratio(geo, psi, alpha, f, grid) if fits else -np.inf
 
     sup_ratio, params = max(((ratio(**cand), cand) for cand in trial_family.candidates()),
                             key=lambda pair: pair[0], default=(-np.inf, None))

@@ -117,14 +117,25 @@ class _Stepper:
             raise PreconditionError("dt must be positive and finite")
         self.dt = dt
         self.w, A = assemble_generator(diff, grid)
-        self._S = (sp.diags(self.w) + dt * A).tocsr()
+        with np.errstate(over="ignore"):
+            self._S = (sp.diags(self.w) + dt * A).tocsr()
+        if not np.all(np.isfinite(self._S.data)):
+            raise PreconditionError(f"dt = {dt!r} overflows the implicit-Euler matrix")
         inv_diag = 1.0 / self._S.diagonal()
         self._precond = spla.LinearOperator(self._S.shape, matvec=lambda x: inv_diag * x)
         self._probing = True
         self._lu = None
 
     def n_steps(self, t: float) -> int:
-        return max(1, int(round(t / self.dt)))
+        """round(t / dt) for a positive finite t; the count must be at least
+        1 and fit in 64 bits."""
+        if not (np.isfinite(t) and t > 0):
+            raise PreconditionError(f"t_max must be positive and finite, got {t!r}")
+        steps = t / self.dt
+        if not 0.5 < steps < 2.0 ** 63:
+            raise PreconditionError(f"t_max / dt = {steps:.3g} is not a step count "
+                                    "between 1 and 2^63")
+        return int(round(steps))
 
     def step(self, u):
         b = self.w * u

@@ -332,6 +332,19 @@ def _on_facets(facets):
                 weight={"name": "boundary-distance"})
 
 
+def _bench_config(name: str, n: int, **parameters) -> dict:
+    """bench/configs/<name>.json on n nodes per axis, at most 3 bumps, with
+    ``parameters`` set."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "bench", "configs", f"{name}.json")) as fh:
+        cfg = json.load(fh)
+    cfg["grid"]["n"] = n
+    if "corpus" in cfg:
+        cfg["corpus"]["size"] = 3
+    cfg["parameters"].update(parameters)
+    return cfg
+
+
 @pytest.mark.parametrize("payload", [
     pytest.param(dict(SMALL_HARDY, grid={"bounds": [[-2, 2], [-2, 2]], "n": 0}),
                  id="zero-grid-n"),
@@ -449,6 +462,22 @@ def _on_facets(facets):
     pytest.param(dict(SMALL_HARDY, **HEISENBERG, weight={"name": "koranyi-gauge"},
                       operation="curvature", parameters={"p": 0.5}),
                  id="curvature-corpus-does-not-fit"),
+    # extreme magnitudes; a numpy warning on the way is an error under the
+    # pytest filterwarnings of pyproject.toml
+    pytest.param(_bench_config("heis-curvature", 20, p=1e308), id="curvature-p-1e308"),
+    pytest.param(_bench_config("heis-funcineq", 20, p=1e308), id="funcineq-p-1e308"),
+    pytest.param(_bench_config("eu2-evolve", 32, t_max=1e308), id="evolve-t_max-1e308"),
+    pytest.param(_bench_config("eu2-evolve", 32, t_max=-0.5), id="evolve-t_max-negative"),
+    pytest.param(_bench_config("eu2-evolve", 32, t_max=0.0), id="evolve-t_max-0"),
+    pytest.param(_bench_config("eu2-evolve", 32, dt=1e-308), id="evolve-dt-1e-308"),
+    pytest.param(_bench_config("eu2-evolve", 32, dt=1e308), id="evolve-dt-beyond-t_max"),
+    pytest.param(_bench_config("eu2-evolve", 32, t_max=1e308, dt=1e308),
+                 id="evolve-dt-overflows-the-matrix"),
+    pytest.param(_bench_config("eu3-subcommutation", 12, t_max=-1e308),
+                 id="subcommutation-t_max-negative"),
+    pytest.param(_bench_config("logr-best-constant", 1024, alpha=1e308),
+                 id="best-constant-alpha-1e308"),
+    pytest.param(dict(SMALL_QCOND, parameters={"tol": 10 ** 400}), id="integer-beyond-floats"),
 ])
 def test_config_value_faults_exit_2_with_one_line(tmp_path, capsys, payload):
     cfg = write_config(tmp_path, payload)
@@ -815,3 +844,11 @@ def test_readme_catalog_table_matches_the_catalog():
         assert weights, name
         for weight in weights:
             hl.make_weight(geo, weight, **({"index": 0} if weight == "coordinate" else {}))
+
+
+def test_overflowing_curvature_bound_is_a_violation_without_warnings(tmp_path, capsys):
+    # gamma W^2 f^2 overflows to inf, which violates the bound; numpy stays quiet
+    cfg = write_config(tmp_path, _bench_config("heis-curvature", 20, gamma=1e308))
+    assert main(["run", "--config", cfg]) == 1
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out)["verdict"] == "violation"

@@ -22,7 +22,8 @@ from hardylab import cli  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 UNLISTED = "unlisted"
-VALUES = [None, True, "x", [], {}, [1], 0, -1, 0.5, 2, math.nan, math.inf, -math.inf]
+VALUES = [None, True, "x", [], {}, [1], 0, -1, 0.5, 2, 1e308, -1e308, 1e-308,
+          math.nan, math.inf, -math.inf]
 
 
 def _tiny(path: str) -> dict:

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from hardylab.errors import DomainError
+import hardylab as hl
+from hardylab import fields
+from hardylab.conditions import check_curvature, check_suffcond, qcond_report
+from hardylab.errors import DomainError, UsageError
 from hardylab.fields import (AffineField, ComposeField, ConstField,
                              CoordinateField, FuncField, NormField, PolyField,
                              ProductField, SquareNormField, SupportedField,
@@ -9,7 +12,8 @@ from hardylab.fields import (AffineField, ComposeField, ConstField,
                              log_map, power_map, poly_bump_map,
                              smoothed_power_profile, smoothstep_map, squared,
                              with_fd)
-from hardylab.testfunctions import random_polynomial
+from hardylab.inequalities import hardy_report, radial_hardy_report
+from hardylab.testfunctions import bump_corpus, polynomial_bump_corpus, random_polynomial
 
 RNG = np.random.default_rng(42)
 
@@ -287,3 +291,88 @@ def test_field_without_support_predicate_keeps_every_row():
     pts = RNG.uniform(-2, 2, size=(50, 3))
     assert np.array_equal(f.rows_at(pts)[0], np.arange(50))
     assert np.array_equal(f.grad_at(pts), f.base.grad_at(pts))
+
+
+def test_power_map_rejects_an_exponent_whose_second_derivative_overflows():
+    for p in (1e308, -1e308, 1e200):
+        with pytest.raises(UsageError, match="too large"):
+            power_map(p)
+    power_map(1e100)  # p(p - 1) = 1e200 is still a float
+
+
+# -- row blocks -----------------------------------------------------------------
+
+def _koranyi():
+    geo = hl.make_geometry("heisenberg", m=1)
+    return geo, hl.make_weight(geo, "koranyi-gauge").psi
+
+
+@pytest.mark.parametrize("n,blocks", [
+    pytest.param(5, [5], id="fewer-rows-than-a-block"),
+    pytest.param(7, [7], id="one-block"),
+    pytest.param(21, [7, 7, 7], id="exact-multiple"),
+    pytest.param(15, [7, 8], id="one-row-tail"),
+    pytest.param(16, [7, 7, 2], id="two-row-tail"),
+])
+def test_blockwise_equals_one_whole_array_pass_bit_for_bit(monkeypatch, n, blocks):
+    monkeypatch.setattr(fields, "BLOCK_ROWS", 7)
+    pts = RNG.uniform(-2.0, 2.0, size=(n, 3))
+    geo, psi = _koranyi()
+    whole = (psi.value_at(pts), psi.grad_at(pts), psi.hess_at(pts),
+             geo.gamma(psi, psi, pts), geo.apply_L(psi, pts))
+    geo, psi = _koranyi()
+    seen = []
+
+    def per_node(p):
+        seen.append((len(p), p.flags.c_contiguous, p is pts))
+        return (psi.value_at(p), psi.grad_at(p), psi.hess_at(p), geo.gamma(psi, psi, p),
+                geo.apply_L(psi, p))
+
+    got = fields.blockwise(per_node, pts)
+    assert [rows for rows, _, _ in seen] == blocks
+    assert all(contiguous for _, contiguous, _ in seen)
+    # one block is the array itself, so its memos serve later whole-array calls
+    assert [same for _, _, same in seen] == [len(blocks) == 1] * len(blocks)
+    for a, b in zip(got, whole):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    single = fields.blockwise(lambda p: psi.value_at(p), pts)
+    assert single.tobytes() == whole[0].tobytes()
+
+
+def test_a_blocked_pass_cuts_frame_values_from_the_whole_array(monkeypatch):
+    monkeypatch.setattr(fields, "BLOCK_ROWS", 7)
+    geo, psi = _koranyi()
+    pts = RNG.uniform(-2.0, 2.0, size=(30, 3))
+    rows = []
+    coeff_values = VectorField.coeff_values
+    monkeypatch.setattr(VectorField, "coeff_values",
+                        lambda self, p: rows.append(len(p)) or coeff_values(self, p))
+    fields.blockwise(lambda p: geo.gamma(psi, psi, p), pts)
+    geo.gamma(psi, psi, pts)
+    # each of the two frame fields is evaluated once, on the whole array
+    assert rows == [30, 30]
+
+
+def _pointwise_results():
+    """Every blocked pass on small grids, each from freshly built objects so
+    that no per-(grid, weight) memo carries over between calls."""
+    geo = hl.make_geometry("heisenberg", m=1)
+    w = hl.make_weight(geo, "koranyi-gauge")
+    grid = hl.default_grid(geo, w, bounds=[(-2, 2)] * 3, n=20)
+    W = ComposeField(power_map(0.5), w.psi)
+    f = polynomial_bump_corpus(grid, 1, 3)[0]
+    bump = bump_corpus(w.psi, grid, 1, 3, (0.6, 1.8))[0]
+    eu = hl.make_geometry("euclidean", m=3)
+    r = hl.make_weight(eu, "euclid-norm")
+    eu_grid = hl.default_grid(eu, r, bounds=[(-2, 2)] * 3, n=16)
+    eu_bump = bump_corpus(r.psi, eu_grid, 1, 3, (0.6, 1.6))[0]
+    return (qcond_report(geo, w, grid).summary(), check_suffcond(geo, W, grid, 0.0),
+            check_curvature(geo, W, f, 0.0, grid),
+            hardy_report(geo, w, 4.0, 0.0, bump, grid).row(),
+            radial_hardy_report(eu, r, 3.0, 0.0, eu_bump, eu_grid).row())
+
+
+def test_reports_at_a_tiny_block_size_equal_the_default_exactly(monkeypatch):
+    default = _pointwise_results()
+    monkeypatch.setattr(fields, "BLOCK_ROWS", 7)
+    assert _pointwise_results() == default
