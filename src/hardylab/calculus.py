@@ -90,14 +90,19 @@ class FrameDiffusion(Diffusion):
             return np.einsum("jni,jnk->nik", C, C)
         return memo(self, "_frame_memo", "A", pts, compute)
 
-    def coefficient_matrix_grad(self, pts):
-        """d_l a_{ik}, shape (n, l, i, k)."""
+    def frame_derivatives(self, f: ScalarField, pts):
+        """(X_j f, grad X_j f) for every frame field X_j = sum_i c_{j,i} d_i,
+        shapes (l, n) and (l, n, m), cached per (f, points array):
+
+            d_a (X_j f) = sum_i (d_a c_{j,i}) d_i f + sum_i c_{j,i} d_i d_a f.
+        """
         def compute(p):
             C = self.frame_values(p)
-            G = self.frame_grads(p)  # [j, n, i, l]
-            dA = np.einsum("jnil,jnk->nlik", G, C)
-            return dA + np.swapaxes(dA, 2, 3)
-        return memo(self, "_frame_memo", "dA", pts, compute)
+            gf = f.grad_at(p)
+            dxf = np.einsum("jnia,ni->jna", self.frame_grads(p), gf)
+            dxf += np.einsum("jni,nia->jna", C, f.hess_at(p))
+            return np.einsum("jni,ni->jn", C, gf), dxf
+        return memo(f, "_eval_memo", (self, "X"), pts, compute)
 
     # -- generator and carre du champ -----------------------------------------
 
@@ -147,7 +152,12 @@ def _frame_gamma(C, f: ScalarField, g: ScalarField, pts):
 class FrameGammaField(ScalarField):
     """Gamma(f, g) of a frame diffusion, with closed-form gradient.
 
-    The gradient uses d_l [a_{ik} d_i f d_k g]; the Hessian (third
+    The gradient is taken through each frame field, from
+    ``FrameDiffusion.frame_derivatives``:
+
+        grad Gamma(f, g) = sum_j (X_j g) grad(X_j f) + (X_j f) grad(X_j g),
+
+    which is 2 sum_j (X_j f) grad(X_j f) when g is f.  The Hessian (third
     derivatives of f, g) falls back to differencing the gradient.
     """
 
@@ -160,19 +170,11 @@ class FrameGammaField(ScalarField):
         return self.diff.gamma(self.f, self.g, pts)
 
     def _grad(self, pts):
-        A = self.diff.coefficient_matrix(pts)
-        dA = self.diff.coefficient_matrix_grad(pts)
-        gf = self.f.grad_at(pts)
-        hf = self.f.hess_at(pts)
+        xf, dxf = self.diff.frame_derivatives(self.f, pts)
         if self.g is self.f:
-            gg, hg = gf, hf
-        else:
-            gg = self.g.grad_at(pts)
-            hg = self.g.hess_at(pts)
-        out = np.einsum("nlik,ni,nk->nl", dA, gf, gg)
-        out += np.einsum("nik,nil,nk->nl", A, hf, gg)
-        out += np.einsum("nik,ni,nkl->nl", A, gf, hg)
-        return out
+            return 2.0 * np.einsum("jn,jna->na", xf, dxf)
+        xg, dxg = self.diff.frame_derivatives(self.g, pts)
+        return np.einsum("jn,jna->na", xg, dxf) + np.einsum("jn,jna->na", xf, dxg)
 
     def _mask(self, pts):
         return self.f._mask(pts) & self.g._mask(pts) & self.diff.domain(pts)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -119,6 +120,14 @@ def _resolve_weight(geo: GeometrySpec, spec: dict) -> Weight:
     return make_weight(geo, name, **params)
 
 
+def _memory_bytes() -> int:
+    """Physical memory, or no bound where the platform does not report it."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return np.iinfo(np.intp).max
+
+
 def _build_grid(geo: GeometrySpec, weight, grid_cfg: dict, psi_range, refine: int = 1):
     bounds = grid_cfg.get("bounds")
     if bounds is None:
@@ -134,8 +143,17 @@ def _build_grid(geo: GeometrySpec, weight, grid_cfg: dict, psi_range, refine: in
     if np.isscalar(n):
         n = (int(n),) * geo.dim
     n = tuple(int(k) * refine for k in n)
-    return default_grid(geo, weight=weight, bounds=bounds, n=n,
-                        excision_radius=grid_cfg.get("excision_radius"))
+    nodes = math.prod(n)
+    # the nodes' coordinates are one array of 8-byte floats, whose size in
+    # bytes must fit an index and the machine's memory
+    if nodes * geo.dim * 8 > min(np.iinfo(np.intp).max, _memory_bytes()):
+        raise UsageError(f"grid.n gives {nodes} nodes, whose coordinates alone need "
+                         f"more than the machine's memory")
+    try:
+        return default_grid(geo, weight=weight, bounds=bounds, n=n,
+                            excision_radius=grid_cfg.get("excision_radius"))
+    except MemoryError:
+        raise UsageError(f"grid.n gives {nodes} nodes, more than memory holds") from None
 
 
 def _thread_map(fn, items, threads: int):
@@ -145,8 +163,14 @@ def _thread_map(fn, items, threads: int):
     if threads <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
     first = fn(items[0])
+    err = np.geterr()  # a new thread starts with numpy's default error handling
+
+    def call(x):
+        with np.errstate(**err):
+            return fn(x)
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return [first, *pool.map(fn, items[1:])]
+        return [first, *pool.map(call, items[1:])]
 
 
 @dataclass
@@ -226,7 +250,7 @@ def _sweep(report: str, on_multiplier: bool = False):
                               ctx.bumps(ctx.size), ctx.threads)
         ratios = [rep.ratio for rep in reports if rep.ratio is not None]
         worst = max(ratios) if ratios else None
-        return (worst is None or worst <= 1.0 + RATIO_TOL,
+        return (all(rep.passes(RATIO_TOL) for rep in reports),
                 {"alpha": float(ctx.cfg.parameters.get("alpha", 0.0)), "Q": ctx.Q,
                  "inequality": reports[0].inequality_id,
                  "constant": reports[0].constant_used, "worst_ratio": worst},
@@ -355,18 +379,21 @@ def _dispatch(cfg: RunConfig, refine: int = 1, threads: int = 1) -> RunResult:
 
 
 def run(cfg: RunConfig, refine: bool = False) -> RunResult:
-    """Execute a config; violations are re-checked once at halved spacing."""
+    """Execute a config; violations are re-checked once at halved spacing.
+    A float overflow or invalid value raises ``FloatingPointError`` rather
+    than printing a numpy warning; code that expects one sets its own
+    ``np.errstate``."""
     value = os.environ.get("HARDYLAB_THREADS", "1")
     threads = int(value) if value.strip().removeprefix("+").isdecimal() else 0
     _require(threads >= 1, "HARDYLAB_THREADS must be an integer >= 1", value)
-    result = _dispatch(cfg, refine=2 if refine else 1, threads=threads)
-    if result.exit_code == 1 and not refine:
-        rechecked = _dispatch(cfg, refine=2, threads=threads)
-        if rechecked.exit_code == 0:
-            rechecked.summary["note"] = "violation resolved at halved spacing"
-            return rechecked
-        result.summary["note"] = "violation persists at halved spacing"
-        return result
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        result = _dispatch(cfg, refine=2 if refine else 1, threads=threads)
+        if result.exit_code == 1 and not refine:
+            rechecked = _dispatch(cfg, refine=2, threads=threads)
+            if rechecked.exit_code == 0:
+                rechecked.summary["note"] = "violation resolved at halved spacing"
+                return rechecked
+            result.summary["note"] = "violation persists at halved spacing"
     return result
 
 
@@ -430,7 +457,7 @@ def main(argv=None) -> int:
             cfg._check_values()
         result = run(cfg, refine=args.refine)
     except (UsageError, PreconditionError, DegenerateInputError, NumericError,
-            FileNotFoundError) as e:
+            FloatingPointError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

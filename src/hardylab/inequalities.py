@@ -62,7 +62,8 @@ class HardyReport:
     params: dict = field(default_factory=dict)
 
     def passes(self, tol: float = 1e-6) -> bool:
-        return self.ratio is None or self.ratio <= 1.0 + tol
+        """ratio <= 1 + tol; without a ratio (rhs <= 0), lhs <= rhs."""
+        return self.lhs <= self.rhs if self.ratio is None else self.ratio <= 1.0 + tol
 
     def row(self) -> dict:
         return {"inequality": self.inequality_id, "lhs": self.lhs, "rhs": self.rhs,

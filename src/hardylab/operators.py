@@ -72,12 +72,10 @@ class ZCoefficientField(ScalarField):
         return np.einsum("ni,ni->n", A[:, :, self.k], self.psi.grad_at(pts))
 
     def _grad(self, pts):
-        A = self.base.coefficient_matrix(pts)
-        dA = self.base.coefficient_matrix_grad(pts)
-        gp = self.psi.grad_at(pts)
-        hp = self.psi.hess_at(pts)
-        return (np.einsum("nli,ni->nl", dA[:, :, :, self.k], gp)
-                + np.einsum("ni,nil->nl", A[:, :, self.k], hp))
+        # z_k = sum_j (X_j psi) c_{j,k}, differentiated through each frame field
+        xp, dxp = self.base.frame_derivatives(self.psi, pts)
+        return (np.einsum("jn,jna->na", self.base.frame_values(pts)[:, :, self.k], dxp)
+                + np.einsum("jn,jna->na", xp, self.base.frame_grads(pts)[:, :, self.k]))
 
     def _mask(self, pts):
         return self.psi._mask(pts) & self.base.domain(pts)

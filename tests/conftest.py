@@ -66,3 +66,21 @@ def sample_points(rng, n, bounds, min_radius=0.3, indices=None):
         pts[got:got + len(take)] = take
         got += len(take)
     return pts
+
+
+def central_difference_grad(field, pts, h=1e-5):
+    """Central differences of ``field``'s own values, one coordinate at a time."""
+    out = np.empty(pts.shape)
+    for a in range(pts.shape[1]):
+        e = np.zeros(pts.shape[1])
+        e[a] = h
+        out[:, a] = (field._value(pts + e) - field._value(pts - e)) / (2.0 * h)
+    return out
+
+
+def coefficient_matrix_grad(diff, pts):
+    """d_l a_ik, shape (n, l, i, k), of a = sum_j X_j X_j^T from the frame
+    coefficients c_ji and their gradients G[j, n, i, l] = d_l c_ji:
+    d_l a_ik = sum_j (d_l c_ji) c_jk + c_ji (d_l c_jk)."""
+    dA = np.einsum("jnil,jnk->nlik", diff.frame_grads(pts), diff.frame_values(pts))
+    return dA + np.swapaxes(dA, 2, 3)

@@ -11,7 +11,7 @@ from hardylab.fields import (ComposeField, ConstField, CoordinateField,
                              power_map, with_fd)
 from hardylab.testfunctions import radial_bump, random_polynomial
 
-from conftest import sample_points
+from conftest import central_difference_grad, coefficient_matrix_grad, sample_points
 
 
 # ---------------------------------------------------------------------------
@@ -243,3 +243,21 @@ def test_coefficient_matrix_positive_semidefinite(any_geometry):
     A = geo.coefficient_matrix(pts)
     eigs = np.linalg.eigvalsh(A)
     assert np.min(eigs) >= -1e-12
+
+
+@pytest.mark.parametrize("same", [False, True], ids=["f-g", "f-f"])
+def test_gamma_field_gradient(any_geometry, same):
+    # through each frame field, it matches central differences of Gamma's own
+    # values and the coefficient-matrix formula d_l [a_ik d_i f d_k g]
+    geo, _, _ = any_geometry
+    f, g, _, pts = _random_fields_and_points(geo, n_pts=200)
+    g = f if same else g
+    grad = geo.gamma_field(f, g).grad_at(pts)
+    scale = np.max(np.abs(grad))
+    fd = central_difference_grad(geo.gamma_field(f, g), pts)
+    assert np.max(np.abs(grad - fd)) < 1e-7 * scale
+    A = geo.coefficient_matrix(pts)
+    gf, hf, gg, hg = f.grad_at(pts), f.hess_at(pts), g.grad_at(pts), g.hess_at(pts)
+    old = (np.einsum("nlik,ni,nk->nl", coefficient_matrix_grad(geo, pts), gf, gg)
+           + np.einsum("nik,nil,nk->nl", A, hf, gg) + np.einsum("nik,ni,nkl->nl", A, gf, hg))
+    assert np.max(np.abs(grad - old)) <= 1e-12 * scale

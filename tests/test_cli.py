@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import hardylab as hl
-from hardylab.cli import RunConfig, list_catalog, main
+from hardylab.cli import RunConfig, _thread_map, list_catalog, main
 from hardylab.errors import UsageError
 
 
@@ -478,12 +478,59 @@ def _bench_config(name: str, n: int, **parameters) -> dict:
     pytest.param(_bench_config("logr-best-constant", 1024, alpha=1e308),
                  id="best-constant-alpha-1e308"),
     pytest.param(dict(SMALL_QCOND, parameters={"tol": 10 ** 400}), id="integer-beyond-floats"),
+    # psi^p overflows a float on the grid
+    pytest.param(_bench_config("heis-curvature", 20, p=1000), id="curvature-p-1000"),
+    pytest.param(dict(_bench_config("heis-curvature", 20, p=1000), operation="suffcond"),
+                 id="suffcond-p-1000"),
+    pytest.param(_bench_config("heis-funcineq", 20, p=1000), id="funcineq-p-1000"),
+    pytest.param(_bench_config("eu3-subcommutation", 12, p=1000), id="subcommutation-p-1000"),
 ])
 def test_config_value_faults_exit_2_with_one_line(tmp_path, capsys, payload):
     cfg = write_config(tmp_path, payload)
     assert main(["run", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n", [
+    pytest.param(10 ** 30, id="beyond-an-index"),
+    # 2^57 nodes fit an index, but their coordinates need 2^60 bytes
+    pytest.param(2 ** 19, id="beyond-memory"),
+])
+def test_grid_too_large_exits_2_with_one_line_naming_grid_n(tmp_path, capsys, n):
+    cfg = write_config(tmp_path, _bench_config("heis-qcond", n))
+    assert main(["run", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid.n gives ") and err.count("\n") == 1
+
+
+def test_grid_failing_to_allocate_exits_2_with_one_line_naming_grid_n(tmp_path, capsys,
+                                                                      monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr("hardylab.cli.default_grid", no_memory)
+    assert main(["run", "--config", write_config(tmp_path, SMALL_QCOND)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid.n gives ") and err.count("\n") == 1
+
+
+def test_funcineq_right_side_below_zero_is_a_violation(tmp_path, capsys):
+    # gamma 1000 takes every right side below 0 while each left side stays above
+    cfg = write_config(tmp_path, _bench_config("heis-funcineq", 20, gamma=1000.0))
+    out_csv = tmp_path / "rows.csv"
+    assert main(["run", "--config", cfg, "--out", str(out_csv)]) == 1
+    out, err = capsys.readouterr()
+    summary = json.loads(out)
+    assert err == "" and summary["verdict"] == "violation" and summary["worst_ratio"] is None
+    rows = [line.split(",") for line in out_csv.read_text().splitlines()]
+    lhs, rhs = rows[0].index("lhs"), rows[0].index("rhs")
+    assert all(float(row[lhs]) > 0.0 > float(row[rhs]) for row in rows[1:])
+
+
+def test_thread_map_workers_keep_the_callers_float_error_handling():
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            _thread_map(lambda x: np.float64(1e300) * x, [1.0, 1e300], 2)
 
 
 @pytest.mark.parametrize("payload", [

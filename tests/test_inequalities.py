@@ -1,3 +1,4 @@
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -8,13 +9,15 @@ import hardylab as hl
 from hardylab.errors import PreconditionError, UsageError
 from hardylab.fields import (ComposeField, QuotientField, SquareNormField,
                              poly_bump_map, power_map)
-from hardylab.inequalities import (PowerTrialFamily, dilation_hardy_report,
+from hardylab.inequalities import (HardyReport, PowerTrialFamily,
+                                   dilation_hardy_report,
                                    dilation_log_hardy_report,
                                    estimate_best_constant, funcineq_report,
                                    funcineqgeneral_report, hardy_report,
                                    homogeneous_norm_report, log_hardy_report,
                                    radial_hardy_report, radial_log_hardy_report,
-                                   rayleigh_ratio, weighted_log_hardy_report)
+                                   rayleigh_ratio, secondary_condition_defect,
+                                   weighted_log_hardy_report)
 from hardylab.testfunctions import bump_corpus, radial_bump
 
 # Frozen 1D quadrature oracles (scipy.integrate.quad on the closed-form
@@ -157,7 +160,8 @@ def test_radial_hardy_rejects_failing_secondary_condition():
     f = radial_bump(aniso, 0.8, 1.5)
     # the defect is computed once per grid, but every call checks it
     for _ in range(3):
-        with pytest.raises(PreconditionError, match="Gamma"):
+        with pytest.raises(PreconditionError, match=re.escape(
+                "Gamma(psi, Gamma(psi)) = 1.784e+01 exceeds tolerance 1.0e-08")):
             radial_hardy_report(geo, w, 2.5, 0.0, f, grid)
         with pytest.raises(PreconditionError, match="Gamma"):
             radial_log_hardy_report(geo, w, 2.5, 0.0, f, grid)
@@ -165,6 +169,22 @@ def test_radial_hardy_rejects_failing_secondary_condition():
     assert radial_hardy_report(geo, w, 2.5, 0.0, f, grid, secondary_tol=1e3).lhs > 0
     with pytest.raises(PreconditionError):
         radial_hardy_report(geo, w, 2.5, 0.0, f, grid)
+    assert secondary_condition_defect(geo, aniso, grid.points) == pytest.approx(
+        17.83776365418255, rel=1e-13)
+    fine = hl.default_grid(geo, w, bounds=[(-2, 2)] * 2, n=200, excision_radius=0.2)
+    with pytest.raises(PreconditionError, match=re.escape(
+            "Gamma(psi, Gamma(psi)) = 2.183e+01 exceeds tolerance 1.0e-08")):
+        radial_hardy_report(geo, w, 2.5, 0.0, f, fine)
+    assert secondary_condition_defect(geo, aniso, fine.points) == pytest.approx(
+        21.827593387203105, rel=1e-13)
+
+
+def test_a_report_without_a_ratio_passes_only_when_lhs_is_at_most_rhs():
+    # rhs <= 0 leaves the ratio undefined; lhs > 0 > rhs is a violation
+    assert not HardyReport("funcineq", 0.03, -156.3, 1.0, None).passes()
+    assert not HardyReport("funcineq", 0.03, 0.0, 1.0, None).passes()
+    assert HardyReport("funcineq", -2.0, -1.0, 1.0, None).passes()
+    assert HardyReport("hardy", 0.0, 0.0, 1.0, None).passes()
 
 
 def test_radial_log_hardy_runs(eu3):
