@@ -3,7 +3,7 @@ vector-field frames, their Hardy-type inequalities, and the weighted
 contractivity of the associated heat semigroups.
 
 numpy is always needed.  scipy is needed only by the heat-semigroup API
-(``evolve``, ``subcommutation_check``, ``contraction_trace``,
+(``evolve``, ``trajectory``, ``subcommutation_check``, ``contraction_trace``,
 ``ContractionTrace``, ``symmetry_defect``); those names are loaded from
 ``hardylab.semigroup`` on first use, so the rest of the package runs without
 importing scipy.
@@ -36,7 +36,7 @@ __version__ = "0.1.0"
 
 # names re-exported from .semigroup, which imports scipy; loaded on first use
 _SEMIGROUP_NAMES = ("ContractionTrace", "contraction_trace", "evolve",
-                    "subcommutation_check", "symmetry_defect")
+                    "subcommutation_check", "symmetry_defect", "trajectory")
 
 
 def __getattr__(name):

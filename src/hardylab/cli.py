@@ -269,13 +269,13 @@ def _best_constant(ctx: _Context):
 
 
 def _evolve(ctx: _Context):
-    from .semigroup import evolve  # imports scipy, only for the two semigroup operations
-    times, states = evolve(ctx.geo, ctx.bumps(1)[0], ctx.grid,
-                           ctx.params["t_max"], ctx.params["dt"])
+    from .semigroup import trajectory  # imports scipy, only for the two semigroup operations
     w = ctx.grid.weights
+    # one row per sample as it arrives: no trajectory array is ever held
     rows = [{"t": float(t), "l2_norm": float(np.sqrt(np.sum(w * s ** 2))),
              "mass": float(np.sum(w * s))}
-            for t, s in zip(times, states)]
+            for t, s in trajectory(ctx.geo, ctx.bumps(1)[0], ctx.grid,
+                                   ctx.params["t_max"], ctx.params["dt"])]
     return True, {"samples": len(rows)}, rows
 
 

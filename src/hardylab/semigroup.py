@@ -157,31 +157,57 @@ class _Stepper:
         return out
 
 
-def evolve(diff, f0: ScalarField, grid: Grid, t_max: float, dt: float,
-           n_samples: int = 51):
-    """Implicit-Euler trajectory of u' = L_h u from f0 with Dirichlet data.
-
-    Returns (times, states) with states of shape (n_samples, n_nodes); the
-    samples are evenly spaced in step index and always include t = 0 and
-    the final time.
-    """
+def _start(diff, f0, grid: Grid, t_max: float, dt: float, n_samples: int):
+    """(stepper, initial state, sample step indices) after every check."""
+    if n_samples < 2:
+        raise PreconditionError(f"n_samples must be at least 2 (t = 0 and the final time), "
+                                f"got {n_samples!r}")
+    if not isinstance(f0, ScalarField) and np.shape(f0) != (grid.n_nodes,):
+        raise PreconditionError(f"initial state must have shape ({grid.n_nodes},), one value "
+                                f"per grid node, got {np.shape(f0)}")
     stepper = _Stepper(diff, grid, dt)
-    u = f0.value_at(grid.points) if isinstance(f0, ScalarField) else np.asarray(f0, float).copy()
+    u = np.array(f0.value_at(grid.points) if isinstance(f0, ScalarField) else f0, float)
     if not np.all(np.isfinite(u)):
         raise PreconditionError("initial state must be finite on the grid")
     nsteps = stepper.n_steps(t_max)
-    sample_at = np.unique(np.linspace(0, nsteps, min(n_samples, nsteps + 1)).astype(int))
-    times = []
-    states = []
-    if 0 in sample_at:
-        times.append(0.0)
-        states.append(u.copy())
-    for k in range(1, nsteps + 1):
-        u = stepper.step(u)
-        if k in sample_at:
-            times.append(k * dt)
-            states.append(u.copy())
-    return np.array(times), np.array(states)
+    steps = np.unique(np.linspace(0, nsteps, min(n_samples, nsteps + 1)).astype(int))
+    return stepper, u, steps
+
+
+def _walk(stepper: _Stepper, u, steps):
+    """Step on from u, yielding (k * dt, state) at each step k of the
+    ascending steps."""
+    k = 0
+    for target in steps:
+        while k < target:
+            u = stepper.step(u)
+            k += 1
+        yield k * stepper.dt, u
+
+
+def trajectory(diff, f0, grid: Grid, t_max: float, dt: float, n_samples: int = 51):
+    """Implicit-Euler trajectory of u' = L_h u from f0 with Dirichlet data,
+    one sample at a time.
+
+    f0 is a ScalarField or one value per grid node.  Yields (t, state) at
+    n_samples steps evenly spaced in step index (at every step when there
+    are fewer), always including t = 0 and the final time; t is k * dt at
+    step k.
+    Only the current state is held, and no yielded state is changed later.
+    The arguments are checked when this is called, before the first sample.
+    """
+    return _walk(*_start(diff, f0, grid, t_max, dt, n_samples))
+
+
+def evolve(diff, f0, grid: Grid, t_max: float, dt: float, n_samples: int = 51):
+    """The samples of ``trajectory`` as (times, states), states of shape
+    (samples, n_nodes)."""
+    stepper, u, steps = _start(diff, f0, grid, t_max, dt, n_samples)
+    times = np.empty(len(steps))
+    states = np.empty((len(steps), grid.n_nodes))
+    for i, (t, state) in enumerate(_walk(stepper, u, steps)):
+        times[i], states[i] = t, state
+    return times, states
 
 
 @dataclass
@@ -225,7 +251,7 @@ def contraction_trace(diff, W: ScalarField, f0: ScalarField, grid: Grid,
         flag = False
         for f in precheck_corpus:
             rep = funcineq_report(diff, W, gamma, f, grid)
-            if rep.ratio is not None and rep.ratio > 1.0 + precheck_tol:
+            if not rep.passes(precheck_tol):
                 flag = True
                 break
     w = stepper.w
@@ -235,12 +261,9 @@ def contraction_trace(diff, W: ScalarField, f0: ScalarField, grid: Grid,
     times = np.arange(nsteps + 1) * dt
     I = np.empty(nsteps + 1)
     mass = np.empty(nsteps + 1)
-    I[0] = float(np.sum(w * w2 * u ** 2))
-    mass[0] = float(np.sum(w * u))
-    for k in range(1, nsteps + 1):
-        u = stepper.step(u)
-        I[k] = float(np.sum(w * w2 * u ** 2))
-        mass[k] = float(np.sum(w * u))
+    for k, (_, state) in enumerate(_walk(stepper, u, range(nsteps + 1))):
+        I[k] = float(np.sum(w * w2 * state ** 2))
+        mass[k] = float(np.sum(w * state))
     return ContractionTrace(times=times, I_values=I, gamma=gamma,
                             mass_values=mass, funcineq_flag=flag,
                             params={"t_max": t_max, "dt": dt})

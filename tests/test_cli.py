@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import hardylab as hl
-from hardylab.cli import RunConfig, _thread_map, list_catalog, main
+from hardylab.cli import RunConfig, _thread_map, list_catalog, main, run
 from hardylab.errors import UsageError
 
 
@@ -236,6 +236,26 @@ def test_evolve_and_subcommutation_operations(tmp_path, capsys):
     assert main(["run", "--config", cfg2]) == 0
     summary = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
     assert summary["verdict"] == "pass"
+
+
+def test_evolve_run_holds_one_state_not_the_trajectory():
+    # eu3-evolve-cg on 20^3 nodes: 100 CG steps, 51 samples.  The traced peak
+    # of the run is set by assembling the generator, about 1.5 times the bytes
+    # of the 51 samples; a run that kept them in a list and then stacked them
+    # peaked at about 2.9 times, and keeping one copy would pass 2.5 times
+    import tracemalloc
+
+    from hardylab import semigroup  # noqa: F401  scipy's import is not part of the run
+    n, samples = 20, 51
+    cfg = RunConfig.from_json(json.dumps(_bench_config("eu3-evolve-cg", n)))
+    tracemalloc.start()
+    try:
+        result = run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 0 and len(result.rows) == samples
+    assert peak < 2 * samples * n ** 3 * 8
 
 
 SMALL_RADIAL = {
@@ -767,7 +787,7 @@ def test_semigroup_names_are_reexported_lazily():
 
     assert hl.evolve is semigroup.evolve
     for name in ("ContractionTrace", "contraction_trace", "evolve",
-                 "subcommutation_check", "symmetry_defect"):
+                 "subcommutation_check", "symmetry_defect", "trajectory"):
         assert name in dir(hl)
         assert getattr(hl, name) is getattr(semigroup, name)
     with pytest.raises(AttributeError, match="no_such_name"):
@@ -807,8 +827,6 @@ def _tiny(geometry, weight, parameters, excision=None, n=16):
                  SWEEP_KEYS, id="funcineq-general"),
 ])
 def test_operation_runs_through_the_cli(operation, payload, keys):
-    from hardylab.cli import run
-
     result = run(RunConfig.from_json(json.dumps(dict(payload, operation=operation))))
     assert result.exit_code == 0
     assert result.summary["verdict"] == "pass"

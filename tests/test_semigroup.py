@@ -10,7 +10,8 @@ from hardylab.inequalities import funcineq_report
 from hardylab.operators import weighted_operator
 from hardylab.semigroup import (apply_Lh, assemble_generator,
                                 contraction_trace, evolve,
-                                subcommutation_check, symmetry_defect)
+                                subcommutation_check, symmetry_defect,
+                                trajectory)
 from hardylab.testfunctions import radial_bump, smoothed_power
 
 
@@ -188,6 +189,72 @@ def test_equivalence_both_directions(radial3):
                                dt=1e-4, precheck_corpus=[f_bad])
     assert tr_bad.funcineq_flag is True
     assert not tr_bad.passes(1e-8)
+
+
+@pytest.mark.parametrize("path", ["lu", "cg"])
+def test_evolve_is_the_stacked_trajectory(interval_grid, eu3, path):
+    # the same samples bit for bit, on the factored 1D path and the CG 3D path;
+    # every yielded state is its own array, unchanged by later steps
+    if path == "lu":
+        geo, grid = interval_grid
+        f0 = radial_bump(hl.CoordinateField(0), 0.2, 0.8)
+    else:
+        geo, w, _ = eu3
+        grid = hl.default_grid(geo, w, bounds=[(-2, 2)] * 3, n=12, excision_radius=0.25)
+        f0 = radial_bump(w.psi, 0.6, 1.6)
+    times, states = evolve(geo, f0, grid, t_max=0.02, dt=1e-3, n_samples=8)
+    samples = list(trajectory(geo, f0, grid, t_max=0.02, dt=1e-3, n_samples=8))
+    assert [t for t, _ in samples] == [k * 1e-3 for k in (0, 2, 5, 8, 11, 14, 17, 20)]
+    assert times.tobytes() == np.array([t for t, _ in samples]).tobytes()
+    assert states.tobytes() == np.stack([u for _, u in samples]).tobytes()
+    assert len({id(u) for _, u in samples}) == len(samples)
+    assert states[0].tobytes() == f0.value_at(grid.points).tobytes()
+
+
+def test_trajectory_takes_every_step_when_there_are_fewer_than_samples(interval_grid):
+    geo, grid = interval_grid
+    times, states = evolve(geo, ConstField(0.0), grid, 0.003, 1e-3)
+    assert times.tolist() == [0.0, 1e-3, 2e-3, 3e-3] and states.shape == (4, grid.n_nodes)
+
+
+@pytest.mark.parametrize("run", [evolve, trajectory])
+@pytest.mark.parametrize("n_samples", [1, 0, -3])
+def test_fewer_than_two_samples_is_rejected(interval_grid, run, n_samples):
+    # t = 0 and the final time are always samples, so fewer than 2 cannot be
+    geo, grid = interval_grid
+    with pytest.raises(PreconditionError, match="n_samples must be at least 2"):
+        run(geo, ConstField(0.0), grid, 0.01, 1e-3, n_samples=n_samples)
+
+
+@pytest.mark.parametrize("run", [evolve, trajectory])
+@pytest.mark.parametrize("shape", [(511,), (1, 512), (512, 1), ()])
+def test_initial_state_of_the_wrong_shape_is_rejected(interval_grid, run, shape):
+    geo, grid = interval_grid
+    assert grid.n_nodes == 512
+    with pytest.raises(PreconditionError, match=r"shape \(512,\), one value per grid node"):
+        run(geo, np.zeros(shape), grid, 0.01, 1e-3)
+
+
+def test_initial_state_array_is_copied(interval_grid):
+    geo, grid = interval_grid
+    f0 = np.sin(np.pi * grid.points[:, 0])
+    first = f0.copy()
+    (t0, u0), _ = list(trajectory(geo, f0, grid, 0.002, 1e-3, n_samples=2))
+    u0[:] = 0.0
+    assert t0 == 0.0 and np.array_equal(f0, first)
+
+
+def test_contraction_trace_precheck_flags_a_report_without_ratio(eu2):
+    # a large gamma makes the right side negative: the report has no ratio,
+    # and lhs > rhs is a violation that the precheck must flag
+    geo, w, _ = eu2
+    grid = hl.default_grid(geo, w, bounds=[(-2, 2)] * 2, n=24, excision_radius=0.3)
+    f = hl.bump_corpus(w.psi, grid, 1, 0, (0.5, 1.6))[0]
+    rep = funcineq_report(geo, ConstField(1.0), 1000.0, f, grid)
+    assert rep.ratio is None and rep.lhs > rep.rhs and not rep.passes()
+    tr = contraction_trace(geo, ConstField(1.0), f, grid, 0.002, 1e-3, gamma=1000.0,
+                           precheck_corpus=[f])
+    assert tr.funcineq_flag is True
 
 
 def test_evolve_rejects_bad_dt(interval_grid):
