@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DomainError, NumericError, PreconditionError
 from .fields import (ComposeField, ProductField, ScalarField, SmoothMap,
                      SupportedField, VectorField, as_points, blockwise, memo,
-                     row_block, squared, unsupported, with_fd)
+                     squared, unsupported, with_fd)
 
 
 class Diffusion:
@@ -68,15 +68,8 @@ class FrameDiffusion(Diffusion):
     # -- frame data (memoized against the points-array identity) -------------
 
     def frame_values(self, pts):
-        """(l, n, m) frame coefficients, cached per points array in a slot of
-        their own.  A row block of ``fields.blockwise`` is cut from its whole
-        array's coefficients, which the per-test-function passes read next."""
-        block = row_block(pts)
-        if block is not None:
-            whole, start, stop = block
-            return memo(self, "_frame_memo", "C", pts, lambda p: np.ascontiguousarray(
-                self.frame_values(whole)[:, start:stop]))
-        return memo(self, "_values_memo", "C", pts, lambda p: np.stack(
+        """(l, n, m) frame coefficients."""
+        return memo(self, "_frame_memo", "C", pts, lambda p: np.stack(
             [X.coeff_values(p) for X in self.frame], axis=0))
 
     def frame_grads(self, pts):

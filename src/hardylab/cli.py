@@ -331,7 +331,8 @@ _NUMBER = (_is_number, "a finite number")
 _OBJECT = (lambda v: isinstance(v, dict), "a JSON object")
 _SPEC = (lambda v: isinstance(v, dict) and "name" in v, "a JSON object with a name")
 _SECTIONS = {
-    "config": {"schema": (lambda v: v == SCHEMA_VERSION, str(SCHEMA_VERSION)),
+    "config": {"schema": (lambda v: _is_count(v, 1) and v == SCHEMA_VERSION,
+                          f"the integer {SCHEMA_VERSION}"),
                "geometry": _SPEC, "weight": _SPEC,
                "operation": (lambda v: v in OPERATIONS, f"one of {', '.join(OPERATIONS)}"),
                "parameters": _OBJECT, "grid": _OBJECT, "corpus": _OBJECT},
@@ -450,19 +451,21 @@ def main(argv=None) -> int:
     try:
         if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
             raise UsageError(f"the directory of --out {args.out!r} does not exist")
-        with open(args.config) as fh:
+        if args.out and os.path.isdir(args.out):
+            raise UsageError(f"--out {args.out!r} is a directory")
+        with open(args.config, encoding="utf-8") as fh:
             cfg = RunConfig.from_json(fh.read())
         if args.seed is not None:
             cfg.corpus["seed"] = args.seed
             cfg._check_values()
         result = run(cfg, refine=args.refine)
+        if args.out:
+            write_rows(result.rows, args.out, args.format)
     except (UsageError, PreconditionError, DegenerateInputError, NumericError,
-            FloatingPointError, FileNotFoundError) as e:
+            FloatingPointError, OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
-    if args.out:
-        write_rows(result.rows, args.out, args.format)
     print(json.dumps(result.summary, sort_keys=True, default=str))
     return result.exit_code
 

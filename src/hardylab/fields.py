@@ -32,9 +32,7 @@ comparison ratio of ``conditions.qcond_ratios``, ``suffcond_values``,
 ``calculus.l_of_square``, the weight-side terms of ``inequalities`` and
 ``catalog.estimate_kappa``.  Each block is a new array object, so the
 single-slot memos of a tree hold one block's arrays at a time, not the
-whole grid's; a frame diffusion cuts a block's frame coefficients from
-those of the whole array (:func:`row_block`), which the per-test-function
-passes read next.  The results are bit-identical to one whole-array pass:
+whole grid's.  The results are bit-identical to one whole-array pass:
 every operation on a row depends on that row alone, each block is
 C-contiguous like the grid, so einsum sums in the same order, and a block
 has at least 2 rows, since einsum sums a one-row array in another order.
@@ -72,15 +70,6 @@ def memo(owner, slot: str, key, pts, fn):
     return values[key]
 
 
-_BLOCKS = {}  # id(block) -> (whole, start, stop) while blockwise evaluates the block
-
-
-def row_block(pts):
-    """(whole, start, stop) while :func:`blockwise` evaluates ``pts`` as the
-    rows start:stop of the array ``whole``; None for any other array."""
-    return _BLOCKS.get(id(pts))
-
-
 def blockwise(fn, pts):
     """``fn(pts)`` for a per-node ``fn``, evaluated on C-contiguous blocks of
     ``BLOCK_ROWS`` rows and concatenated (item by item when ``fn`` returns a
@@ -93,15 +82,8 @@ def blockwise(fn, pts):
     if len(starts) <= 1:
         return fn(pts)
 
-    def run(start, stop):
-        block = np.ascontiguousarray(pts[start:stop])
-        _BLOCKS[id(block)] = (pts, start, stop)  # block stays alive, so its id is unique
-        try:
-            return fn(block)
-        finally:
-            del _BLOCKS[id(block)]
-
-    parts = [run(a, b) for a, b in zip(starts, starts[1:] + [len(pts)])]
+    parts = [fn(np.ascontiguousarray(pts[a:b]))
+             for a, b in zip(starts, starts[1:] + [len(pts)])]
     if isinstance(parts[0], tuple):
         return tuple(np.concatenate(items) for items in zip(*parts))
     return np.concatenate(parts)

@@ -19,6 +19,12 @@ def write_config(tmp_path, payload, name="cfg.json"):
     return str(path)
 
 
+def write_bytes(tmp_path, data: bytes, name="cfg.json"):
+    path = tmp_path / name
+    path.write_bytes(data)
+    return str(path)
+
+
 BASE_QCOND = {
     "schema": 1,
     "geometry": {"name": "euclidean", "params": {"m": 3}},
@@ -498,6 +504,9 @@ def _bench_config(name: str, n: int, **parameters) -> dict:
     pytest.param(_bench_config("logr-best-constant", 1024, alpha=1e308),
                  id="best-constant-alpha-1e308"),
     pytest.param(dict(SMALL_QCOND, parameters={"tol": 10 ** 400}), id="integer-beyond-floats"),
+    # True == 1 == 1.0, but the schema version is the integer 1
+    pytest.param(dict(SMALL_QCOND, schema=True), id="schema-true"),
+    pytest.param(dict(SMALL_QCOND, schema=1.0), id="schema-1.0"),
     # psi^p overflows a float on the grid
     pytest.param(_bench_config("heis-curvature", 20, p=1000), id="curvature-p-1000"),
     pytest.param(dict(_bench_config("heis-curvature", 20, p=1000), operation="suffcond"),
@@ -681,16 +690,43 @@ def test_non_integer_thread_count_exits_2_with_one_line(tmp_path, capsys, monkey
     assert ran == []
 
 
-def test_out_path_in_missing_directory_exits_2_before_the_run(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("out", [
+    pytest.param("missing/report.csv", id="in-missing-directory"),
+    pytest.param(".", id="a-directory"),
+])
+def test_out_path_that_names_no_file_exits_2_before_the_run(tmp_path, capsys, monkeypatch,
+                                                             out):
     from hardylab import cli
 
     ran = []
     monkeypatch.setattr(cli, "_dispatch", lambda *a, **k: ran.append(a))
-    out = str(tmp_path / "missing" / "report.csv")
+    out = str(tmp_path / out)
     assert main(["run", "--config", write_config(tmp_path, SMALL_HARDY), "--out", out]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert ran == []
+
+
+def test_out_path_failing_to_open_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    from hardylab import cli
+
+    monkeypatch.setattr(cli, "_dispatch", lambda *a, **k: cli.RunResult(0, {}, [{"index": 0}]))
+    # its directory exists, but no file system takes a 300-byte name
+    out = str(tmp_path / ("r" * 300 + ".csv"))
+    assert main(["run", "--config", write_config(tmp_path, SMALL_HARDY), "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("config", [
+    pytest.param(str, id="a-directory"),
+    pytest.param(lambda tmp_path: write_bytes(tmp_path, b'{"schema": 1\xff}'), id="not-utf-8"),
+])
+def test_config_that_cannot_be_read_exits_2_with_one_line(tmp_path, capsys, config):
+    assert main(["run", "--config", config(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 SMALL_BEST_CONSTANT = {

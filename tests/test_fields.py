@@ -339,7 +339,7 @@ def test_blockwise_equals_one_whole_array_pass_bit_for_bit(monkeypatch, n, block
     assert single.tobytes() == whole[0].tobytes()
 
 
-def test_a_blocked_pass_cuts_frame_values_from_the_whole_array(monkeypatch):
+def test_a_blocked_pass_evaluates_frame_values_on_its_blocks_only(monkeypatch):
     monkeypatch.setattr(fields, "BLOCK_ROWS", 7)
     geo, psi = _koranyi()
     pts = RNG.uniform(-2.0, 2.0, size=(30, 3))
@@ -348,9 +348,8 @@ def test_a_blocked_pass_cuts_frame_values_from_the_whole_array(monkeypatch):
     monkeypatch.setattr(VectorField, "coeff_values",
                         lambda self, p: rows.append(len(p)) or coeff_values(self, p))
     fields.blockwise(lambda p: geo.gamma(psi, psi, p), pts)
-    geo.gamma(psi, psi, pts)
-    # each of the two frame fields is evaluated once, on the whole array
-    assert rows == [30, 30]
+    # each of the two frame fields once per block, never on the whole array
+    assert rows == [7, 7, 7, 7, 7, 7, 7, 7, 2, 2]
 
 
 def _pointwise_results():

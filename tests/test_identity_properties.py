@@ -1,0 +1,48 @@
+"""Property test: the carre du champ matches its definition
+Gamma(f, g) = (1/2)(L(fg) - f Lg - g Lf), and L obeys the chain rule
+L(phi(f)) = phi'(f) Lf + phi''(f) Gamma(f), for random polynomial fields on
+every catalog geometry."""
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+import hardylab as hl  # noqa: E402
+from hardylab.calculus import chain_rule_defect, gamma_definition_defect  # noqa: E402
+from hardylab.catalog import GEOMETRIES  # noqa: E402
+from hardylab.fields import ComposeField, exp_map, power_map  # noqa: E402
+from hardylab.testfunctions import random_polynomial  # noqa: E402
+
+# the size parameter 2 for each geometry; the box holds the points below
+PARAMS = {name: {reads[0]: 2} for name, (_, reads, _) in GEOMETRIES.items()}
+PARAMS["convex-domain"]["box"] = [[0.0, 2.0]] * 2
+REL_TOL = 1e-12
+
+
+def _scale(*terms) -> float:
+    return max(float(np.max(np.abs(t))) for t in terms)
+
+
+@pytest.mark.parametrize("name", sorted(GEOMETRIES))
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_gamma_definition_and_chain_rule_defects_vanish(name, deg_f, deg_g, seed):
+    geo = hl.make_geometry(name, **PARAMS[name])
+    rng = np.random.default_rng(seed)
+    f = random_polynomial(geo.dim, deg_f, rng)
+    g = random_polynomial(geo.dim, deg_g, rng)
+    pts = rng.uniform(0.3, 1.7, size=(20, geo.dim))
+
+    lf, lg = geo.apply_L(f, pts), geo.apply_L(g, pts)
+    scale = _scale(geo.gamma(f, g, pts), 0.5 * geo.apply_L(f * g, pts),
+                   0.5 * f.value_at(pts) * lg, 0.5 * g.value_at(pts) * lf)
+    assert gamma_definition_defect(geo, f, g, pts) <= REL_TOL * scale
+
+    for phi, h in ((power_map(3), f), (exp_map(), 0.3 * f)):
+        u, lh = h.value_at(pts), geo.apply_L(h, pts)
+        scale = _scale(geo.apply_L(ComposeField(phi, h), pts), phi.d1(u) * lh,
+                       phi.d2(u) * geo.gamma(h, h, pts))
+        assert chain_rule_defect(geo, phi, h, pts) <= REL_TOL * scale
