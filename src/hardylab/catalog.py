@@ -4,6 +4,11 @@ r"""Ready-made geometries and weights with their comparison constants.
 parameters it reads and its ``hardylab list`` line; a weight also names the
 geometries it is defined on.
 
+A geometry names a frame and the density of its reversible measure, nothing
+more: ``FrameDiffusion`` derives the first-order part div_rho(X_j) X_j from
+the two, so the hyperbolic, radial and log-radial models get their terms
+(1 - m) x_m d_m, (m - 1)/r d_r and (m - 1) e^(-2u) d_u from their densities.
+
 Weights carry the comparison constant Q they satisfy in the generalized
 Laplacian comparison psi L psi = (Q - 1) Gamma(psi), one-sided weights
 carry the direction instead; all constants here are re-verified numerically
@@ -29,14 +34,15 @@ from .fields import (AffineField, ComposeField, ConstField, CoordinateField,
 class GeometrySpec(FrameDiffusion):
     """A named diffusion plus optional stratification data.
 
-    A geometry is a ``FrameDiffusion``: frame, drift, measure density,
-    dimension and domain mask are the diffusion's own.  It hashes by
-    identity, which the per-(grid, weight) memo keys that hold it rely on."""
+    A geometry is a ``FrameDiffusion``: frame, measure density, dimension
+    and domain mask are the diffusion's own, and its first-order part is
+    derived from frame and density.  It hashes by identity, which the
+    per-(grid, weight) memo keys that hold it rely on."""
 
-    def __init__(self, name: str, dim: int, frame, drift: VectorField | None,
-                 measure_density: ScalarField, stratification: tuple[int, ...] | None = None,
+    def __init__(self, name: str, dim: int, frame, measure_density: ScalarField,
+                 stratification: tuple[int, ...] | None = None,
                  domain_mask: Callable | None = None, params: dict | None = None):
-        super().__init__(frame, drift, measure_density, dim, domain_mask=domain_mask)
+        super().__init__(frame, measure_density, dim, domain_mask=domain_mask)
         if stratification is not None and len(stratification) != self.dim:
             raise UsageError("stratification must assign a stratum to every coordinate")
         self.name = name
@@ -78,9 +84,8 @@ class Weight:
 
 def _euclidean(m: int, domain_mask=None, name: str = "euclidean", **params) -> GeometrySpec:
     return GeometrySpec(name=name, dim=m, frame=tuple(coordinate_frame(m)),
-                        drift=None, measure_density=ConstField(1.0),
-                        stratification=tuple([0] * m), domain_mask=domain_mask,
-                        params={"m": m, **params})
+                        measure_density=ConstField(1.0), stratification=tuple([0] * m),
+                        domain_mask=domain_mask, params={"m": m, **params})
 
 
 def _heisenberg(m: int) -> GeometrySpec:
@@ -98,7 +103,7 @@ def _heisenberg(m: int) -> GeometrySpec:
         cy[zi] = AffineField([0.0] * i + [0.5])
         frames.append(VectorField(cy))
     strat = tuple([0] * (2 * m) + [1])
-    return GeometrySpec(name="heisenberg", dim=dim, frame=tuple(frames), drift=None,
+    return GeometrySpec(name="heisenberg", dim=dim, frame=tuple(frames),
                         measure_density=ConstField(1.0), stratification=strat,
                         params={"m": m})
 
@@ -112,16 +117,13 @@ def _hyperbolic(m: int) -> GeometrySpec:
         c = [ConstField(0.0)] * m
         c[i] = xm
         frames.append(VectorField(c))
-    dcoef = [ConstField(0.0)] * m
-    dcoef[m - 1] = -(m - 1.0) * xm
     density = ComposeField(power_map(-m), xm)
 
     def mask(pts):
         return pts[:, m - 1] > 0
 
     return GeometrySpec(name="hyperbolic", dim=m, frame=tuple(frames),
-                        drift=VectorField(dcoef), measure_density=density,
-                        domain_mask=mask, params={"m": m})
+                        measure_density=density, domain_mask=mask, params={"m": m})
 
 
 def _grushin(n: int) -> GeometrySpec:
@@ -137,7 +139,7 @@ def _grushin(n: int) -> GeometrySpec:
         frames.append(VectorField(c))
     # x-block is stratum 0, the y coordinate counts with weight 2
     strat = tuple([0] * n + [1])
-    return GeometrySpec(name="grushin", dim=dim, frame=tuple(frames), drift=None,
+    return GeometrySpec(name="grushin", dim=dim, frame=tuple(frames),
                         measure_density=ConstField(1.0), stratification=strat,
                         params={"n": n})
 
@@ -183,27 +185,21 @@ def box_facets(bounds):
 def _euclidean_radial(m: int) -> GeometrySpec:
     r = CoordinateField(0)
     frames = [VectorField([ConstField(1.0)])]
-    drift = VectorField([(m - 1.0) * ComposeField(power_map(-1.0), r)]) if m != 1 else None
     density = ComposeField(power_map(float(m - 1)), r) if m != 1 else ConstField(1.0)
 
     def mask(pts):
         return pts[:, 0] > 0
 
     return GeometrySpec(name="euclidean-radial", dim=1, frame=tuple(frames),
-                        drift=drift, measure_density=density, domain_mask=mask,
-                        params={"m": m})
+                        measure_density=density, domain_mask=mask, params={"m": m})
 
 
 def _logradial(m: int) -> GeometrySpec:
     u = CoordinateField(0)
     eu = ComposeField(exp_map(), -u)
     frames = [VectorField([eu])]
-    drift = None
-    if m != 1:
-        e2u = ComposeField(exp_map(), -2.0 * u)
-        drift = VectorField([(m - 1.0) * e2u])
     density = ComposeField(exp_map(), float(m) * u)
-    return GeometrySpec(name="logradial", dim=1, frame=tuple(frames), drift=drift,
+    return GeometrySpec(name="logradial", dim=1, frame=tuple(frames),
                         measure_density=density, params={"m": m})
 
 

@@ -11,8 +11,15 @@ Starting from a base generator L these constructors produce
 * ``dilation_operator``:  D^2 + Q_hom D for the stratum-weighted Euler field
   D = sum_j c_j y_j d_j, against coordinate volume.
 
-The drifted and radial operators need a frame base (a ``FrameDiffusion``).
-Construction is pure; derived diffusions share immutable base state.
+The drifted, radial and dilation operators are frame diffusions: each names
+a frame and a measure density, and ``FrameDiffusion`` derives the drift that
+makes it symmetric against that measure.  The drifted operator keeps the
+base frame against the density times e^s; the radial operator takes the
+one-field frame Z, whose div_rho is L psi.  Both need a frame base (a
+``FrameDiffusion``).  The weighted operator is not a frame diffusion: it
+keeps the base measure and is symmetric because L_w f = w Lf + Gamma(w, f)
+is the generator of the form int w Gamma(f, g) dmu.  Construction is pure;
+derived diffusions share immutable base state.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import numpy as np
 
 from .calculus import Diffusion, FrameDiffusion
 from .errors import PreconditionError, UsageError
-from .fields import (AffineField, ComposeField, ConstField, FuncField,
+from .fields import (AffineField, ComposeField, ConstField, CoordinateField,
                      ProductField, ScalarField, VectorField, exp_map)
 
 
@@ -59,58 +66,12 @@ class WeightedDiffusion(Diffusion):
         return np.sqrt(np.maximum(w, 0.0))[None, :, None] * self.base.frame_values(pts)
 
 
-class ZCoefficientField(ScalarField):
-    """k-th coefficient of Z = Gamma(psi, .): z_k = sum_i a_{ik} d_i psi."""
-
-    def __init__(self, base: FrameDiffusion, psi: ScalarField, k: int):
-        self.base = base
-        self.psi = psi
-        self.k = int(k)
-
-    def _value(self, pts):
-        A = self.base.coefficient_matrix(pts)
-        return np.einsum("ni,ni->n", A[:, :, self.k], self.psi.grad_at(pts))
-
-    def _grad(self, pts):
-        # z_k = sum_j (X_j psi) c_{j,k}, differentiated through each frame field
-        xp, dxp = self.base.frame_derivatives(self.psi, pts)
-        return (np.einsum("jn,jna->na", self.base.frame_values(pts)[:, :, self.k], dxp)
-                + np.einsum("jn,jna->na", xp, self.base.frame_grads(pts)[:, :, self.k]))
-
-    def _mask(self, pts):
-        return self.psi._mask(pts) & self.base.domain(pts)
-
-
-class RadialDiffusion(FrameDiffusion):
-    """One-field diffusion L_psi = Z^2 + (L psi) Z built from a base frame."""
-
-    def __init__(self, base: FrameDiffusion, psi: ScalarField):
-        zc = [ZCoefficientField(base, psi, k) for k in range(base.dim)]
-        # L psi enters through its values only
-        lpsi = FuncField(lambda pts: base.apply_L(psi, pts))
-        drift = VectorField([ProductField(lpsi, c) for c in zc])
-        super().__init__([VectorField(zc)], drift, base.measure_density,
-                         base.dim, domain_mask=base.domain)
-
-
-class DriftedDiffusion(FrameDiffusion):
-    """L_s f = L f + Gamma(s, f): the base frame, the base drift plus
-    Z = Gamma(s, .), and the measure density times e^s."""
-
-    def __init__(self, base: FrameDiffusion, sigma: ScalarField):
-        zc = [ZCoefficientField(base, sigma, k) for k in range(base.dim)]
-        drift = zc if base.drift is None else [b + z for b, z in zip(base.drift.coeffs, zc)]
-        density = ProductField(base.measure_density, ComposeField(exp_map(), sigma))
-        super().__init__(base.frame, VectorField(drift), density, base.dim,
-                         domain_mask=lambda pts: base.domain(pts) & sigma._mask(pts))
-
-
 class DilationDiffusion(FrameDiffusion):
-    """L = D^2 + Q_hom D for the stratum-weighted dilation derivation D."""
+    """L = D^2 + Q_hom D for the stratum-weighted dilation derivation D: the
+    one-field frame diffusion against coordinate volume, where div D = Q_hom."""
 
     def __init__(self, dilation: VectorField, Q_hom: float, dim: int):
-        drift = VectorField([Q_hom * c for c in dilation.coeffs])
-        super().__init__([dilation], drift, ConstField(1.0), dim)
+        super().__init__([dilation], ConstField(1.0), dim)
         self.dilation = dilation
         self.Q_hom = float(Q_hom)
 
@@ -120,23 +81,29 @@ def weighted_operator(base: Diffusion, omega: ScalarField) -> WeightedDiffusion:
     return WeightedDiffusion(base, omega)
 
 
-def drifted_operator(base: Diffusion, sigma: ScalarField) -> DriftedDiffusion:
-    """Carry a weight e^sigma on the reversible measure instead; requires a
-    frame base, whose drift gains Z = Gamma(sigma, .)."""
+def drifted_operator(base: Diffusion, sigma: ScalarField) -> FrameDiffusion:
+    """Carry a weight e^sigma on the reversible measure instead: the base
+    frame against the density times e^sigma, so the derived drift gains
+    Z = Gamma(sigma, .).  Requires a frame base."""
     if not isinstance(base, FrameDiffusion):
         raise UsageError("drifted_operator requires a frame-based diffusion")
-    return DriftedDiffusion(base, sigma)
+    density = ProductField(base.measure_density, ComposeField(exp_map(), sigma))
+    return FrameDiffusion(base.frame, density, base.dim,
+                          domain_mask=lambda pts: base.domain(pts) & sigma._mask(pts))
 
 
-def radial_operator(base: Diffusion, psi: ScalarField) -> RadialDiffusion:
-    """Square of the derivation Z = Gamma(psi, .) plus its symmetrizing drift.
+def radial_operator(base: Diffusion, psi: ScalarField) -> FrameDiffusion:
+    """Square of the derivation Z = Gamma(psi, .) plus its symmetrizing drift
+    (L psi) Z, which div_rho Z = L psi derives.
 
-    Gamma_psi(f) = Gamma(psi, f)^2, measure unchanged.  Requires a frame
-    base so that Z's coefficients carry closed-form gradients.
+    Z's coefficients are z_k = Gamma(psi, x_k), Gamma fields with closed-form
+    gradients; Gamma_psi(f) = Gamma(psi, f)^2, measure unchanged.  Requires a
+    frame base.
     """
     if not isinstance(base, FrameDiffusion):
         raise UsageError("radial_operator requires a frame-based diffusion")
-    return RadialDiffusion(base, psi)
+    Z = VectorField([base.gamma_field(psi, CoordinateField(k)) for k in range(base.dim)])
+    return FrameDiffusion([Z], base.measure_density, base.dim, domain_mask=base.domain)
 
 
 def dilation_operator(geo) -> DilationDiffusion:

@@ -78,6 +78,12 @@ def central_difference_grad(field, pts, h=1e-5):
     return out
 
 
+def coefficient_matrix(diff, pts):
+    """a = sum_j X_j X_j^T, shape (n, i, k), from the frame coefficients."""
+    C = diff.frame_values(pts)
+    return np.einsum("jni,jnk->nik", C, C)
+
+
 def coefficient_matrix_grad(diff, pts):
     """d_l a_ik, shape (n, l, i, k), of a = sum_j X_j X_j^T from the frame
     coefficients c_ji and their gradients G[j, n, i, l] = d_l c_ji:

@@ -24,6 +24,13 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 UNLISTED = "unlisted"
 VALUES = [None, True, "x", [], {}, [1], 0, -1, 0.5, 2, 1000, 1e308, -1e308, 1e-308,
           math.nan, math.inf, -math.inf]
+# The keys that set how long a run takes.  For them the valid values 2 and
+# 1000 give way to one small valid value (t_max 1000 is 200,000 implicit-Euler
+# steps, corpus.size 1000 is 1,000 reports, a 2D grid.n of 1000 is 10^6
+# nodes, heisenberg(1000) has 2,000 frame fields of 2,001 coefficients); the
+# magnitudes their checks reject stay.
+SMALL = {("parameters", "t_max"): 0.02, ("parameters", "dt"): 0.0025,
+         ("corpus", "size"): 4, ("grid", "n"): 16, ("geometry", "params", "m"): 4}
 
 
 def _tiny(path: str) -> dict:
@@ -65,7 +72,7 @@ def _listed(cfg: dict):
 def mutated(draw):
     """(kind, config): one benchmark config with one key dropped, one key
     no table lists added to one of its objects, or one key set to a value
-    from VALUES."""
+    from VALUES (with SMALL's value for a key that sets a run's length)."""
     cfg = copy.deepcopy(draw(st.sampled_from(BASES)))
     kind = draw(st.sampled_from(["drop", "add", "set"]))
     paths = sorted(path for path, _ in _items(cfg))
@@ -82,7 +89,10 @@ def mutated(draw):
     if kind == "drop":
         del node[key]
     else:
-        node[key] = 1 if kind == "add" else copy.deepcopy(draw(st.sampled_from(VALUES)))
+        path = (*parents, key)
+        values = VALUES if path not in SMALL else [
+            v for v in VALUES if v not in (2, 1000)] + [SMALL[path]]
+        node[key] = 1 if kind == "add" else copy.deepcopy(draw(st.sampled_from(values)))
     return kind, cfg
 
 
