@@ -173,6 +173,19 @@ def _thread_map(fn, items, threads: int):
         return [first, *pool.map(call, items[1:])]
 
 
+def _per_bump(fn, corpus, threads: int):
+    """``_thread_map(fn, corpus, threads)``, where each bump forgets its
+    memos as soon as ``fn`` returns: a bump holds no values after its own
+    report, and the weight's memos, which no bump owns, stay."""
+
+    def once(f):
+        result = fn(f)
+        f.forget()
+        return result
+
+    return _thread_map(once, corpus, threads)
+
+
 @dataclass
 class RunResult:
     exit_code: int
@@ -231,8 +244,8 @@ def _suffcond(ctx: _Context):
 def _curvature(ctx: _Context):
     gam = ctx.params["gamma"]
     corpus = polynomial_bump_corpus(ctx.grid, ctx.size, ctx.seed)
-    defects = _thread_map(lambda f: check_curvature(ctx.geo, ctx.W, f, gam, ctx.grid), corpus,
-                          ctx.threads)
+    defects = _per_bump(lambda f: check_curvature(ctx.geo, ctx.W, f, gam, ctx.grid), corpus,
+                        ctx.threads)
     worst = min(defects)
     return (worst >= -ctx.params["tol"], {"gamma": gam, "worst_defect": worst},
             [{"index": i, "min_defect": d} for i, d in enumerate(defects)])
@@ -246,8 +259,8 @@ def _sweep(report: str, on_multiplier: bool = False):
     def handler(ctx: _Context):
         make = getattr(ineq, report)
         lead = (ctx.geo, ctx.W if on_multiplier else ctx.weight)
-        reports = _thread_map(lambda f: make(*lead, f=f, grid=ctx.grid, **ctx.params),
-                              ctx.bumps(ctx.size), ctx.threads)
+        reports = _per_bump(lambda f: make(*lead, f=f, grid=ctx.grid, **ctx.params),
+                            ctx.bumps(ctx.size), ctx.threads)
         ratios = [rep.ratio for rep in reports if rep.ratio is not None]
         worst = max(ratios) if ratios else None
         return (all(rep.passes(RATIO_TOL) for rep in reports),

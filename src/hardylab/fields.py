@@ -24,16 +24,24 @@ rows on a points array are a superset of the points where the value,
 gradient or Hessian can be non-zero, read off the ``inside`` predicates of
 the bump maps in the expression tree; the tree is evaluated on those rows
 only and the results are scattered into full-size zeros.  Callers that sum
-over points keep summing the full arrays, so sums do not change.
+over points keep summing the full arrays, so sums do not change.  A
+supported field memoizes its rows and, through its tree, the values on
+them, but no full-size array: each call scatters afresh.  ``forget`` drops
+all of it, and the entries that shared fields of the tree (a weight psi)
+hold on those rows, while their entries on other arrays stay.  A corpus
+bump is forgotten as soon as its own report or curvature check returns
+(``cli``), so no bump holds values past its own check.
 
 Passes that only need each node's own value, gradient and Hessian run in
-row blocks of at most about ``BLOCK_ROWS`` nodes (:func:`blockwise`): the
-comparison ratio of ``conditions.qcond_ratios``, ``suffcond_values``,
-``calculus.l_of_square``, the weight-side terms of ``inequalities`` and
-``catalog.estimate_kappa``.  Each block is a new array object, so the
-single-slot memos of a tree hold one block's arrays at a time, not the
-whole grid's.  The results are bit-identical to one whole-array pass:
-every operation on a row depends on that row alone, each block is
+row blocks of at most about ``BLOCK_ROWS`` = 16,384 nodes
+(:func:`blockwise`): the comparison ratio of ``conditions.qcond_ratios``,
+``suffcond_values``, ``calculus.l_of_square``, the weight-side terms of
+``inequalities`` and ``catalog.estimate_kappa``.  Each block is a new array
+object, so the single-slot memos of a tree hold one block's arrays at a
+time, not the whole grid's.  A block's values, gradients and Hessians down
+the tree of W^2 are the largest arrays a sweep holds, so the block size
+bounds its peak memory.  The results are bit-identical to one whole-array
+pass: every operation on a row depends on that row alone, each block is
 C-contiguous like the grid, so einsum sums in the same order, and a block
 has at least 2 rows, since einsum sums a one-row array in another order.
 Reductions over the nodes (min, max, mean, sum) run once, on the
@@ -49,7 +57,7 @@ import numpy as np
 from .errors import DomainError, UsageError
 
 DEFAULT_FD_STEP = 1e-4
-BLOCK_ROWS = 65536
+BLOCK_ROWS = 16384
 
 
 def memo(owner, slot: str, key, pts, fn):
@@ -58,7 +66,8 @@ def memo(owner, slot: str, key, pts, fn):
     The slot holds a weak reference to one points array and the values
     computed on it; asking about any other array empties the slot first, so
     a refined grid never sees a coarse grid's values.  Two threads may
-    compute the same entry at once; both store the same value.
+    compute the same entry at once; both store the same value.  Slot names
+    end in ``_memo``, which is how ``SupportedField.forget`` finds them.
     """
     entry = owner.__dict__.get(slot)
     if entry is None or entry[0]() is not pts:
@@ -534,7 +543,9 @@ class AffineField(PolyField):
     """w . x + b with constant w."""
 
     def __init__(self, weights, offset: float = 0.0):
-        super().__init__([(w, (0,) * j + (1,)) for j, w in enumerate(weights)]
+        # PolyField drops zero terms; skipping them first keeps a sparse
+        # weight list from building O(len) tuples of length O(len)
+        super().__init__([(w, (0,) * j + (1,)) for j, w in enumerate(weights) if w != 0]
                          + [(offset, ())])
 
 
@@ -791,11 +802,25 @@ class SupportedField(ScalarField):
     elsewhere, which is exact because the rows come from the bump maps'
     own ``inside`` predicates.  ``rows_of`` shares another supported
     field's rows (the square of a field has the same support).
+
+    Only the rows and the base tree's values on them are memoized: a
+    full-size array is a zero fill and one scatter, so each call builds it
+    afresh and nothing of the whole grid's size stays behind.  ``forget``
+    drops the rest once the field's work is done.
     """
 
     def __init__(self, base: ScalarField, rows_of: SupportedField | None = None):
         self.base = base
         self.rows_of = rows_of
+
+    def value_at(self, pts):
+        return self._value(pts)
+
+    def grad_at(self, pts):
+        return self._grad(pts)
+
+    def hess_at(self, pts):
+        return self._hess(pts)
 
     def rows_at(self, pts):
         """(rows, pts[rows]), memoized per points array; the base tree
@@ -828,6 +853,31 @@ class SupportedField(ScalarField):
 
     def _mask(self, pts):
         return self.base._mask(pts)
+
+    def forget(self) -> None:
+        """Drop every memo slot of this field and every slot of a field under
+        it that is keyed on its support sub-array, so it holds no values
+        until it is evaluated again.  Slots keyed on any other array (a
+        shared weight's values on the whole grid) stay."""
+        rows = self.__dict__.get("_rows_memo")
+        sub = None if rows is None else rows[1]["rows"][1]
+        for node in _reachable(self):
+            # list() copies at once: another thread may add a slot to a shared field
+            for slot, entry in list(vars(node).items()):
+                if slot.endswith("_memo") and (node is self or entry[0]() is sub):
+                    node.__dict__.pop(slot, None)
+
+
+def _reachable(field: ScalarField):
+    """``field`` and every field its attributes lead to, each once."""
+    seen = {}
+    todo = [field]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            todo.extend(v for v in list(vars(node).values()) if isinstance(v, ScalarField))
+    return list(seen.values())
 
 
 def unsupported(field: ScalarField) -> ScalarField:

@@ -10,6 +10,13 @@ are a superset of the points where the value, gradient or Hessian is
 non-zero (the ``|u| < 1`` tests of the bump maps themselves).  The
 expression tree runs on those rows only, and every array handed back is
 full-size with exact zeros elsewhere, so full-grid sums see the same values.
+
+An accepted bump holds four things: its support rows, the sub-array of the
+grid's points on them, its tree's values on that sub-array and its
+``grid.supports`` verdict.  The full-size arrays of the floor test and of
+the support check are built afresh and dropped, so no bump holds an array
+of the grid's size.  ``SupportedField.forget`` drops the rest; the sweep
+and curvature handlers of ``cli`` call it once a bump's check returns.
 """
 
 from __future__ import annotations

@@ -57,6 +57,18 @@ def test_polynomial_leaves_match_their_closed_forms_bit_for_bit():
     assert ConstField(0.0).terms == []
 
 
+@pytest.mark.parametrize("weights,offset", [
+    pytest.param([0.0, 0.0, -0.5], 0.0, id="leading-zeros"),
+    pytest.param([0.5, 0, -0.0, 2, 0.0], 1.5, id="mixed"),
+    pytest.param(np.array([0.0, 3.0, 0.0]), -1.0, id="array"),
+    pytest.param([0.0] * 4, 0.0, id="all-zero"),
+    pytest.param([], 2.0, id="empty"),
+])
+def test_affine_terms_equal_those_built_with_every_weight(weights, offset):
+    every = PolyField([(w, (0,) * j + (1,)) for j, w in enumerate(weights)] + [(offset, ())])
+    assert AffineField(weights, offset).terms == every.terms
+
+
 def _per_term_derivatives(poly, pts):
     """Gradient and Hessian of a PolyField summed term by term: the
     reference for the evaluator built on its partial derivatives."""
