@@ -67,11 +67,11 @@ class FrameDiffusion(Diffusion):
 
     def frame_values(self, pts):
         """(l, n, m) frame coefficients."""
-        return memo(self, "_frame_memo", "C", pts, lambda p: np.stack(
+        return memo(self, "C", pts, lambda p: np.stack(
             [X.coeff_values(p) for X in self.frame], axis=0))
 
     def frame_grads(self, pts):
-        return memo(self, "_frame_memo", "G", pts, lambda p: np.stack(
+        return memo(self, "G", pts, lambda p: np.stack(
             [X.coeff_grads(p) for X in self.frame], axis=0))
 
     def frame_derivatives(self, f: ScalarField, pts):
@@ -86,7 +86,7 @@ class FrameDiffusion(Diffusion):
             dxf = np.einsum("jnia,ni->jna", self.frame_grads(p), gf)
             dxf += np.einsum("jni,nia->jna", C, f.hess_at(p))
             return np.einsum("jni,ni->jn", C, gf), dxf
-        return memo(f, "_eval_memo", (self, "X"), pts, compute)
+        return memo(f, (self, "X"), pts, compute)
 
     # -- generator and carre du champ -----------------------------------------
 
@@ -207,8 +207,9 @@ def gamma(diff: Diffusion, f: ScalarField, g: ScalarField | None = None, p=None)
 
 def l_of_square(diff: Diffusion, W: ScalarField, pts):
     """L(W^2) on pts, once per (diffusion, W, points array): a corpus sweep
-    meets the same W for every test function.  Computed in row blocks."""
-    return memo(W, "_weight_memo", (diff, "L(W^2)"), pts,
+    meets the same W for every bump, however it evaluates W on its own rows.
+    Computed in row blocks."""
+    return memo(W, (diff, "L(W^2)"), pts,
                 lambda p: blockwise(lambda b: diff.apply_L(squared(W), b), p))
 
 

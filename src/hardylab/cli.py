@@ -176,7 +176,7 @@ def _thread_map(fn, items, threads: int):
 def _per_bump(fn, corpus, threads: int):
     """``_thread_map(fn, corpus, threads)``, where each bump forgets its
     memos as soon as ``fn`` returns: a bump holds no values after its own
-    report, and the weight's memos, which no bump owns, stay."""
+    report, and the weight's entries on the grid, which no bump owns, stay."""
 
     def once(f):
         result = fn(f)

@@ -24,28 +24,30 @@ rows on a points array are a superset of the points where the value,
 gradient or Hessian can be non-zero, read off the ``inside`` predicates of
 the bump maps in the expression tree; the tree is evaluated on those rows
 only and the results are scattered into full-size zeros.  Callers that sum
-over points keep summing the full arrays, so sums do not change.  A
-supported field memoizes its rows and, through its tree, the values on
-them, but no full-size array: each call scatters afresh.  ``forget`` drops
-all of it, and the entries that shared fields of the tree (a weight psi)
-hold on those rows, while their entries on other arrays stay.  A corpus
-bump is forgotten as soon as its own report or curvature check returns
-(``cli``), so no bump holds values past its own check.
+over points keep summing the full arrays, so sums do not change.  A memo
+entry (:func:`memo`) lives as long as its points array.  A supported field
+memoizes its rows and sub-array, and its tree the values on that sub-array,
+but no full-size array: each call scatters afresh.  ``forget`` drops the
+field's table, which frees the sub-array and every entry on it, also those
+of shared fields (a weight psi), whose entries on the whole grid stay.  A
+corpus bump is forgotten as soon as its own report or curvature check
+returns (``cli``), so no bump holds values past its own check.
 
 Passes that only need each node's own value, gradient and Hessian run in
 row blocks of at most about ``BLOCK_ROWS`` = 16,384 nodes
 (:func:`blockwise`): the comparison ratio of ``conditions.qcond_ratios``,
 ``suffcond_values``, ``calculus.l_of_square``, the weight-side terms of
 ``inequalities`` and ``catalog.estimate_kappa``.  Each block is a new array
-object, so the single-slot memos of a tree hold one block's arrays at a
-time, not the whole grid's.  A block's values, gradients and Hessians down
-the tree of W^2 are the largest arrays a sweep holds, so the block size
-bounds its peak memory.  The results are bit-identical to one whole-array
-pass: every operation on a row depends on that row alone, each block is
-C-contiguous like the grid, so einsum sums in the same order, and a block
-has at least 2 rows, since einsum sums a one-row array in another order.
-Reductions over the nodes (min, max, mean, sum) run once, on the
-concatenated array, because numpy's pairwise sums depend on the length.
+object, freed with its memo entries once its part is done, so a tree holds
+one block's arrays at a time, not the whole grid's.  A block's values,
+gradients and Hessians down the tree of W^2 are the largest arrays a sweep
+holds, so the block size bounds its peak memory.  The results are
+bit-identical to one whole-array pass: every operation on a row depends on
+that row alone, each block is C-contiguous like the grid, so einsum sums in
+the same order, and a block has at least 2 rows, since einsum sums a
+one-row array in another order.  Reductions over the nodes (min, max, mean,
+sum) run once, on the concatenated array, because numpy's pairwise sums
+depend on the length.
 """
 
 from __future__ import annotations
@@ -60,23 +62,32 @@ DEFAULT_FD_STEP = 1e-4
 BLOCK_ROWS = 16384
 
 
-def memo(owner, slot: str, key, pts, fn):
-    """``fn(pts)``, cached in ``owner.__dict__[slot]`` under ``key``.
+def memo(owner, key, pts, fn):
+    """``fn(pts)``, cached on ``owner`` under ``key`` while ``pts`` lives.
 
-    The slot holds a weak reference to one points array and the values
-    computed on it; asking about any other array empties the slot first, so
-    a refined grid never sees a coarse grid's values.  Two threads may
-    compute the same entry at once; both store the same value.  Slot names
-    end in ``_memo``, which is how ``SupportedField.forget`` finds them.
+    ``owner.__dict__["_memo"]`` maps ``id(pts)`` to (weak reference to pts,
+    {key: value}); the reference's callback removes the entry when pts is
+    freed.  It reaches the owner only through a weak reference, so a dropped
+    table is freed at once, with no reference cycle.  Two threads may
+    compute the same entry at once; both store the same value.
     """
-    entry = owner.__dict__.get(slot)
+    table = owner.__dict__.setdefault("_memo", {})
+    entry = table.get(id(pts))
     if entry is None or entry[0]() is not pts:
-        entry = (weakref.ref(pts), {})
-        owner.__dict__[slot] = entry
+        entry = table[id(pts)] = (weakref.ref(pts, _evict(weakref.ref(owner), id(pts))), {})
     values = entry[1]
     if key not in values:
         values[key] = fn(pts)
     return values[key]
+
+
+def _evict(owner_ref, key):
+    """A callback removing the owner's entry ``key``, unless a newer one took it."""
+    def callback(ref):
+        table = getattr(owner_ref(), "__dict__", {}).get("_memo", {})
+        if table.get(key, (None,))[0] is ref:
+            table.pop(key, None)
+    return callback
 
 
 def blockwise(fn, pts):
@@ -322,9 +333,9 @@ class ScalarField:
     ``_grad`` / ``_hess``; missing derivatives use central differences.
 
     ``value_at``/``grad_at``/``hess_at`` memoize against the identity of the
-    points array, so repeated evaluation on the same (never mutated) grid
-    array is free; composite fields use them for their children, which keeps
-    deep expression trees linear in cost.
+    points array while it lives, so repeated evaluation on the same (never
+    mutated) grid array is free; composite fields use them for their
+    children, which keeps deep expression trees linear in cost.
     """
 
     fd_step = DEFAULT_FD_STEP
@@ -357,13 +368,13 @@ class ScalarField:
     # -- memoized accessors (same points-array object => cached result) ------
 
     def value_at(self, pts):
-        return memo(self, "_eval_memo", "v", pts, self._value)
+        return memo(self, "v", pts, self._value)
 
     def grad_at(self, pts):
-        return memo(self, "_eval_memo", "g", pts, self._grad)
+        return memo(self, "g", pts, self._grad)
 
     def hess_at(self, pts):
-        return memo(self, "_eval_memo", "h", pts, self._hess)
+        return memo(self, "h", pts, self._hess)
 
     # -- implementation hooks -----------------------------------------------
 
@@ -787,7 +798,8 @@ def _support_rows(field: ScalarField, pts, rows=None):
     factor.  A product narrows its second factor's rows by its first, so
     each predicate only runs on the rows the earlier ones kept."""
     if isinstance(field, ComposeField) and field.phi.inside is not None:
-        keep = field.phi.inside(field.f.value_at(pts if rows is None else pts[rows]))
+        # _value, not value_at: a memo entry on the whole grid would outlive the bump
+        keep = field.phi.inside(field.f._value(pts if rows is None else pts[rows]))
         return np.flatnonzero(keep) if rows is None else rows[keep]
     if isinstance(field, ProductField):
         rows = _support_rows(field.g, pts, rows)
@@ -803,10 +815,10 @@ class SupportedField(ScalarField):
     own ``inside`` predicates.  ``rows_of`` shares another supported
     field's rows (the square of a field has the same support).
 
-    Only the rows and the base tree's values on them are memoized: a
-    full-size array is a zero fill and one scatter, so each call builds it
-    afresh and nothing of the whole grid's size stays behind.  ``forget``
-    drops the rest once the field's work is done.
+    Only the rows, their sub-array and the base tree's values on it are
+    memoized: a full-size array is a zero fill and one scatter, so each call
+    builds it afresh and nothing of the whole grid's size stays behind.
+    ``forget`` drops the rest once the field's work is done.
     """
 
     def __init__(self, base: ScalarField, rows_of: SupportedField | None = None):
@@ -833,7 +845,7 @@ class SupportedField(ScalarField):
             rows = np.arange(len(p)) if rows is None else rows
             return rows, p[rows]
 
-        return memo(self, "_rows_memo", "rows", pts, compute)
+        return memo(self, "rows", pts, compute)
 
     def _scatter(self, pts, evaluate):
         rows, sub = self.rows_at(pts)
@@ -855,29 +867,10 @@ class SupportedField(ScalarField):
         return self.base._mask(pts)
 
     def forget(self) -> None:
-        """Drop every memo slot of this field and every slot of a field under
-        it that is keyed on its support sub-array, so it holds no values
-        until it is evaluated again.  Slots keyed on any other array (a
-        shared weight's values on the whole grid) stay."""
-        rows = self.__dict__.get("_rows_memo")
-        sub = None if rows is None else rows[1]["rows"][1]
-        for node in _reachable(self):
-            # list() copies at once: another thread may add a slot to a shared field
-            for slot, entry in list(vars(node).items()):
-                if slot.endswith("_memo") and (node is self or entry[0]() is sub):
-                    node.__dict__.pop(slot, None)
-
-
-def _reachable(field: ScalarField):
-    """``field`` and every field its attributes lead to, each once."""
-    seen = {}
-    todo = [field]
-    while todo:
-        node = todo.pop()
-        if id(node) not in seen:
-            seen[id(node)] = node
-            todo.extend(v for v in list(vars(node).values()) if isinstance(v, ScalarField))
-    return list(seen.values())
+        """Drop this field's memo table.  That frees its support sub-array,
+        and with it every entry the tree below holds on that array; entries
+        on other arrays (a shared weight's values on the whole grid) stay."""
+        self.__dict__.pop("_memo", None)
 
 
 def unsupported(field: ScalarField) -> ScalarField:

@@ -78,14 +78,15 @@ class Grid:
 
     def fringe_mask(self, layers: int = 2):
         """Nodes within ``layers`` of a missing lattice neighbor (cached)."""
-        return memo(self, "_fringe_memo", layers, self.points,
+        return memo(self, ("fringe", layers), self.points,
                     lambda p: self.interior_depth(layers) < layers)
 
     def supports(self, f: ScalarField, layers: int = 2, rel_tol: float = 1e-12) -> bool:
         """True when f vanishes on every node within ``layers`` of a missing
         neighbor (i.e. its support stays clear of the boundary/excisions).
         The verdict is memoized on f for this grid's points, so a corpus
-        bump checked when it is drawn is not checked again by each report."""
+        bump checked when it is drawn is not checked again by each report;
+        ``SupportedField.forget`` drops it."""
 
         def check(pts):
             vals = np.abs(f.value_at(pts))
@@ -94,7 +95,7 @@ class Grid:
                 return True
             return bool(np.all(vals[self.fringe_mask(layers)] <= rel_tol * scale))
 
-        return memo(f, "_supports_memo", (layers, rel_tol), self.points, check)
+        return memo(f, ("supports", layers, rel_tol), self.points, check)
 
     def refined(self, factor: int = 2) -> "Grid":
         """Same box and excisions with the spacing divided by ``factor``."""

@@ -22,9 +22,10 @@ where an integrand is nonzero, |log psi|^a and the family's factor w (1.0 for
 none) go on both sides.  ``rayleigh_ratio``: hardy, constant 1, no support check.
 
 The costly terms no test function enters are computed once per (grid, weight)
-and cached on the weight's field for that points array (``fields.memo``): psi,
-G(psi), the powers psi^a (W^2 among them), L(W^2) and L(W), the defects
-G(psi, G(psi)) and D psi - psi, and the kappa estimates.  Keys carry every
+and cached on the weight's field while that points array lives
+(``fields.memo``): psi, G(psi), the powers psi^a (W^2 among them), L(W^2) and
+L(W), the defects G(psi, G(psi)) and D psi - psi, and the kappa estimates; a
+bump's own entries on its sub-array leave them in place.  Keys carry every
 parameter a value depends on (the diffusion, alpha, Q, beta; p through W
 itself).  Only the inputs of the checks are cached: every report compares
 them against its own tolerance and raises on its own.
@@ -113,25 +114,18 @@ def _form(inequality_id: str, grid: Grid, f: ScalarField, sides,
 
 
 # -- weight-side terms: once per (field, key, points array) -----------------
-# Each is cached in the field's "_weight_memo" slot; keys name the quantity,
-# the diffusion and every parameter it depends on.  The terms that need
-# derivatives are computed in row blocks (``fields.blockwise``) and cached
-# for the whole points array.
+# Each is cached in the field's one memo table, next to its own "v"/"g"/"h";
+# keys name the quantity, the diffusion and every parameter it depends on, so
+# no two meet.  The terms that need derivatives are computed in row blocks
+# (``fields.blockwise``) and cached for the whole points array.
 
 def _gamma_psi(diff: Diffusion, psi: ScalarField, pts):
-    return memo(psi, "_weight_memo", (diff, "Gamma"), pts,
+    return memo(psi, (diff, "Gamma"), pts,
                 lambda p: blockwise(lambda b: diff.gamma(psi, psi, b), p))
 
 
-def _values(psi: ScalarField, pts):
-    """psi on the whole points array.  A bump built on psi evaluates psi on
-    its support rows only, which empties psi's own single-slot value memo;
-    this slot is never asked about those row subsets."""
-    return memo(psi, "_weight_memo", "value", pts, psi.value_at)
-
-
 def _power(psi: ScalarField, a: float, pts):
-    return memo(psi, "_weight_memo", ("power", a), pts, lambda p: _values(psi, p) ** a)
+    return memo(psi, ("power", a), pts, lambda p: psi.value_at(p) ** a)
 
 
 def _excluded(value: float, point: float, *operands: float) -> bool:
@@ -157,7 +151,7 @@ def _hardy_sides(diff: Diffusion, psi: ScalarField, alpha: float, const: float,
 
     def sides(pts, fv):
         pa = _power(psi, alpha, pts)
-        return (const, [(1.0, pa * _gamma_psi(diff, psi, pts) / _values(psi, pts) ** 2)],
+        return (const, [(1.0, pa * _gamma_psi(diff, psi, pts) / psi.value_at(pts) ** 2)],
                 [(const, pa * diff.gamma(f, f, pts))], params)
 
     return sides
@@ -171,7 +165,7 @@ def _log_sides(const: float, alpha: float, psi: ScalarField, parts, params: dict
 
     def sides(pts, fv):
         w, num, den, energy = parts(pts)
-        pv = _values(psi, pts)
+        pv = psi.value_at(pts)
         nz = fv != 0.0
         if np.any(pv[nz] < 1.0) and np.any(pv[nz] > 1.0):
             raise PreconditionError("support crosses the level set {psi = 1}")
@@ -198,7 +192,7 @@ def log_hardy_report(geo, psi: Weight, alpha: float, f: ScalarField,
     const = _log_constant(alpha)
 
     def parts(pts):
-        return (1.0, _gamma_psi(geo, psi.psi, pts), _values(psi.psi, pts) ** 2,
+        return (1.0, _gamma_psi(geo, psi.psi, pts), psi.psi.value_at(pts) ** 2,
                 geo.gamma(f, f, pts))
 
     return _form("log-hardy", grid, f, _log_sides(const, alpha, psi.psi, parts,
@@ -215,7 +209,7 @@ def weighted_log_hardy_report(geo, psi: Weight, Q: float, alpha: float,
 
     def parts(pts):
         return (_power(psi.psi, 2.0 - Q, pts), _gamma_psi(geo, psi.psi, pts),
-                _values(psi.psi, pts) ** 2, geo.gamma(f, f, pts))
+                psi.psi.value_at(pts) ** 2, geo.gamma(f, f, pts))
 
     return _form("weighted-log-hardy", grid, f, _log_sides(
         const, alpha, psi.psi, parts, {"Q": Q, "alpha": alpha, "weight": psi.name}))
@@ -229,8 +223,7 @@ def secondary_condition_defect(diff: Diffusion, psi: ScalarField, pts) -> float:
         gpsi = diff.gamma_field(psi, psi)
         return float(np.max(np.abs(blockwise(lambda b: diff.gamma(psi, gpsi, b), p))))
 
-    return memo(psi, "_weight_memo", (diff, "secondary"), np.asarray(pts, dtype=float),
-                compute)
+    return memo(psi, (diff, "secondary"), np.asarray(pts, dtype=float), compute)
 
 
 def _require_secondary(diff: Diffusion, psi: ScalarField, pts, tol: float):
@@ -250,7 +243,7 @@ def radial_hardy_report(geo, psi: Weight, Q: float, alpha: float, f: ScalarField
         _require_secondary(geo, psi.psi, pts, secondary_tol)
         pa = _power(psi.psi, alpha, pts)
         gpsi = _gamma_psi(geo, psi.psi, pts)
-        return (const, [(1.0, pa * gpsi ** 2 / _values(psi.psi, pts) ** 2)],
+        return (const, [(1.0, pa * gpsi ** 2 / psi.psi.value_at(pts) ** 2)],
                 [(const, pa * geo.gamma(psi.psi, f, pts) ** 2)],
                 {"Q": Q, "alpha": alpha, "weight": psi.name})
 
@@ -267,7 +260,7 @@ def radial_log_hardy_report(geo, psi: Weight, Q: float, alpha: float,
     def parts(pts):
         _require_secondary(geo, psi.psi, pts, secondary_tol)
         return (_power(psi.psi, 2.0 - Q, pts), _gamma_psi(geo, psi.psi, pts) ** 2,
-                _values(psi.psi, pts) ** 2, geo.gamma(psi.psi, f, pts) ** 2)
+                psi.psi.value_at(pts) ** 2, geo.gamma(psi.psi, f, pts) ** 2)
 
     return _form("radial-log", grid, f, _log_sides(
         const, alpha, psi.psi, parts, {"Q": Q, "alpha": alpha, "weight": psi.name}))
@@ -278,12 +271,12 @@ def _require_euler(geo: GeometrySpec, dil, psi: ScalarField, pts, tol: float):
     the defect is computed once per (geometry, psi, points array)."""
 
     def compute(p):
-        pv = _values(psi, p)
+        pv = psi.value_at(p)
         scale = max(float(np.max(np.abs(pv))), 1.0)
         dpsi = blockwise(lambda b: dil.dilation.apply(psi, b), p)
         return float(np.max(np.abs(dpsi - pv))), scale
 
-    defect, scale = memo(psi, "_weight_memo", (geo, "euler"), pts, compute)
+    defect, scale = memo(psi, (geo, "euler"), pts, compute)
     if defect > tol * scale:
         raise PreconditionError("Euler identity D psi = psi fails on the grid; "
                                 "the weight is not a homogeneous quasinorm")
@@ -347,7 +340,7 @@ def funcineqgeneral_report(diff, W: ScalarField, beta: float, f: ScalarField,
         <= int W^(2-2b) G(f)."""
 
     def sides(pts, fv):
-        lw = memo(W, "_weight_memo", (diff, "L(W)"), pts,
+        lw = memo(W, (diff, "L(W)"), pts,
                   lambda p: blockwise(lambda b: diff.apply_L(W, b), p))
         gw = _gamma_psi(diff, W, pts)
         return (1.0, [(1.0 - beta, _power(W, 1.0 - 2.0 * beta, pts) * lw),
@@ -387,9 +380,9 @@ def homogeneous_norm_report(geo: GeometrySpec, rho: Weight, f: ScalarField,
                     else make_weight(geo, "coordinate", index=hor[0]))
             return estimate_kappa(comp, nw, grid), estimate_kappa(rho, nw, grid)
 
-        k_comp, k_rho = memo(rho.psi, "_weight_memo", (geo, "kappa"), pts, kappas)
+        k_comp, k_rho = memo(rho.psi, (geo, "kappa"), pts, kappas)
         const = branch_const * k_comp ** 2 * k_rho ** 2
-        return (const, [(1.0, 1.0 / _values(rho.psi, pts) ** 2)],
+        return (const, [(1.0, 1.0 / rho.psi.value_at(pts) ** 2)],
                 [(const, geo.gamma(f, f, pts))],
                 {"n0": n0, "kappa_comp": k_comp, "kappa_rho": k_rho, "eps": eps,
                  "weight": rho.name})

@@ -14,9 +14,10 @@ full-size with exact zeros elsewhere, so full-grid sums see the same values.
 An accepted bump holds four things: its support rows, the sub-array of the
 grid's points on them, its tree's values on that sub-array and its
 ``grid.supports`` verdict.  The full-size arrays of the floor test and of
-the support check are built afresh and dropped, so no bump holds an array
-of the grid's size.  ``SupportedField.forget`` drops the rest; the sweep
-and curvature handlers of ``cli`` call it once a bump's check returns.
+the support check are built afresh and dropped, and a support predicate
+reads its argument through ``_value``, not memoized, so no bump holds an
+array of the grid's size.  ``SupportedField.forget`` drops the rest; the
+sweep and curvature handlers of ``cli`` call it once a bump's check returns.
 """
 
 from __future__ import annotations

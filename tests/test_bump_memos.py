@@ -4,10 +4,12 @@ An accepted bump keeps its support rows, the support sub-array, its tree's
 values on that sub-array and its ``grid.supports`` verdict, and nothing of
 the whole grid's size.  Once its report or curvature check returns it holds
 no memo entry at all, while the weight-side memos that every bump shares
-stay.  Each run goes through ``cli.run`` on a small Heisenberg grid; the
-corpus builders and the per-bump checks are wrapped where the handlers look
-them up, so the test sees each bump as the run hands it on."""
+stay, keyed on the grid's points.  Each run goes through ``cli.run`` on a
+small Heisenberg grid; the corpus builders and the per-bump checks are
+wrapped where the handlers look them up, so the test sees each bump as the
+run hands it on."""
 
+import collections
 import json
 
 import numpy as np
@@ -15,7 +17,7 @@ import pytest
 
 from hardylab import cli
 from hardylab import inequalities as ineq
-from hardylab.fields import ScalarField
+from hardylab.fields import ComposeField, ProductField, ScalarField, squared
 
 
 def _config(operation, parameters):
@@ -37,8 +39,9 @@ def _tree(field, shared=()):
     return seen
 
 
-def _slots(node):
-    return {k: v for k, v in vars(node).items() if k.endswith("_memo")}
+def _entries(node):
+    """The node's memo table: ``id(pts)`` -> (weakref to pts, {key: value})."""
+    return vars(node).get("_memo", {})
 
 
 def _arrays(value):
@@ -73,13 +76,15 @@ def test_a_bump_holds_its_support_rows_until_its_check_and_nothing_after(
         shared = [] if psi is None else [psi]
         for f in corpus:
             for node in _tree(f, shared):
-                for slot, (_, values) in _slots(node).items():
-                    assert all(len(a) != grid.n_nodes for a in _arrays(values)), (node, slot)
+                for ref, values in _entries(node).values():
+                    assert all(len(a) != grid.n_nodes for a in _arrays(values)), (node, ref)
             rows, sub = f.rows_at(grid.points)
             assert 0 < len(rows) == len(sub) < grid.n_nodes
-            assert set(_slots(f)) == {"_rows_memo", "_supports_memo"}
+            # one entry, on the grid's points: the rows and the supports verdict
+            (ref, values), = _entries(f).values()
+            assert ref() is grid.points and set(values) == {"rows", ("supports", 2, 1e-12)}
             # the tree keeps its values on the rows, for the report to read
-            assert vars(f.base)["_eval_memo"][0]() is sub
+            assert [ref() for ref, _ in _entries(f.base).values()] == [sub]
         seen.update(grid=grid, corpus=corpus, shared=shared, checked=0)
         return corpus
 
@@ -89,7 +94,7 @@ def test_a_bump_holds_its_support_rows_until_its_check_and_nothing_after(
     def recorded_check(*args, **kwargs):
         # every bump checked before this one already holds nothing
         for f in seen["corpus"][:seen["checked"]]:
-            assert not any(_slots(node) for node in _tree(f, seen["shared"] + [args[1]]))
+            assert not any(_entries(node) for node in _tree(f, seen["shared"] + [args[1]]))
         seen["checked"] += 1
         seen["W"] = args[1]
         return run_check(*args, **kwargs)
@@ -100,8 +105,40 @@ def test_a_bump_holds_its_support_rows_until_its_check_and_nothing_after(
     assert result.exit_code == 0 and seen["checked"] == 3
 
     for f in seen["corpus"]:
-        assert not any(_slots(node) for node in _tree(f, seen["shared"]))
-    # the weight-side terms every bump shares are still there, on the grid
+        assert not any(_entries(node) for node in _tree(f, seen["shared"]))
+    # the weight-side terms every bump shares are still there, on the grid,
+    # and no entry on a bump's sub-array outlived it
     weight = seen["W"].psi if operation == "hardy" else seen["W"]
-    ref, terms = vars(weight)["_weight_memo"]
-    assert ref() is seen["grid"].points and terms
+    (ref, terms), = _entries(weight).values()
+    assert ref() is seen["grid"].points and set(terms) - {"v", "g", "h"}
+
+
+def test_a_curvature_run_evaluates_each_weight_side_node_on_the_grid_once(monkeypatch):
+    """W^2, W and psi are evaluated on the grid's points once in a curvature
+    pass, however many bumps it checks: a bump's work on its own support
+    rows leaves their whole-grid entries in place."""
+    monkeypatch.setenv("HARDYLAB_THREADS", "1")
+    seen = {"checked": 0}
+    calls = collections.Counter()
+    for cls in (ComposeField, ProductField):
+        def counted(self, pts, _value=cls._value):
+            calls[self] += pts is getattr(seen.get("grid"), "points", None)
+            return _value(self, pts)
+        monkeypatch.setattr(cls, "_value", counted)
+    build_grid, check = cli.default_grid, cli.check_curvature
+
+    def recorded_grid(*args, **kwargs):
+        seen["grid"] = build_grid(*args, **kwargs)
+        return seen["grid"]
+
+    def recorded_check(diff, W, f, gamma, grid):
+        seen.update(W=W, checked=seen["checked"] + 1)
+        return check(diff, W, f, gamma, grid)
+
+    monkeypatch.setattr(cli, "default_grid", recorded_grid)
+    monkeypatch.setattr(cli, "check_curvature", recorded_check)
+    assert cli.run(_config("curvature", {"p": 0.5})).exit_code == 0
+    W = seen["W"]
+    assert seen["checked"] == 3
+    for name, node in (("W^2", squared(W)), ("W", W), ("psi", W.f)):
+        assert calls[node] == 1, name

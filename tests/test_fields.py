@@ -1,3 +1,8 @@
+import gc
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -310,6 +315,87 @@ def test_power_map_rejects_an_exponent_whose_second_derivative_overflows():
         with pytest.raises(UsageError, match="too large"):
             power_map(p)
     power_map(1e100)  # p(p - 1) = 1e200 is still a float
+
+
+# -- memo lifetime --------------------------------------------------------------
+
+@pytest.fixture
+def no_cyclic_gc():
+    """Memo entries must go by reference counting alone."""
+    enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
+
+
+def _counted_field(calls):
+    return FuncField(lambda p: calls.append(len(p)) or 2.0 * p[:, 0])
+
+
+def test_a_memo_entry_survives_questions_about_other_arrays(no_cyclic_gc):
+    calls = []
+    f = _counted_field(calls)
+    a, b = RNG.uniform(size=(5, 2)), RNG.uniform(size=(6, 2))
+    for pts in (a, b, a, b, a):
+        assert np.array_equal(f.value_at(pts), 2.0 * pts[:, 0])
+    assert calls == [5, 6]
+
+
+def test_a_memo_entry_goes_with_its_array_and_a_table_with_its_owner(no_cyclic_gc):
+    f = _counted_field([])
+    a, b = RNG.uniform(size=(5, 2)), RNG.uniform(size=(6, 2))
+    f.value_at(a)
+    f.value_at(b)
+    assert set(vars(f)["_memo"]) == {id(a), id(b)}
+    del a
+    assert list(vars(f)["_memo"]) == [id(b)]
+    # the callback holds the owner weakly: nothing keeps f alive, and b's
+    # later death finds no owner
+    owner = weakref.ref(f)
+    del f
+    assert owner() is None
+    del b
+
+
+def test_forget_frees_the_sub_array_and_every_entry_on_it(no_cyclic_gc):
+    f = _supported_bump()
+    pts = RNG.uniform(-2, 2, size=(400, 3))
+    f.hess_at(pts)
+    sub = weakref.ref(f.rows_at(pts)[1])
+    tree, todo = [], [f]
+    while todo:
+        node = todo.pop()
+        tree.append(node)
+        todo.extend(v for v in vars(node).values() if isinstance(v, fields.ScalarField))
+    assert all(ref() is sub() for node in tree[1:] for ref, _ in vars(node)["_memo"].values())
+    f.forget()
+    assert sub() is None
+    assert not any(vars(node).get("_memo") for node in tree)
+
+
+def test_threads_freeing_arrays_never_read_each_others_entries():
+    # a freed array's id is reused at once; threads racing to make, read and
+    # free arrays on one field must each read their own values, and the table
+    # must be empty once the last array is gone
+    f = FuncField(lambda p: p[:, 0] + p[:, 1])
+
+    def job(seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(300):
+            pts = rng.uniform(size=(int(rng.integers(1, 6)), 2))
+            assert np.array_equal(f.value_at(pts), pts[:, 0] + pts[:, 1])
+        return True
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(job, seed) for seed in range(6)]
+            assert all(fut.result(timeout=60) for fut in futures)
+    finally:
+        sys.setswitchinterval(old)
+    assert not vars(f)["_memo"]
 
 
 # -- row blocks -----------------------------------------------------------------

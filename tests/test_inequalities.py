@@ -456,7 +456,8 @@ def test_weight_side_cache_keys_the_diffusion(eu3, h1):
 
 def test_weight_side_cache_under_concurrent_grids(eu3):
     # workers sharing one weight while alternating between two points arrays
-    # keep swapping its cache slot; every report must still see its own grid
+    # each read the weight's entry for their own array; every report must
+    # still see its own grid
     geo, _, _ = eu3
     w = hl.make_weight(geo, "euclid-norm")
     coarse = hl.default_grid(geo, w, bounds=[(-2.5, 2.5)] * 3, n=16,
