@@ -3,8 +3,7 @@
 Exit codes: 0 = all checks pass, 1 = a verified violation beyond tolerance
 (re-checked once at halved spacing before being reported), 2 = usage or
 configuration error.  CSV output uses '.' decimals, LF line endings and a
-header row; identical config and seed give byte-identical output.  The
-``HARDYLAB_THREADS`` environment variable sets the corpus thread count.
+header row; identical config and seed give byte-identical output.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -156,34 +154,15 @@ def _build_grid(geo: GeometrySpec, weight, grid_cfg: dict, psi_range, refine: in
         raise UsageError(f"grid.n gives {nodes} nodes, more than memory holds") from None
 
 
-def _thread_map(fn, items, threads: int):
-    """[fn(x) for x in items], on ``threads`` workers.  The first item runs
-    alone, so the workers share the per-(grid, weight) terms it caches
-    instead of each computing them at once."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    first = fn(items[0])
-    err = np.geterr()  # a new thread starts with numpy's default error handling
-
-    def call(x):
-        with np.errstate(**err):
-            return fn(x)
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return [first, *pool.map(call, items[1:])]
-
-
-def _per_bump(fn, corpus, threads: int):
-    """``_thread_map(fn, corpus, threads)``, where each bump forgets its
-    memos as soon as ``fn`` returns: a bump holds no values after its own
-    report, and the weight's entries on the grid, which no bump owns, stay."""
-
-    def once(f):
-        result = fn(f)
+def _per_bump(fn, corpus):
+    """[fn(f) for f in corpus], where each bump forgets its memos as soon as
+    ``fn`` returns: a bump holds no values after its own report, and the
+    weight's entries on the grid, which no bump owns, stay."""
+    results = []
+    for f in corpus:
+        results.append(fn(f))
         f.forget()
-        return result
-
-    return _thread_map(once, corpus, threads)
+    return results
 
 
 @dataclass
@@ -207,7 +186,6 @@ class _Context:
     params: dict
     seed: int
     size: int
-    threads: int  # HARDYLAB_THREADS, read once per run
 
     def bumps(self, size: int):
         """Corpus bumps in parameters.psi_range, by default the middle 70% of
@@ -244,8 +222,7 @@ def _suffcond(ctx: _Context):
 def _curvature(ctx: _Context):
     gam = ctx.params["gamma"]
     corpus = polynomial_bump_corpus(ctx.grid, ctx.size, ctx.seed)
-    defects = _per_bump(lambda f: check_curvature(ctx.geo, ctx.W, f, gam, ctx.grid), corpus,
-                        ctx.threads)
+    defects = _per_bump(lambda f: check_curvature(ctx.geo, ctx.W, f, gam, ctx.grid), corpus)
     worst = min(defects)
     return (worst >= -ctx.params["tol"], {"gamma": gam, "worst_defect": worst},
             [{"index": i, "min_defect": d} for i, d in enumerate(defects)])
@@ -260,7 +237,7 @@ def _sweep(report: str, on_multiplier: bool = False):
         make = getattr(ineq, report)
         lead = (ctx.geo, ctx.W if on_multiplier else ctx.weight)
         reports = _per_bump(lambda f: make(*lead, f=f, grid=ctx.grid, **ctx.params),
-                            ctx.bumps(ctx.size), ctx.threads)
+                            ctx.bumps(ctx.size))
         ratios = [rep.ratio for rep in reports if rep.ratio is not None]
         worst = max(ratios) if ratios else None
         return (all(rep.passes(RATIO_TOL) for rep in reports),
@@ -326,7 +303,7 @@ _OPERATIONS = {
                                      needs_Q=True),
     "radial": _Operation(_sweep("radial_hardy_report"), {"alpha": 0.0}, needs_Q=True),
     "dilation": _Operation(_sweep("dilation_hardy_report"), {"alpha": 0.0}),
-    "homo-norm": _Operation(_sweep("homogeneous_norm_report"), {"eps": 1e-3}),
+    "homo-norm": _Operation(_sweep("homogeneous_norm_report"), {}),
     "funcineq": _Operation(_sweep("funcineq_report", on_multiplier=True),
                            {"gamma": 0.0, "p": None}),
     "funcineq-general": _Operation(_sweep("funcineqgeneral_report", on_multiplier=True),
@@ -362,7 +339,7 @@ _SECTIONS = {
 }
 
 
-def _dispatch(cfg: RunConfig, refine: int = 1, threads: int = 1) -> RunResult:
+def _dispatch(cfg: RunConfig, refine: int = 1) -> RunResult:
     op = cfg.operation
     entry = _OPERATIONS[op]
     geo = make_geometry(cfg.geometry["name"], **cfg.geometry.get("params", {}))
@@ -385,7 +362,7 @@ def _dispatch(cfg: RunConfig, refine: int = 1, threads: int = 1) -> RunResult:
     if entry.needs_Q:
         params["Q"] = Q
     ctx = _Context(cfg, geo, weight, grid, W, Q, params, int(cfg.corpus.get("seed", 0)),
-                   int(cfg.corpus.get("size", 20)), threads)
+                   int(cfg.corpus.get("size", 20)))
     passed, summary, rows = entry.handler(ctx)
     summary = {"operation": op, **summary}
     summary.setdefault("verdict", "pass" if passed else "violation")
@@ -397,13 +374,10 @@ def run(cfg: RunConfig, refine: bool = False) -> RunResult:
     A float overflow or invalid value raises ``FloatingPointError`` rather
     than printing a numpy warning; code that expects one sets its own
     ``np.errstate``."""
-    value = os.environ.get("HARDYLAB_THREADS", "1")
-    threads = int(value) if value.strip().removeprefix("+").isdecimal() else 0
-    _require(threads >= 1, "HARDYLAB_THREADS must be an integer >= 1", value)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        result = _dispatch(cfg, refine=2 if refine else 1, threads=threads)
+        result = _dispatch(cfg, refine=2 if refine else 1)
         if result.exit_code == 1 and not refine:
-            rechecked = _dispatch(cfg, refine=2, threads=threads)
+            rechecked = _dispatch(cfg, refine=2)
             if rechecked.exit_code == 0:
                 rechecked.summary["note"] = "violation resolved at halved spacing"
                 return rechecked

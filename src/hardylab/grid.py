@@ -177,7 +177,7 @@ def ball_excision(center, radius: float):
 
 
 def default_grid(geo, weight: Weight | None = None, bounds=None, n=64,
-                 excision_radius=None, extra_excisions=()) -> Grid:
+                 excision_radius=None) -> Grid:
     """Grid with the standard excisions for a (geometry, weight) pair.
 
     The weight's own excision (a radius around its singular set, and for log
@@ -191,7 +191,7 @@ def default_grid(geo, weight: Weight | None = None, bounds=None, n=64,
     else:
         nseq = tuple(int(k) for k in n)
     h = max((hi - lo) / k for (lo, hi), k in zip(bounds, nseq))
-    excs = list(extra_excisions)
+    excs = []
     w = weight
     while w is not None:
         r = DEFAULT_EXCISION_FACTOR * h if excision_radius is None else float(excision_radius)

@@ -352,16 +352,14 @@ def funcineqgeneral_report(diff, W: ScalarField, beta: float, f: ScalarField,
 
 
 def homogeneous_norm_report(geo: GeometrySpec, rho: Weight, f: ScalarField,
-                            grid: Grid, eps: float = 1e-3) -> HardyReport:
+                            grid: Grid) -> HardyReport:
     """Nondegenerate Hardy inequality for a homogeneous norm rho.
 
     The constant is assembled from grid estimates of the comparability
     constants kappa: for horizontal dimension n_0 >= 3 it is
     (2/(n_0-2))^2 k^2(|x_0|) k^2(rho); for n_0 <= 2 the single-coordinate
-    route gives 4 k^2(|x_{0,1}|) k^2(rho).  ``eps`` names the shift used in
-    the underlying one-sided comparison; the reported constant is its
-    eps -> 0 limit.  The kappa estimates are made once per (geometry, rho,
-    points array).
+    route gives 4 k^2(|x_{0,1}|) k^2(rho).  The kappa estimates are made
+    once per (geometry, rho, points array).
     """
 
     def sides(pts, fv):
@@ -384,8 +382,7 @@ def homogeneous_norm_report(geo: GeometrySpec, rho: Weight, f: ScalarField,
         const = branch_const * k_comp ** 2 * k_rho ** 2
         return (const, [(1.0, 1.0 / rho.psi.value_at(pts) ** 2)],
                 [(const, geo.gamma(f, f, pts))],
-                {"n0": n0, "kappa_comp": k_comp, "kappa_rho": k_rho, "eps": eps,
-                 "weight": rho.name})
+                {"n0": n0, "kappa_comp": k_comp, "kappa_rho": k_rho, "weight": rho.name})
 
     return _form("homo-norm", grid, f, sides)
 
@@ -436,13 +433,12 @@ class PowerTrialFamily:
                            "ramp": float(ramp)}
 
 
-def default_trial_family(psi: Weight, Q: float, alpha: float, grid: Grid,
-                         margin: float = 1.05) -> PowerTrialFamily:
-    """Family filling the grid's resolvable psi-range, with nested sub-supports
-    so that widening the family is observable."""
+def default_trial_family(psi: Weight, Q: float, alpha: float, grid: Grid) -> PowerTrialFamily:
+    """Family filling the grid's resolvable psi-range, 5% in from each end,
+    with nested sub-supports so that widening the family is observable."""
     pv = psi.psi.value_at(grid.points)
-    lo = float(np.min(pv)) * margin
-    hi = float(np.max(pv)) / margin
+    lo = float(np.min(pv)) * 1.05
+    hi = float(np.max(pv)) / 1.05
     if not hi > lo > 0:
         raise DegenerateInputError("grid carries no usable psi-range")
     L = np.log(hi / lo)
@@ -452,14 +448,14 @@ def default_trial_family(psi: Weight, Q: float, alpha: float, grid: Grid,
     return PowerTrialFamily(psi.psi, Q, alpha, tuple(supports), eps, ramps)
 
 
-def _golden_section_max(fun, lo: float, hi: float, iters: int = 20):
-    """Golden-section maximization on [lo, hi]; returns (x, fun(x))."""
+def _golden_section_max(fun, lo: float, hi: float):
+    """Golden-section maximization on [lo, hi] in 20 steps; returns (x, fun(x))."""
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fun(c), fun(d)
-    for _ in range(iters):
+    for _ in range(20):
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)

@@ -237,12 +237,12 @@ class ContractionTrace:
 
 def contraction_trace(diff, W: ScalarField, f0: ScalarField, grid: Grid,
                       t_max: float, dt: float, gamma: float = 0.0,
-                      precheck_corpus=None, precheck_tol: float = 1e-6) -> ContractionTrace:
+                      precheck_corpus=None) -> ContractionTrace:
     """Track I(t) = int W^2 (P_t f0)^2 dmu_h at every implicit-Euler step.
 
     When a corpus is supplied, the matching functional inequality is
-    evaluated on it first; a violation only flags the trace, it does not
-    suppress it.
+    evaluated on it first, at ratio tolerance 1e-6; a violation only flags
+    the trace, it does not suppress it.
     """
     stepper = _Stepper(diff, grid, dt)
     flag = None
@@ -251,7 +251,7 @@ def contraction_trace(diff, W: ScalarField, f0: ScalarField, grid: Grid,
         flag = False
         for f in precheck_corpus:
             rep = funcineq_report(diff, W, gamma, f, grid)
-            if not rep.passes(precheck_tol):
+            if not rep.passes(1e-6):
                 flag = True
                 break
     w = stepper.w

@@ -74,8 +74,10 @@ def make_test_function(kind: str, **params) -> ScalarField:
     raise UsageError(f"unknown test function kind {kind!r}")
 
 
-def bump_corpus(psi: ScalarField, grid, n: int, seed: int,
-                psi_range: tuple[float, float], min_rel_width: float = 0.15):
+_MIN_REL_WIDTH = 0.15  # a corpus bump's narrowest psi-width, as a share of psi_range
+
+
+def bump_corpus(psi: ScalarField, grid, n: int, seed: int, psi_range: tuple[float, float]):
     """Deterministic corpus of n bumps supported in {psi_range} inside the grid.
 
     Each entry is a psi-annulus bump times a tensor bump in a random interior
@@ -89,7 +91,7 @@ def bump_corpus(psi: ScalarField, grid, n: int, seed: int,
 
     def draw(rng):
         width = hi_psi - lo_psi
-        w = width * (min_rel_width + (1.0 - min_rel_width) * rng.random())
+        w = width * (_MIN_REL_WIDTH + (1.0 - _MIN_REL_WIDTH) * rng.random())
         a = lo_psi + (width - w) * rng.random()
         return ProductField(radial_bump(psi, a, a + w), tensor_bump(_interior_box(grid, rng)))
 
@@ -141,11 +143,11 @@ def random_polynomial(dim: int, degree: int, rng) -> PolyField:
     return PolyField([(rng.standard_normal(), exps) for exps in terms])
 
 
-def polynomial_bump_corpus(grid, n: int, seed: int, degree: int = 2):
-    """Random polynomial times tensor-bump corpus (for curvature checks)."""
+def polynomial_bump_corpus(grid, n: int, seed: int):
+    """Random polynomial of degree <= 2 times tensor-bump corpus (for curvature checks)."""
 
     def draw(rng):
         box = _interior_box(grid, rng)
-        return ProductField(random_polynomial(len(grid.bounds), degree, rng), tensor_bump(box))
+        return ProductField(random_polynomial(len(grid.bounds), 2, rng), tensor_bump(box))
 
     return _corpus(grid, n, seed, draw, 1e-9)

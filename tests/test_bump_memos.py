@@ -65,7 +65,6 @@ def _arrays(value):
 ])
 def test_a_bump_holds_its_support_rows_until_its_check_and_nothing_after(
         monkeypatch, operation, parameters, builder, check):
-    monkeypatch.setenv("HARDYLAB_THREADS", "1")
     seen = {}
     build = getattr(cli, builder)
 
@@ -117,7 +116,6 @@ def test_a_curvature_run_evaluates_each_weight_side_node_on_the_grid_once(monkey
     """W^2, W and psi are evaluated on the grid's points once in a curvature
     pass, however many bumps it checks: a bump's work on its own support
     rows leaves their whole-grid entries in place."""
-    monkeypatch.setenv("HARDYLAB_THREADS", "1")
     seen = {"checked": 0}
     calls = collections.Counter()
     for cls in (ComposeField, ProductField):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import hardylab as hl
-from hardylab.cli import RunConfig, _thread_map, list_catalog, main, run
+from hardylab.cli import RunConfig, list_catalog, main, run
 from hardylab.errors import UsageError
 
 
@@ -89,16 +89,46 @@ def test_bad_schema_rejected():
         RunConfig.from_json("{not json")
 
 
-def test_csv_determinism(tmp_path):
-    payload = {
+EU3 = {"name": "euclidean", "params": {"m": 3}}
+HEIS1 = {"name": "heisenberg", "params": {"m": 1}}
+EU2_HARDY = {
+    "schema": 1,
+    "geometry": {"name": "euclidean", "params": {"m": 2}},
+    "weight": {"name": "euclid-norm"},
+    "operation": "hardy",
+    "parameters": {"alpha": 1.0, "psi_range": [0.5, 1.6]},
+    "grid": {"bounds": [[-2, 2], [-2, 2]], "n": 64},
+    "corpus": {"seed": 3, "size": 6},
+}
+
+
+def _cached_sweep(geometry, weight, operation, parameters):
+    """A corpus run whose reports share the per-(grid, weight) terms and
+    each supported bump's rows memo."""
+    return {
         "schema": 1,
-        "geometry": {"name": "euclidean", "params": {"m": 2}},
-        "weight": {"name": "euclid-norm"},
-        "operation": "hardy",
-        "parameters": {"alpha": 1.0, "psi_range": [0.5, 1.6]},
-        "grid": {"bounds": [[-2, 2], [-2, 2]], "n": 64},
-        "corpus": {"seed": 3, "size": 6},
+        "geometry": geometry,
+        "weight": {"name": weight},
+        "operation": operation,
+        "parameters": dict(parameters, psi_range=[0.5, 1.6]),
+        "grid": {"bounds": [[-2, 2]] * 3, "n": 20, "excision_radius": 0.25},
+        "corpus": {"seed": 4, "size": 8},
     }
+
+
+@pytest.mark.parametrize("payload", [
+    pytest.param(EU2_HARDY, id="eu2-hardy"),
+    pytest.param(_cached_sweep(EU3, "euclid-norm", "radial", {"alpha": 0.5}), id="eu3-radial"),
+    pytest.param(_cached_sweep(EU3, "euclid-norm", "funcineq", {"p": 0.5, "gamma": 0.0}),
+                 id="eu3-funcineq"),
+    pytest.param(_cached_sweep(HEIS1, "koranyi-gauge", "hardy", {"alpha": 0.0}),
+                 id="heis-hardy"),
+    pytest.param(_cached_sweep(HEIS1, "koranyi-gauge", "curvature", {"p": 0.5, "gamma": 0.0}),
+                 id="heis-curvature"),
+])
+def test_csv_determinism(tmp_path, payload):
+    """The same config run twice in one process writes the same bytes: memos
+    a first run leaves behind change nothing in the second."""
     cfg = write_config(tmp_path, payload)
     out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     assert main(["run", "--config", cfg, "--out", out1]) == 0
@@ -150,24 +180,6 @@ def test_json_lines_format(tmp_path):
     lines = open(out).read().strip().split("\n")
     row = json.loads(lines[0])
     assert row["verdict"] == "exact"
-
-
-def test_thread_count_env_keeps_output_identical(tmp_path, monkeypatch):
-    payload = {
-        "schema": 1,
-        "geometry": {"name": "euclidean", "params": {"m": 2}},
-        "weight": {"name": "euclid-norm"},
-        "operation": "hardy",
-        "parameters": {"alpha": 1.0, "psi_range": [0.5, 1.6]},
-        "grid": {"bounds": [[-2, 2], [-2, 2]], "n": 64},
-        "corpus": {"seed": 3, "size": 6},
-    }
-    cfg = write_config(tmp_path, payload)
-    out1, out2 = str(tmp_path / "one.csv"), str(tmp_path / "two.csv")
-    assert main(["run", "--config", cfg, "--out", out1]) == 0
-    monkeypatch.setenv("HARDYLAB_THREADS", "3")
-    assert main(["run", "--config", cfg, "--out", out2]) == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
 
 
 LISTING = (
@@ -299,38 +311,6 @@ def test_config_that_is_not_an_object_is_a_usage_error(tmp_path, capsys):
     path.write_text("[1, 2]")
     assert main(["run", "--config", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
-
-
-@pytest.mark.parametrize("operation,parameters", [
-    ("radial", {"alpha": 0.5}),
-    ("funcineq", {"p": 0.5, "gamma": 0.0}),
-    ("hardy", {"alpha": 0.0}),
-    ("curvature", {"p": 0.5, "gamma": 0.0}),
-])
-def test_thread_count_keeps_cached_sweeps_identical(tmp_path, monkeypatch,
-                                                   operation, parameters):
-    # the corpus workers share the per-(grid, weight) terms of the reports
-    # and each supported bump's rows memo; hardy (radial bumps) and
-    # curvature (the polynomial corpus) run on the Heisenberg group
-    if operation in ("hardy", "curvature"):
-        geometry, weight = {"name": "heisenberg", "params": {"m": 1}}, {"name": "koranyi-gauge"}
-    else:
-        geometry, weight = {"name": "euclidean", "params": {"m": 3}}, {"name": "euclid-norm"}
-    payload = {
-        "schema": 1,
-        "geometry": geometry,
-        "weight": weight,
-        "operation": operation,
-        "parameters": dict(parameters, psi_range=[0.5, 1.6]),
-        "grid": {"bounds": [[-2, 2]] * 3, "n": 20, "excision_radius": 0.25},
-        "corpus": {"seed": 4, "size": 8},
-    }
-    cfg = write_config(tmp_path, payload)
-    out1, out2 = str(tmp_path / "one.csv"), str(tmp_path / "two.csv")
-    assert main(["run", "--config", cfg, "--out", out1]) == 0
-    monkeypatch.setenv("HARDYLAB_THREADS", "3")
-    assert main(["run", "--config", cfg, "--out", out2]) == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
 
 
 SMALL_HARDY = {
@@ -556,12 +536,6 @@ def test_funcineq_right_side_below_zero_is_a_violation(tmp_path, capsys):
     assert all(float(row[lhs]) > 0.0 > float(row[rhs]) for row in rows[1:])
 
 
-def test_thread_map_workers_keep_the_callers_float_error_handling():
-    with np.errstate(over="raise"):
-        with pytest.raises(FloatingPointError):
-            _thread_map(lambda x: np.float64(1e300) * x, [1.0, 1e300], 2)
-
-
 @pytest.mark.parametrize("payload", [
     pytest.param(SMALL_HARDY, id="alpha-1"),
     pytest.param(dict(SMALL_HARDY, grid={"bounds": [[-2, 2], [-2, 2]], "n": 16,
@@ -621,7 +595,7 @@ def test_corpus_bumps_default_to_the_middle_70_percent_of_psi(monkeypatch):
     geo = cli.make_geometry("euclidean", m=2)
     weight = cli.make_weight(geo, "euclid-norm")
     grid = hl.default_grid(geo, weight, bounds=[(-2, 2)] * 2, n=16)
-    cli._Context(cfg, geo, weight, grid, weight.psi, 2.0, {}, 0, 1, 1).bumps(1)
+    cli._Context(cfg, geo, weight, grid, weight.psi, 2.0, {}, 0, 1).bumps(1)
     vals = weight.psi.value_at(grid.points)
     lo, hi = float(np.min(vals)), float(np.max(vals))
     assert seen == [pytest.approx((lo + 0.15 * (hi - lo), hi - 0.15 * (hi - lo)))]
@@ -632,7 +606,7 @@ def test_violation_resolved_at_halved_spacing_reports_the_recheck(monkeypatch):
 
     calls = []
 
-    def dispatch(cfg, refine=1, threads=1):
+    def dispatch(cfg, refine=1):
         calls.append(refine)
         code = 1 if len(calls) == 1 else 0
         return cli.RunResult(code, {"verdict": "violation" if code else "pass"},
@@ -665,29 +639,6 @@ def test_no_trial_function_in_grid_exits_2_with_one_line(tmp_path, capsys):
     assert main(["run", "--config", write_config(tmp_path, payload)]) == 2
     err = capsys.readouterr().err
     assert err == "error: no trial function fits inside the grid\n"
-
-
-@pytest.mark.parametrize("operation,threads", [
-    pytest.param("hardy", "two", id="hardy"),
-    pytest.param("qcond", "two", id="qcond"),
-    pytest.param("hardy", "0", id="zero"),
-    pytest.param("hardy", "-2", id="negative"),
-])
-def test_non_integer_thread_count_exits_2_with_one_line(tmp_path, capsys, monkeypatch,
-                                                        operation, threads):
-    """Checked before any operation runs, also for those that use no threads;
-    the count must be an integer >= 1."""
-    from hardylab import cli
-
-    ran = []
-    monkeypatch.setattr(cli, "_dispatch", lambda *a, **k: ran.append(a))
-    monkeypatch.setenv("HARDYLAB_THREADS", threads)
-    payload = dict(SMALL_QCOND, operation=operation)
-    assert main(["run", "--config", write_config(tmp_path, payload)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "HARDYLAB_THREADS" in err
-    assert ran == []
 
 
 @pytest.mark.parametrize("out", [
@@ -830,8 +781,6 @@ def test_semigroup_names_are_reexported_lazily():
         hl.no_such_name
 
 
-EU3 = {"name": "euclidean", "params": {"m": 3}}
-HEIS1 = {"name": "heisenberg", "params": {"m": 1}}
 SWEEP_KEYS = {"operation", "alpha", "Q", "inequality", "constant", "worst_ratio", "verdict"}
 
 
@@ -872,6 +821,17 @@ def test_operation_runs_through_the_cli(operation, payload, keys):
         assert len(result.rows) == 3
 
 
+def test_homo_norm_eps_exits_2_with_one_line_naming_the_key(tmp_path, capsys):
+    """homo-norm reads no parameter beside Q and psi_range: eps is rejected
+    like any key that no section reads."""
+    payload = dict(_tiny(HEIS1, "koranyi-gauge", {"psi_range": [0.6, 1.6], "eps": 1e-3}),
+                   operation="homo-norm")
+    assert main(["run", "--config", write_config(tmp_path, payload)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: parameters reads no key 'eps'")
+
+
 def readme_table_rows():
     """The cells of every table row in the README."""
     readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -888,7 +848,8 @@ def test_readme_operation_table_matches_the_cli():
     for cells in readme_table_rows():
         if len(cells) == 3 and cells[0].startswith("`") and cells[2] in ("yes", "no"):
             params = {}
-            for item in cells[1].replace("`", "").split(", "):
+            items = cells[1].replace("`", "").split(", ")
+            for item in [] if items == ["none"] else items:
                 name, _, default = item.partition("=")
                 params[name] = float(default) if default else None
             table[cells[0].strip("`")] = (params, cells[2] == "yes")

@@ -42,7 +42,7 @@ def test_a_traced_run_misses_no_wrap_point_and_yields_every_layer_metric(tmp_pat
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         per_layer = {m["name"] for m in json.load(fh)["per_layer"]}
     tracing = _tracing()
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), HARDYLAB_THREADS="1")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     for name in SHRINK:
         result = tmp_path / (name + ".result.json")
         proc = subprocess.run(
