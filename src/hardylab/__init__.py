@@ -29,8 +29,7 @@ from .inequalities import (HardyReport, dilation_hardy_report,
                            weighted_log_hardy_report)
 from .operators import (dilation_operator, drifted_operator, radial_operator,
                         weighted_operator)
-from .testfunctions import (bump_corpus, make_test_function, radial_bump,
-                            smoothed_power, tensor_bump)
+from .testfunctions import bump_corpus, radial_bump, smoothed_power, tensor_bump
 
 __version__ = "0.1.0"
 

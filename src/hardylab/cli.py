@@ -154,15 +154,13 @@ def _build_grid(geo: GeometrySpec, weight, grid_cfg: dict, psi_range, refine: in
         raise UsageError(f"grid.n gives {nodes} nodes, more than memory holds") from None
 
 
-def _per_bump(fn, corpus):
-    """[fn(f) for f in corpus], where each bump forgets its memos as soon as
-    ``fn`` returns: a bump holds no values after its own report, and the
-    weight's entries on the grid, which no bump owns, stay."""
-    results = []
-    for f in corpus:
-        results.append(fn(f))
-        f.forget()
-    return results
+def _one_by_one(corpus: list):
+    """The bumps of ``corpus`` in order, each taken out of the list as it is
+    handed on, so a bump, its sub-array and every memo entry on that array
+    go as soon as the caller drops it after its check."""
+    corpus.reverse()
+    while corpus:
+        yield corpus.pop()
 
 
 @dataclass
@@ -222,7 +220,7 @@ def _suffcond(ctx: _Context):
 def _curvature(ctx: _Context):
     gam = ctx.params["gamma"]
     corpus = polynomial_bump_corpus(ctx.grid, ctx.size, ctx.seed)
-    defects = _per_bump(lambda f: check_curvature(ctx.geo, ctx.W, f, gam, ctx.grid), corpus)
+    defects = [check_curvature(ctx.geo, ctx.W, f, gam, ctx.grid) for f in _one_by_one(corpus)]
     worst = min(defects)
     return (worst >= -ctx.params["tol"], {"gamma": gam, "worst_defect": worst},
             [{"index": i, "min_defect": d} for i, d in enumerate(defects)])
@@ -236,8 +234,8 @@ def _sweep(report: str, on_multiplier: bool = False):
     def handler(ctx: _Context):
         make = getattr(ineq, report)
         lead = (ctx.geo, ctx.W if on_multiplier else ctx.weight)
-        reports = _per_bump(lambda f: make(*lead, f=f, grid=ctx.grid, **ctx.params),
-                            ctx.bumps(ctx.size))
+        reports = [make(*lead, f=f, grid=ctx.grid, **ctx.params)
+                   for f in _one_by_one(ctx.bumps(ctx.size))]
         ratios = [rep.ratio for rep in reports if rep.ratio is not None]
         worst = max(ratios) if ratios else None
         return (all(rep.passes(RATIO_TOL) for rep in reports),
@@ -329,7 +327,8 @@ _SECTIONS = {
     "geometry": {"name": (lambda v: isinstance(v, str), "a string"), "params": _OBJECT},
     "parameters": {"Q": (lambda v: v is None or _is_number(v), "a finite number or null"),
                    "psi_range": (lambda v: isinstance(v, list) and len(v) == 2
-                                 and all(map(_is_number, v)), "a list of two finite numbers")},
+                                 and all(map(_is_number, v)) and 0 <= v[0] < v[1],
+                                 "a list of two finite numbers lo, hi with 0 <= lo < hi")},
     "grid": {"bounds": (_is_bounds, "a list of [lo, hi] pairs with lo < hi"),
              "n": (lambda v: _is_count(v, 1) or isinstance(v, list) and v != []
                    and all(_is_count(k, 1) for k in v), "a positive integer or a list of them"),

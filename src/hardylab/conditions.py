@@ -5,9 +5,15 @@ Q - 1 identically when psi satisfies the generalized Laplacian comparison
 with constant Q.  ``qcond_report`` collects the ratio statistics over a grid
 and classifies the weight as exact, a one-sided bound, or a failure.
 
-``check_suffcond`` evaluates the Bakry-Emery-style sufficient criterion
-inf(LW/W - 3 Gamma(W)/W^2) >= gamma, which implies the curvature condition
-Gamma^W(f) >= gamma W^2 f^2 checked directly by ``check_curvature``.
+``check_suffcond`` evaluates the Bakry-Emery-style criterion
+inf s >= gamma with s = LW/W - 3 Gamma(W)/W^2.  For every f, pointwise,
+
+    Gamma^W(f) - gamma W^2 f^2 = (s - gamma) W^2 f^2 + sum_j (W X_j f + 2 f X_j W)^2,
+
+so at a node Gamma^W(f) >= gamma W^2 f^2 holds for every f exactly when
+s >= gamma there: the criterion is sufficient and necessary for the
+pointwise curvature condition.  ``check_suffcond`` decides it at every
+node, while ``check_curvature`` samples it with one f at a time.
 ``power_range`` gives the admissible exponents p for W = psi^p at gamma = 0.
 """
 
@@ -112,7 +118,9 @@ def suffcond_values(diff, W: ScalarField, pts):
 
 def check_suffcond(diff, W: ScalarField, grid, gamma: float,
                    tol: float = 1e-10):
-    """(passes, inf_value) for the criterion inf(LW/W - 3 Gamma(W)/W^2) >= gamma."""
+    """(passes, inf_value) for the criterion inf(LW/W - 3 Gamma(W)/W^2) >= gamma,
+    which holds exactly when Gamma^W(f) >= gamma W^2 f^2 at every node for
+    every f (see the module doc)."""
     inf_value = float(np.min(suffcond_values(diff, W, grid.points)))
     return inf_value >= gamma - tol, inf_value
 

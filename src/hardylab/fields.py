@@ -27,11 +27,10 @@ only and the results are scattered into full-size zeros.  Callers that sum
 over points keep summing the full arrays, so sums do not change.  A memo
 entry (:func:`memo`) lives as long as its points array.  A supported field
 memoizes its rows and sub-array, and its tree the values on that sub-array,
-but no full-size array: each call scatters afresh.  ``forget`` drops the
-field's table, which frees the sub-array and every entry on it, also those
-of shared fields (a weight psi), whose entries on the whole grid stay.  A
-corpus bump is forgotten as soon as its own report or curvature check
-returns (``cli``), so no bump holds values past its own check.
+but no full-size array: each call scatters afresh.  The sub-array lives in
+the field's own table, so when the last reference to the field goes, the
+sub-array goes, and with it every entry on it, also those of shared fields
+(a weight psi), whose entries on the whole grid stay.
 
 Passes that only need each node's own value, gradient and Hessian run in
 row blocks of at most about ``BLOCK_ROWS`` = 16,384 nodes
@@ -471,15 +470,15 @@ def _as_field(x) -> ScalarField:
 
 
 def squared(field: ScalarField) -> ScalarField:
-    """field*field, constructed once per field so evaluations stay memoized;
-    the square of a supported field is supported on the same rows."""
+    """field*field.  The square of a supported field is supported on the same
+    rows and built afresh, since a cached one would hold the field in a
+    reference cycle; any other field's square is constructed once, so its
+    evaluations stay memoized."""
+    if isinstance(field, SupportedField):
+        return SupportedField(ProductField(field.base, field.base), rows_of=field)
     sq = field.__dict__.get("_squared_field")
     if sq is None:
-        if isinstance(field, SupportedField):
-            sq = SupportedField(squared(field.base), rows_of=field)
-        else:
-            sq = ProductField(field, field)
-        field.__dict__["_squared_field"] = sq
+        sq = field.__dict__["_squared_field"] = ProductField(field, field)
     return sq
 
 
@@ -818,7 +817,6 @@ class SupportedField(ScalarField):
     Only the rows, their sub-array and the base tree's values on it are
     memoized: a full-size array is a zero fill and one scatter, so each call
     builds it afresh and nothing of the whole grid's size stays behind.
-    ``forget`` drops the rest once the field's work is done.
     """
 
     def __init__(self, base: ScalarField, rows_of: SupportedField | None = None):
@@ -865,12 +863,6 @@ class SupportedField(ScalarField):
 
     def _mask(self, pts):
         return self.base._mask(pts)
-
-    def forget(self) -> None:
-        """Drop this field's memo table.  That frees its support sub-array,
-        and with it every entry the tree below holds on that array; entries
-        on other arrays (a shared weight's values on the whole grid) stay."""
-        self.__dict__.pop("_memo", None)
 
 
 def unsupported(field: ScalarField) -> ScalarField:

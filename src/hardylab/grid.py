@@ -85,8 +85,7 @@ class Grid:
         """True when f vanishes on every node within ``layers`` of a missing
         neighbor (i.e. its support stays clear of the boundary/excisions).
         The verdict is memoized on f for this grid's points, so a corpus
-        bump checked when it is drawn is not checked again by each report;
-        ``SupportedField.forget`` drops it."""
+        bump checked when it is drawn is not checked again by each report."""
 
         def check(pts):
             vals = np.abs(f.value_at(pts))

@@ -16,8 +16,8 @@ grid's points on them, its tree's values on that sub-array and its
 ``grid.supports`` verdict.  The full-size arrays of the floor test and of
 the support check are built afresh and dropped, and a support predicate
 reads its argument through ``_value``, not memoized, so no bump holds an
-array of the grid's size.  ``SupportedField.forget`` drops the rest; the
-sweep and curvature handlers of ``cli`` call it once a bump's check returns.
+array of the grid's size.  The four are memo entries on the bump or on its
+sub-array (:func:`~hardylab.fields.memo`), so they go with the bump.
 """
 
 from __future__ import annotations
@@ -57,21 +57,6 @@ def smoothed_power(psi: ScalarField, eps: float, a: float, b: float,
     """
     prof = smoothed_power_profile(base_exponent + eps, a, b, ramp_factor)
     return ComposeField(prof, psi)
-
-
-def make_test_function(kind: str, **params) -> ScalarField:
-    """Named constructors: radial-bump(psi, a, b), tensor-bump(box),
-    smoothed-power(psi, eps, a, b[, base_exponent, ramp_factor])."""
-    if kind == "radial-bump":
-        return radial_bump(params["psi"], float(params["a"]), float(params["b"]))
-    if kind == "tensor-bump":
-        return tensor_bump(params["box"])
-    if kind == "smoothed-power":
-        return smoothed_power(params["psi"], float(params["eps"]), float(params["a"]),
-                              float(params["b"]),
-                              float(params.get("base_exponent", -0.5)),
-                              float(params.get("ramp_factor", 2.0)))
-    raise UsageError(f"unknown test function kind {kind!r}")
 
 
 _MIN_REL_WIDTH = 0.15  # a corpus bump's narrowest psi-width, as a share of psi_range

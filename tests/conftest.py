@@ -1,7 +1,19 @@
+import gc
+
 import numpy as np
 import pytest
 
 import hardylab as hl
+
+
+@pytest.fixture
+def no_cyclic_gc():
+    """Memo entries and corpus bumps must go by reference counting alone."""
+    enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
 
 
 @pytest.fixture(scope="session")

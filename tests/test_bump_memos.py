@@ -2,15 +2,17 @@
 
 An accepted bump keeps its support rows, the support sub-array, its tree's
 values on that sub-array and its ``grid.supports`` verdict, and nothing of
-the whole grid's size.  Once its report or curvature check returns it holds
-no memo entry at all, while the weight-side memos that every bump shares
-stay, keyed on the grid's points.  Each run goes through ``cli.run`` on a
-small Heisenberg grid; the corpus builders and the per-bump checks are
-wrapped where the handlers look them up, so the test sees each bump as the
-run hands it on."""
+the whole grid's size.  Once its report or curvature check returns, the
+bump itself is freed by reference counting, with its sub-array and every
+entry on it, while the weight-side memos that every bump shares stay, keyed
+on the grid's points.  Each run goes through ``cli.run`` on a small
+Heisenberg grid; the corpus builders and the per-bump checks are wrapped
+where the handlers look them up, so the test sees each bump as the run
+hands it on."""
 
 import collections
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -64,7 +66,7 @@ def _arrays(value):
                  id="curvature"),
 ])
 def test_a_bump_holds_its_support_rows_until_its_check_and_nothing_after(
-        monkeypatch, operation, parameters, builder, check):
+        monkeypatch, no_cyclic_gc, operation, parameters, builder, check):
     seen = {}
     build = getattr(cli, builder)
 
@@ -84,16 +86,22 @@ def test_a_bump_holds_its_support_rows_until_its_check_and_nothing_after(
             assert ref() is grid.points and set(values) == {"rows", ("supports", 2, 1e-12)}
             # the tree keeps its values on the rows, for the report to read
             assert [ref() for ref, _ in _entries(f.base).values()] == [sub]
-        seen.update(grid=grid, corpus=corpus, shared=shared, checked=0)
+        # weak references only: the run alone decides how long a bump lives
+        seen.update(grid=grid, checked=0,
+                    bumps=[(weakref.ref(f), weakref.ref(f.rows_at(grid.points)[1]))
+                           for f in corpus])
         return corpus
 
     owner = ineq if check.endswith("_report") else cli
     run_check = getattr(owner, check)
 
     def recorded_check(*args, **kwargs):
-        # every bump checked before this one already holds nothing
-        for f in seen["corpus"][:seen["checked"]]:
-            assert not any(_entries(node) for node in _tree(f, seen["shared"] + [args[1]]))
+        # the bumps are handed on in order, and every bump checked before
+        # this one is gone, with its sub-array
+        bump, _ = seen["bumps"][seen["checked"]]
+        assert (kwargs["f"] if "f" in kwargs else args[2]) is bump()
+        for bump, sub in seen["bumps"][:seen["checked"]]:
+            assert bump() is None and sub() is None
         seen["checked"] += 1
         seen["W"] = args[1]
         return run_check(*args, **kwargs)
@@ -103,8 +111,7 @@ def test_a_bump_holds_its_support_rows_until_its_check_and_nothing_after(
     result = cli.run(_config(operation, parameters))
     assert result.exit_code == 0 and seen["checked"] == 3
 
-    for f in seen["corpus"]:
-        assert not any(_entries(node) for node in _tree(f, seen["shared"]))
+    assert all(bump() is None and sub() is None for bump, sub in seen["bumps"])
     # the weight-side terms every bump shares are still there, on the grid,
     # and no entry on a bump's sub-array outlived it
     weight = seen["W"].psi if operation == "hardy" else seen["W"]

@@ -454,6 +454,14 @@ def _bench_config(name: str, n: int, **parameters) -> dict:
     pytest.param(dict(SMALL_HARDY, corpus={"seed": 3, "size": 2, "sizee": 3}),
                  id="unread-corpus-key"),
     pytest.param(dict(SMALL_HARDY, extra=1), id="unread-top-level-key"),
+    # psi_range sets the default bounds even where no bump is drawn; each
+    # runs with psi_range [0.5, 1.6] (the running twin no-bounds-qcond)
+    pytest.param(dict(SMALL_QCOND, grid={"n": 16}, parameters={"psi_range": [-2, -1]}),
+                 id="psi-range-negative"),
+    pytest.param(dict(SMALL_QCOND, grid={"n": 16}, parameters={"psi_range": [1.6, 0.5]}),
+                 id="psi-range-reversed"),
+    pytest.param(dict(SMALL_QCOND, grid={"n": 16}, parameters={"psi_range": [-1, 0.5]}),
+                 id="psi-range-lo-below-0"),
     pytest.param(dict(SMALL_QCOND, weight={"name": "power-of", "params": {
         "p": 2.0, "base": {"name": "euclid-norm"}, "weight": {"name": "euclid-norm"}}}),
                  id="power-of-with-weight-beside-base"),
@@ -549,6 +557,7 @@ def test_funcineq_right_side_below_zero_is_a_violation(tmp_path, capsys):
     pytest.param(dict(SMALL_QCOND, weight={"name": "power-of", "params": {
         "p": 2.0, "base": {"name": "euclid-norm"}}}),
                  id="power-of-euclid-norm"),
+    pytest.param(dict(SMALL_QCOND, grid={"n": 16}), id="no-bounds-qcond"),
 ])
 def test_config_value_faults_have_running_twins(tmp_path, capsys, payload):
     assert main(["run", "--config", write_config(tmp_path, payload)]) == 0

@@ -1,4 +1,3 @@
-import gc
 import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -295,7 +294,7 @@ def test_supported_field_off_its_support_is_zero():
 def test_square_of_supported_field_shares_its_rows():
     f = _supported_bump()
     sq = squared(f)
-    assert isinstance(sq, SupportedField) and squared(f) is sq
+    assert isinstance(sq, SupportedField)
     pts = RNG.uniform(-2, 2, size=(300, 3))
     assert sq.rows_at(pts) is f.rows_at(pts)
     plain = ProductField(f.base, f.base)
@@ -318,16 +317,6 @@ def test_power_map_rejects_an_exponent_whose_second_derivative_overflows():
 
 
 # -- memo lifetime --------------------------------------------------------------
-
-@pytest.fixture
-def no_cyclic_gc():
-    """Memo entries must go by reference counting alone."""
-    enabled = gc.isenabled()
-    gc.disable()
-    yield
-    if enabled:
-        gc.enable()
-
 
 def _counted_field(calls):
     return FuncField(lambda p: calls.append(len(p)) or 2.0 * p[:, 0])
@@ -358,7 +347,7 @@ def test_a_memo_entry_goes_with_its_array_and_a_table_with_its_owner(no_cyclic_g
     del b
 
 
-def test_forget_frees_the_sub_array_and_every_entry_on_it(no_cyclic_gc):
+def test_dropping_a_supported_field_frees_its_sub_array_and_every_entry_on_it(no_cyclic_gc):
     f = _supported_bump()
     pts = RNG.uniform(-2, 2, size=(400, 3))
     f.hess_at(pts)
@@ -369,8 +358,10 @@ def test_forget_frees_the_sub_array_and_every_entry_on_it(no_cyclic_gc):
         tree.append(node)
         todo.extend(v for v in vars(node).values() if isinstance(v, fields.ScalarField))
     assert all(ref() is sub() for node in tree[1:] for ref, _ in vars(node)["_memo"].values())
-    f.forget()
-    assert sub() is None
+    squared(f).grad_at(pts)  # as a curvature check does: the square holds f, f not it
+    bump, tree = weakref.ref(f), tree[1:]
+    del f
+    assert bump() is None and sub() is None
     assert not any(vars(node).get("_memo") for node in tree)
 
 

@@ -3,8 +3,7 @@ import pytest
 
 from hardylab.errors import UsageError
 from hardylab.fields import NormField, ProductField, SupportedField
-from hardylab.testfunctions import (bump_corpus, make_test_function,
-                                    polynomial_bump_corpus, radial_bump,
+from hardylab.testfunctions import (bump_corpus, polynomial_bump_corpus, radial_bump,
                                     smoothed_power, tensor_bump)
 
 
@@ -38,18 +37,16 @@ def test_smoothed_power_exact_on_plateau():
     assert np.all(f.value_at(gone) == 0.0)
 
 
-def test_make_test_function_dispatch():
+def test_constructors_peak_where_expected_and_reject_a_reversed_range():
     psi = NormField()
-    f = make_test_function("radial-bump", psi=psi, a=1.0, b=2.0)
+    f = radial_bump(psi, 1.0, 2.0)
     assert f.value_at(np.array([[1.5, 0, 0]]))[0] == 1.0
-    g = make_test_function("tensor-bump", box=[(0, 1), (0, 1)])
+    g = tensor_bump([(0, 1), (0, 1)])
     assert g.value_at(np.array([[0.5, 0.5]]))[0] == 1.0
-    h = make_test_function("smoothed-power", psi=psi, eps=0.1, a=1.0, b=10.0)
+    h = smoothed_power(psi, 0.1, 1.0, 10.0)
     assert h.value_at(np.array([[3.0, 0, 0]]))[0] == pytest.approx(3.0 ** -0.4)
     with pytest.raises(UsageError):
-        make_test_function("spline", psi=psi)
-    with pytest.raises(UsageError):
-        make_test_function("radial-bump", psi=psi, a=2.0, b=1.0)
+        radial_bump(psi, 2.0, 1.0)
 
 
 def test_bump_corpus_is_deterministic_and_valid(eu3):
