@@ -15,15 +15,29 @@ which must coincide pointwise with the defining combination
 (1/2)(L(fg) - f Lg - g Lf); that consistency is part of the test suite, not
 assumed.  Everything here is evaluated pointwise on batches of points; all
 operations are pure, so concurrent evaluation over points is safe.
+
+For many frames the first-order part is zero term by term: rho is a positive
+constant and, in each frame field, no nonzero coefficient depends on a
+coordinate x_i whose own coefficient c_{j,i} is nonzero (the Euclidean,
+Heisenberg and Grushin frames against coordinate volume).  Then every
+c_{j,i} d_i c_{j,k}, every d_i c_{j,i} and grad rho is the zero polynomial,
+and ``FrameDiffusion.apply_L`` returns the second-order sum without building
+the frame gradients (``FrameDiffusion.drift_free``, checked once per
+diffusion, on first use).  Where f's gradient is not finite on a block it
+takes the full path, whose 0 * inf gives NaN.  Both paths give the same bits
+wherever the frame coefficients and their derivatives are finite.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import DomainError, NumericError, PreconditionError
-from .fields import (ComposeField, ProductField, ScalarField, SmoothMap, SupportedField,
-                     as_points, blockwise, memo, squared, unsupported, with_fd)
+from .fields import (ComposeField, PolyField, ProductField, ScalarField, SmoothMap,
+                     SupportedField, as_points, blockwise, memo, squared, unsupported,
+                     with_fd)
 
 
 class Diffusion:
@@ -63,6 +77,25 @@ class FrameDiffusion(Diffusion):
             return np.ones(len(pts), dtype=bool)
         return np.asarray(self._domain_mask(pts), dtype=bool)
 
+    @functools.cached_property
+    def drift_free(self) -> bool:
+        """True when the first-order part of L is zero term by term: rho is
+        a positive constant ``PolyField``, every frame coefficient is a
+        ``PolyField``, and in each frame field no nonzero coefficient depends
+        on a coordinate x_i whose coefficient c_{j,i} is nonzero.  Computed
+        on first use, since it walks every coefficient of every field."""
+        rho = self.measure_density
+        if not (isinstance(rho, PolyField) and not any(any(e) for _, e in rho.terms)
+                and sum(c for c, _ in rho.terms) > 0.0):
+            return False
+        for X in self.frame:
+            if not all(isinstance(c, PolyField) for c in X.coeffs):
+                return False
+            moving = {i for c in X.coeffs for _, e in c.terms for i, k in enumerate(e) if k}
+            if any(X.coeffs[i].terms for i in moving):
+                return False
+        return True
+
     # -- frame data (memoized against the points-array identity) -------------
 
     def frame_values(self, pts):
@@ -93,13 +126,16 @@ class FrameDiffusion(Diffusion):
     def apply_L(self, f: ScalarField, pts):
         """sum_{i,k} a_{ik} d_i d_k f + sum_k b_k d_k f with the first-order
         coefficients b_k = sum_j X_j c_{j,k} + div_rho(X_j) c_{j,k}, where
-        div_rho X_j = sum_i d_i c_{j,i} + X_j rho / rho."""
+        div_rho X_j = sum_i d_i c_{j,i} + X_j rho / rho.  When ``drift_free``
+        holds and f's gradient is finite on pts, every b_k is zero and the
+        second-order sum is returned as it is: the full path would only add
+        zeros to it."""
         C = self.frame_values(pts)
-        G = self.frame_grads(pts)
-        # f's derivatives come before the drift's temporaries: in the other
-        # order a fresh heis-qcond run takes about 40% more page faults
         gf = f.grad_at(pts)
         val = np.einsum("jni,jnk,nik->n", C, C, f.hess_at(pts))
+        if self.drift_free and np.all(np.isfinite(gf)):
+            return val
+        G = self.frame_grads(pts)
         first = np.einsum("jni,jnki->nk", C, G)
         rho = self.measure_density
         div = (np.einsum("jnii->jn", G)

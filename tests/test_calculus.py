@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 import hardylab as hl
-from hardylab.calculus import (chain_rule_defect, eval_L, gamma,
+from hardylab.calculus import (FrameDiffusion, chain_rule_defect, eval_L, gamma,
                                gamma_chain_rule_defect,
                                gamma_definition_defect, gamma_w, ibp_defect)
 from hardylab.errors import DomainError, PreconditionError
 from hardylab.fields import (ComposeField, ConstField, CoordinateField,
-                             NormField, SquareNormField, identity_map,
-                             power_map, with_fd)
+                             NormField, PolyField, SquareNormField, coordinate_frame,
+                             identity_map, power_map, with_fd)
+from hardylab.operators import dilation_operator, drifted_operator, radial_operator
 from hardylab.testfunctions import radial_bump, random_polynomial
 
 from conftest import (central_difference_grad, coefficient_matrix,
@@ -46,6 +47,52 @@ def test_eval_L_domain_and_numeric_errors(hyp3):
     geo, w, _ = hyp3
     with pytest.raises(DomainError):
         eval_L(geo, w.psi, np.array([0.0, 0.0, -1.0]))
+
+
+# ---------------------------------------------------------------------------
+# drift_free: which frames let apply_L skip the first-order terms
+# ---------------------------------------------------------------------------
+
+BOX2 = {"box": [[0.0, 2.0]] * 2}
+DRIFT_FREE = [("heisenberg", {"m": 1}), ("heisenberg", {"m": 2}), ("euclidean", {"m": 1}),
+              ("euclidean", {"m": 3}), ("halfspace-euclidean", {"m": 2}),
+              ("convex-domain", {"m": 2, **BOX2}), ("grushin", {"n": 1}),
+              ("grushin", {"n": 2}), ("euclidean-radial", {"m": 1})]
+# logradial(1) has zero drift only as a sum of nonzero terms
+NOT_DRIFT_FREE = [("hyperbolic", {"m": 2}), ("hyperbolic", {"m": 3}), ("logradial", {"m": 1}),
+                  ("logradial", {"m": 3}), ("euclidean-radial", {"m": 2}),
+                  ("euclidean-radial", {"m": 3})]
+
+
+def _ids(cases):
+    return [f"{name}-{next(iter(params.values()))}" for name, params in cases]
+
+
+@pytest.mark.parametrize("name,params", DRIFT_FREE, ids=_ids(DRIFT_FREE))
+def test_drift_free_catalog_frames(name, params):
+    assert hl.make_geometry(name, **params).drift_free is True
+
+
+@pytest.mark.parametrize("name,params", NOT_DRIFT_FREE, ids=_ids(NOT_DRIFT_FREE))
+def test_drift_free_false_for_other_catalog_frames(name, params):
+    assert hl.make_geometry(name, **params).drift_free is False
+
+
+@pytest.mark.parametrize("name", ["euclidean", "heisenberg"])
+def test_drift_free_false_for_derived_operators(name):
+    geo = hl.make_geometry(name, m=1)
+    psi = hl.make_weight(geo, "euclid-norm" if name == "euclidean" else "koranyi-gauge").psi
+    for diff in (dilation_operator(geo), radial_operator(geo, psi),
+                 drifted_operator(geo, CoordinateField(0))):
+        assert diff.drift_free is False
+
+
+def test_drift_free_needs_a_positive_constant_density():
+    frame = coordinate_frame(2)
+    assert FrameDiffusion(frame, PolyField([(0.5, ()), (0.25, (0, 0))]), 2).drift_free
+    for rho in (PolyField([(1.0, ()), (0.5, (0, 2))]), ConstField(-1.0), ConstField(0.0),
+                ComposeField(power_map(2.0), CoordinateField(0) + 2.0)):
+        assert FrameDiffusion(frame, rho, 2).drift_free is False
 
 
 # ---------------------------------------------------------------------------

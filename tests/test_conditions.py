@@ -7,7 +7,7 @@ from hardylab.conditions import (check_curvature, check_suffcond,
                                  suffcond_values)
 from hardylab.errors import DegenerateInputError, PreconditionError
 from hardylab.fields import ComposeField, ConstField, SquareNormField, power_map
-from hardylab.testfunctions import polynomial_bump_corpus
+from hardylab.testfunctions import polynomial_bump_corpus, tensor_bump
 
 
 def test_qcond_report_euclidean(eu3):
@@ -120,6 +120,35 @@ def test_curvature_lower_bound_from_suffcond_inf(eu3):
         floor = (s - gamma_target) * np.min(
             (W._value(grid.points) * f._value(grid.points)) ** 2)
         assert md >= floor - 1e-8
+
+
+@pytest.mark.parametrize("p", [-0.7, 1.2])
+def test_curvature_witness_outside_power_range(h1, p):
+    # f = phi W^-2 with phi a tensor bump peaked at the node x0 of least s:
+    # grad phi(x0) = 0 kills the square term of the pointwise identity, so
+    # the defect at x0 is s(x0) W^2 f^2 < 0 when p lies outside power_range
+    geo, w, grid = h1
+    assert geo.drift_free  # L runs through its second-order short path
+    lo, hi = power_range(4.0)
+    assert not lo <= p <= hi
+    W = ComposeField(power_map(p), w.psi)
+    s = suffcond_values(geo, W, grid.points)
+    x0 = grid.points[int(np.argmin(s))]
+    assert s.min() < 0
+    r = 2 * 4.0 / 32  # two grid spacings
+    f = tensor_bump([(c - r, c + r) for c in x0]) * W ** -2
+    assert check_curvature(geo, W, f, 0.0, grid) < -0.5
+
+
+def test_curvature_corpus_inside_power_range(h1):
+    # at p = 0.5, inside power_range(4) = [0, 1], s > 0 at every node, so no
+    # bump of the curvature operation's corpus gives a negative defect
+    # beyond that operation's tolerance 1e-8
+    geo, w, grid = h1
+    W = ComposeField(power_map(0.5), w.psi)
+    assert suffcond_values(geo, W, grid.points).min() > 0
+    for f in polynomial_bump_corpus(grid, 20, seed=7):
+        assert check_curvature(geo, W, f, 0.0, grid) >= -1e-8
 
 
 @pytest.mark.parametrize("fixture,Q", [("eu3", 3.0), ("h1", 4.0), ("hyp3", 0.0),
