@@ -146,20 +146,21 @@ class FrameDiffusion(Diffusion):
 
     def gamma(self, f: ScalarField, g: ScalarField | None, pts):
         """Gamma(f, g) on the points.  When f or g is a supported field, only
-        its support rows are computed (with the full trees of both fields,
-        on the same sub-array) and the rest is zero."""
+        its support rows are computed (with the full trees of both fields
+        and the frame coefficients, on the same sub-array) and the rest is
+        zero."""
         g = f if g is None else g
-        C = self.frame_values(pts)
         sup = f if isinstance(f, SupportedField) else g
         rows, sub = sup.rows_at(pts) if isinstance(sup, SupportedField) else (None, pts)
         # einsum sums a single row in another order than a longer array
         if rows is None or len(rows) == 1:
-            val = _frame_gamma(C, f, g, pts)
-        else:
-            val = np.zeros(len(pts))
-            # take keeps C's (j, n, i) layout, so einsum sums in the same order
-            val[rows] = _frame_gamma(np.take(C, rows, axis=1), unsupported(f),
-                                     unsupported(g), sub)
+            return _frame_gamma(self.frame_values(pts), f, g, pts)
+        val = np.zeros(len(pts))
+        # the coefficients on the sub-array are the support rows' values in
+        # the whole array's C-contiguous (j, n, i) layout, so einsum sums in
+        # the same order, and they are freed with the sub-array
+        val[rows] = _frame_gamma(self.frame_values(sub), unsupported(f),
+                                 unsupported(g), sub)
         return val
 
     def gamma_field(self, f: ScalarField, g: ScalarField | None = None) -> ScalarField:

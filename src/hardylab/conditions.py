@@ -127,7 +127,9 @@ def check_suffcond(diff, W: ScalarField, grid, gamma: float,
 
 def check_curvature(diff, W: ScalarField, f: ScalarField, gamma: float, grid) -> float:
     """min over retained nodes of Gamma^W(f) - gamma W^2 f^2; a nonnegative
-    minimum certifies the curvature condition for this f."""
+    minimum certifies the curvature condition for this f.  Every node
+    outside a compactly supported f's support gives exactly 0, so a bump
+    that passes reports 0, and only a violation shows its margin."""
     pts = grid.points
     vals = gamma_w(diff, W, f, pts)
     phi = (W.value_at(pts) * f.value_at(pts)) ** 2

@@ -45,7 +45,7 @@ bit-identical to one whole-array pass: every operation on a row depends on
 that row alone, each block is C-contiguous like the grid, so einsum sums in
 the same order, and a block has at least 2 rows, since einsum sums a
 one-row array in another order.  Reductions over the nodes (min, max, mean,
-sum) run once, on the concatenated array, because numpy's pairwise sums
+sum) run once, on the whole output array, because numpy's pairwise sums
 depend on the length.
 """
 
@@ -91,21 +91,27 @@ def _evict(owner_ref, key):
 
 def blockwise(fn, pts):
     """``fn(pts)`` for a per-node ``fn``, evaluated on C-contiguous blocks of
-    ``BLOCK_ROWS`` rows and concatenated (item by item when ``fn`` returns a
-    tuple of arrays).  A tail of fewer than 2 rows joins the block before it;
-    an array of one block is passed to ``fn`` as it is.  See the module doc
-    for why the result equals ``fn(pts)`` bit for bit."""
+    ``BLOCK_ROWS`` rows (item by item when ``fn`` returns a tuple of arrays).
+    The outputs are allocated once, from the first block's shapes and dtypes,
+    and each block's results are written into them in place, so no block's
+    result outlives its turn.  A tail of fewer than 2 rows joins the block
+    before it; an array of one block is passed to ``fn`` as it is.  See the
+    module doc for why the result equals ``fn(pts)`` bit for bit."""
     starts = list(range(0, len(pts), BLOCK_ROWS))
     if len(starts) > 1 and len(pts) - starts[-1] < 2:
         starts.pop()
     if len(starts) <= 1:
         return fn(pts)
 
-    parts = [fn(np.ascontiguousarray(pts[a:b]))
-             for a, b in zip(starts, starts[1:] + [len(pts)])]
-    if isinstance(parts[0], tuple):
-        return tuple(np.concatenate(items) for items in zip(*parts))
-    return np.concatenate(parts)
+    outs = None
+    for a, b in zip(starts, starts[1:] + [len(pts)]):
+        part = fn(np.ascontiguousarray(pts[a:b]))
+        items = part if isinstance(part, tuple) else (part,)
+        if outs is None:
+            outs = tuple(np.empty((len(pts),) + x.shape[1:], dtype=x.dtype) for x in items)
+        for out, x in zip(outs, items):
+            out[a:b] = x
+    return outs if isinstance(part, tuple) else outs[0]
 
 
 def as_points(x, dim: int | None = None):

@@ -5,6 +5,14 @@ weight of a node is prod(h) times the reversible-measure density there, so
 ``integrate`` is the measure-weighted midpoint rule (O(h^2) on smooth
 integrands supported away from excisions).  The lattice index maps retained
 here also drive the finite-difference stencils of the semigroup module.
+
+A grid keeps only what is grid-sized in its answer: the retained points,
+their weights and the index map (and each node's lattice coordinates once
+``neighbor_rows`` is asked for them).  The box's coordinates are filled in place
+and dropped once the kept rows are gathered, and the domain mask and the
+excisions are called on row blocks of the box (``fields.blockwise``), so
+each excision must decide every node from that node alone, and no field
+keeps a memo entry on the whole box.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ import numpy as np
 
 from .catalog import Weight
 from .errors import DegenerateInputError, NumericError, PreconditionError
-from .fields import ScalarField, memo
+from .fields import ScalarField, blockwise, memo
 
 DEFAULT_EXCISION_FACTOR = 3.0
 
@@ -24,8 +32,8 @@ DEFAULT_EXCISION_FACTOR = 3.0
 class Grid:
     """Retained nodes of a truncated lattice plus quadrature data.
 
-    ``index_map`` sends a flat full-lattice index to the retained-node row or
-    -1; ``lattice`` holds each retained node's per-axis integer coordinates.
+    ``index_map`` sends a flat full-lattice index to the retained-node row
+    or -1.
     """
 
     bounds: tuple
@@ -33,7 +41,6 @@ class Grid:
     shape: tuple
     points: np.ndarray
     weights: np.ndarray
-    lattice: np.ndarray
     index_map: np.ndarray
     geometry: object = None
     excisions: tuple = ()
@@ -50,8 +57,12 @@ class Grid:
         return np.ravel_multi_index(tuple(lattice_idx.T), self.shape)
 
     def neighbor_rows(self, axis: int, step: int):
-        """Retained row index of each node's lattice neighbor (-1 if absent)."""
-        nb = self.lattice.copy()
+        """Retained row index of each node's lattice neighbor (-1 if absent).
+        Each node's per-axis integer coordinates come from ``index_map`` and
+        are memoized on the grid."""
+        lattice = memo(self, "lattice", self.points, lambda _: np.stack(
+            np.unravel_index(np.flatnonzero(self.index_map >= 0), self.shape), axis=1))
+        nb = lattice.copy()
         nb[:, axis] += step
         valid = (nb[:, axis] >= 0) & (nb[:, axis] < self.shape[axis])
         rows = np.full(self.n_nodes, -1, dtype=np.int64)
@@ -108,7 +119,9 @@ def make_grid(geo, bounds, n=64, excisions=()) -> Grid:
     ``n`` is the node count per axis (int or per-axis sequence); ``excisions``
     is a sequence of callables mapping (k, m) points to a boolean "drop"
     mask.  Nodes outside the geometry's domain or where the measure density
-    is not finite and positive are dropped as well.
+    is not finite and positive are dropped as well.  The domain mask and the
+    excisions are called on row blocks of the box (``fields.blockwise``), so
+    each must decide every node from that node alone.
     """
     bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
     m = len(bounds)
@@ -121,29 +134,33 @@ def make_grid(geo, bounds, n=64, excisions=()) -> Grid:
     if len(n) != m:
         raise PreconditionError(f"n gives {len(n)} node counts, geometry has dimension {m}")
     spacing = np.array([(hi - lo) / k for (lo, hi), k in zip(bounds, n)])
-    axes = [lo + (np.arange(k) + 0.5) * h for (lo, _), k, h in zip(bounds, n, spacing)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in mesh], axis=1)
+    size = int(np.prod(n))
+    box = np.empty((size, m))
+    cells = box.reshape(n + (m,))
+    for i, ((lo, _), k, h) in enumerate(zip(bounds, n, spacing)):
+        cells[..., i] = (lo + (np.arange(k) + 0.5) * h).reshape((-1,) + (1,) * (m - 1 - i))
 
-    keep = geo.mask(pts)
-    for exc in excisions:
-        keep &= ~np.asarray(exc(pts), dtype=bool)
+    def kept(pts):
+        keep = geo.mask(pts)
+        for exc in excisions:
+            keep &= ~np.asarray(exc(pts), dtype=bool)
+        return keep
 
-    index_map = np.full(int(np.prod(n)), -1, dtype=np.int64)
-    rows = np.nonzero(keep)[0]
+    rows = np.flatnonzero(blockwise(kept, box))
     if len(rows) == 0:
         raise DegenerateInputError("no grid nodes retained")
+    points = np.take(box, rows, axis=0)
+    del box, cells  # before the index map, so the two never coexist
+    index_map = np.full(size, -1, dtype=np.int64)
     index_map[rows] = np.arange(len(rows))
-    points = pts[keep]
-    lattice = np.stack(np.unravel_index(rows, n), axis=1).astype(np.int64)
 
-    density = geo.measure_density.value_at(points)
+    density = geo.measure_density._value(points)
     if not np.all(np.isfinite(density)) or np.any(density <= 0):
         raise NumericError("measure density must be finite and positive on the grid")
     weights = float(np.prod(spacing)) * density
 
     return Grid(bounds=bounds, spacing=spacing, shape=n, points=points,
-                weights=weights, lattice=lattice, index_map=index_map,
+                weights=weights, index_map=index_map,
                 geometry=geo, excisions=tuple(excisions))
 
 

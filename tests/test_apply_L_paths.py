@@ -7,7 +7,12 @@ frames with random zero patterns, the flag must be set exactly when the
 construction says so, and then both paths must agree bit for bit, sign bits
 of zeros included.  A row whose gradient is not finite takes the full path,
 so L f is non-finite there on both paths.  Last, two runs through the CLI
-give the same stdout and CSV bytes with the flag forced off."""
+give the same stdout and CSV bytes with the flag forced off.
+
+``FrameDiffusion.gamma`` of a supported field takes the frame coefficients
+on the field's support sub-array.  On the same random frames, and on the
+hyperbolic and logradial frames, it must give the bits of the support rows
+taken out of the whole array's coefficients."""
 
 import json
 
@@ -19,11 +24,12 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import hardylab as hl  # noqa: E402
-from hardylab.calculus import FrameDiffusion  # noqa: E402
+from hardylab.calculus import FrameDiffusion, _frame_gamma  # noqa: E402
 from hardylab.cli import main  # noqa: E402
-from hardylab.fields import (ComposeField, ConstField, PolyField, VectorField,  # noqa: E402
-                             exp_map)
-from hardylab.testfunctions import random_polynomial  # noqa: E402
+from hardylab.fields import (ComposeField, ConstField, PolyField,  # noqa: E402
+                             ProductField, SupportedField, VectorField, exp_map,
+                             unsupported)
+from hardylab.testfunctions import random_polynomial, tensor_bump  # noqa: E402
 
 
 def _same_bits(a, b) -> bool:
@@ -117,6 +123,49 @@ def test_non_finite_gradient_row_takes_the_full_path():
     assert not np.isfinite(short[0]) and not np.isfinite(full[0])
     assert np.isfinite(short[1])
     assert _same_bits(short, full)
+
+
+def _gamma_from_the_whole_array(diff, f, g, pts):
+    """Gamma of a supported f from the frame coefficients on the whole
+    array, with the support rows taken out by ``np.take`` (one row takes
+    the whole array's path)."""
+    rows, sub = f.rows_at(pts)
+    if len(rows) == 1:
+        return _frame_gamma(diff.frame_values(pts), f, g, pts)
+    val = np.zeros(len(pts))
+    val[rows] = _frame_gamma(np.take(diff.frame_values(pts), rows, axis=1),
+                             unsupported(f), unsupported(g), sub)
+    return val
+
+
+CATALOG_FRAMES = [("hyperbolic", {"m": 2}), ("hyperbolic", {"m": 3}), ("logradial", {"m": 1}),
+                  ("logradial", {"m": 3})]
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(frame_diffusions() | st.sampled_from(CATALOG_FRAMES), st.integers(0, 2 ** 32 - 1),
+       st.integers(2, 60), st.sampled_from(["f", "poly", "bump"]))
+def test_gamma_of_a_supported_field_equals_the_whole_array_rows_bit_for_bit(case, seed, n,
+                                                                           other):
+    if isinstance(case, tuple) and isinstance(case[0], str):
+        diff = hl.make_geometry(case[0], **case[1])
+    else:
+        diff = case[0]
+    m = diff.dim
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(0.1, 2.0, size=(n, m))
+    pts[rng.random(pts.shape) < 0.1] = 0.0
+    pts[rng.random(pts.shape) < 0.1] = -0.0
+
+    def bump():
+        lo = rng.uniform(-0.5, 1.0, size=m)
+        box = [(a, a + w) for a, w in zip(lo, rng.uniform(1.0, 2.5, size=m))]
+        return SupportedField(ProductField(random_polynomial(m, 2, rng), tensor_bump(box)))
+
+    f = bump()
+    g = {"f": f, "poly": random_polynomial(m, 2, rng), "bump": bump()}[other]
+    got = diff.gamma(f, g, pts)
+    assert _same_bits(got, _gamma_from_the_whole_array(diff, f, g, pts))
 
 
 CLI_CONFIGS = {

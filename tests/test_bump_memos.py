@@ -17,7 +17,7 @@ import weakref
 import numpy as np
 import pytest
 
-from hardylab import cli
+from hardylab import cli, fields
 from hardylab import inequalities as ineq
 from hardylab.fields import ComposeField, ProductField, ScalarField, squared
 
@@ -147,3 +147,29 @@ def test_a_curvature_run_evaluates_each_weight_side_node_on_the_grid_once(monkey
     assert seen["checked"] == 3
     for name, node in (("W^2", squared(W)), ("W", W), ("psi", W.f)):
         assert calls[node] == 1, name
+
+
+def test_a_curvature_run_keeps_no_frame_or_density_entry_on_the_grid(monkeypatch):
+    """A bump's Gamma takes the frame coefficients on its own sub-array, and
+    the grid reads the density without memoizing it, so after a curvature
+    run the diffusion, its frame coefficient fields and rho hold nothing
+    keyed on the grid's points.  The 8,000-node grid runs in 4 blocks, as a
+    grid of the benchmark's size does: a grid of one block is its own block,
+    so L(W^2)'s pass leaves the frame coefficients on it."""
+    monkeypatch.setattr(fields, "BLOCK_ROWS", 2048)
+    seen = {}
+    build_grid = cli.default_grid
+
+    def recorded_grid(*args, **kwargs):
+        seen["grid"] = build_grid(*args, **kwargs)
+        return seen["grid"]
+
+    monkeypatch.setattr(cli, "default_grid", recorded_grid)
+    assert cli.run(_config("curvature", {"p": 0.5})).exit_code == 0
+    grid = seen["grid"]
+    diff = grid.geometry
+    nodes = [("diffusion", diff), ("rho", diff.measure_density)]
+    nodes += [(f"frame field {j}, coefficient {i}", c)
+              for j, X in enumerate(diff.frame) for i, c in enumerate(X.coeffs)]
+    for name, node in nodes:
+        assert all(ref() is not grid.points for ref, _ in _entries(node).values()), name

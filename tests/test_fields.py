@@ -428,6 +428,42 @@ def test_blockwise_equals_one_whole_array_pass_bit_for_bit(monkeypatch, n, block
     assert single.tobytes() == whole[0].tobytes()
 
 
+def _concatenated(fn, pts):
+    """A blocked pass that holds every block's result, then concatenates."""
+    starts = list(range(0, len(pts), fields.BLOCK_ROWS))
+    if len(starts) > 1 and len(pts) - starts[-1] < 2:
+        starts.pop()
+    parts = [fn(np.ascontiguousarray(pts[a:b]))
+             for a, b in zip(starts, starts[1:] + [len(pts)])]
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(items) for items in zip(*parts))
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("n", [15, 16, 21, 30])
+@pytest.mark.parametrize("kind", ["array", "tuple", "boolean"])
+def test_blockwise_fills_the_same_bytes_and_dtypes_as_a_concatenation(monkeypatch, n, kind):
+    monkeypatch.setattr(fields, "BLOCK_ROWS", 7)
+    pts = RNG.uniform(-2.0, 2.0, size=(n, 3))
+    pts[RNG.random(pts.shape) < 0.1] = -0.0
+
+    def per_node(p):
+        geo, psi = _koranyi()
+        if kind == "array":
+            return geo.gamma(psi, psi, p)
+        if kind == "boolean":
+            return psi.value_at(p) > 1.0
+        return psi.value_at(p), psi.hess_at(p), geo.apply_L(psi, p), geo.mask(p)
+
+    got, want = fields.blockwise(per_node, pts), _concatenated(per_node, pts)
+    got, want = (got, want) if kind == "tuple" else ((got,), (want,))
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if kind == "boolean":
+        assert got[0].dtype == bool
+
+
 def test_a_blocked_pass_evaluates_frame_values_on_its_blocks_only(monkeypatch):
     monkeypatch.setattr(fields, "BLOCK_ROWS", 7)
     geo, psi = _koranyi()

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import hardylab as hl
+from hardylab.catalog import log_weight
 from hardylab.errors import DegenerateInputError, NumericError, PreconditionError
 from hardylab.fields import ConstField, FuncField
 from hardylab.grid import (Grid, ball_excision, integrate, level_tube_excision,
@@ -131,3 +134,103 @@ def test_supports_verdict_is_memoized_per_grid_and_tolerances(eu3):
     touching = radial_bump(w.psi, 0.8, 3.5)
     assert not grid.supports(touching) and not grid.supports(touching)
     assert len(checks) == 4
+
+
+def _meshgrid_reference(geo, bounds, n, excisions):
+    """The grid as it is built from a whole-box meshgrid: (points, weights,
+    index_map, lattice), the last holding each retained node's per-axis
+    integer coordinates."""
+    spacing = np.array([(hi - lo) / k for (lo, hi), k in zip(bounds, n)])
+    axes = [lo + (np.arange(k) + 0.5) * h for (lo, _), k, h in zip(bounds, n, spacing)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([g.ravel() for g in mesh], axis=1)
+    keep = geo.mask(pts)
+    for exc in excisions:
+        keep &= ~np.asarray(exc(pts), dtype=bool)
+    rows = np.nonzero(keep)[0]
+    index_map = np.full(int(np.prod(n)), -1, dtype=np.int64)
+    index_map[rows] = np.arange(len(rows))
+    points = pts[keep]
+    weights = float(np.prod(spacing)) * geo.measure_density.value_at(points)
+    return points, weights, index_map, np.stack(np.unravel_index(rows, n), axis=1)
+
+
+def _reference_neighbors(lattice, index_map, shape, axis, step):
+    nb = lattice.copy()
+    nb[:, axis] += step
+    valid = (nb[:, axis] >= 0) & (nb[:, axis] < shape[axis])
+    rows = np.full(len(lattice), -1, dtype=np.int64)
+    rows[valid] = index_map[np.ravel_multi_index(tuple(nb[valid].T), shape)]
+    return rows
+
+
+def _euclidean2():
+    geo = hl.make_geometry("euclidean", m=2)
+    w = hl.make_weight(geo, "euclid-norm")
+    return geo, [(-2.0, 2.0)] * 2, [weight_excision(w, 0.3), ball_excision([1.0, 0.5], 0.4)]
+
+
+def _heisenberg1():
+    geo = hl.make_geometry("heisenberg", m=1)
+    w = hl.make_weight(geo, "koranyi-gauge")
+    return geo, [(-2.0, 2.0)] * 3, [weight_excision(w, 0.3),
+                                    level_tube_excision(w.psi, 1.0, 0.1)]
+
+
+def _logradial3():
+    geo = hl.make_geometry("logradial", m=3)
+    w = log_weight(hl.make_weight(geo, "euclid-norm"), "upper")
+    return geo, [(-3.0, 3.0)], [weight_excision(w, 0.2), ball_excision([1.5], 0.25)]
+
+
+# the box sizes 16,385 and 16,386: a last block of 1 row joins the block
+# before it, and one of 2 rows stands alone
+@pytest.mark.parametrize("setup,n", [
+    pytest.param(_euclidean2, (40, 40), id="euclidean2-one-block"),
+    pytest.param(_euclidean2, (5, 3277), id="euclidean2-16385"),
+    pytest.param(_euclidean2, (2, 8193), id="euclidean2-16386"),
+    pytest.param(_euclidean2, (64, 520), id="euclidean2-three-blocks"),
+    pytest.param(_heisenberg1, (5, 29, 113), id="heisenberg1-16385"),
+    pytest.param(_heisenberg1, (2, 3, 2731), id="heisenberg1-16386"),
+    pytest.param(_heisenberg1, (34, 34, 34), id="heisenberg1-three-blocks"),
+    pytest.param(_logradial3, (16385,), id="logradial3-16385"),
+    pytest.param(_logradial3, (16386,), id="logradial3-16386"),
+    pytest.param(_logradial3, (40000,), id="logradial3-three-blocks"),
+])
+def test_make_grid_equals_a_meshgrid_reference_bit_for_bit(setup, n):
+    geo, bounds, excisions = setup()
+    grid = make_grid(geo, bounds, n=n, excisions=excisions)
+    geo, bounds, excisions = setup()
+    points, weights, index_map, lattice = _meshgrid_reference(geo, bounds, n, excisions)
+    assert 0 < len(points) < np.prod(n)
+    for got, want in ((grid.points, points), (grid.weights, weights),
+                      (grid.index_map, index_map)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+    for axis in range(grid.dim):
+        for step in (-1, 1):
+            want = _reference_neighbors(lattice, index_map, grid.shape, axis, step)
+            assert np.array_equal(grid.neighbor_rows(axis, step), want)
+
+
+def test_make_grid_peaks_below_twice_what_the_grid_keeps():
+    """The box's coordinates are filled in place and dropped once the kept
+    rows are gathered, and the excisions run on row blocks of the box, so
+    building a grid needs less than twice what the grid keeps."""
+    geo = hl.make_geometry("heisenberg", m=1)
+    w = hl.make_weight(geo, "koranyi-gauge")
+    hl.default_grid(geo, w, bounds=[(-2, 2)] * 3, n=8)  # the fields' one-off caches
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start, _ = tracemalloc.get_traced_memory()
+        grid = hl.default_grid(geo, w, bounds=[(-2, 2)] * 3, n=48)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    kept = sum(v.nbytes for v in vars(grid).values() if isinstance(v, np.ndarray))
+    assert grid.n_nodes > 0.9 * 48 ** 3
+    assert peak - start <= 2 * kept, (peak - start) / kept
