@@ -36,8 +36,8 @@ import numpy as np
 
 from .errors import DomainError, NumericError, PreconditionError
 from .fields import (ComposeField, PolyField, ProductField, ScalarField, SmoothMap,
-                     SupportedField, as_points, blockwise, memo, squared, unsupported,
-                     with_fd)
+                     SupportedField, as_points, blockwise, memo, squared, support,
+                     unsupported, with_fd)
 
 
 class Diffusion:
@@ -150,18 +150,12 @@ class FrameDiffusion(Diffusion):
         and the frame coefficients, on the same sub-array) and the rest is
         zero."""
         g = f if g is None else g
-        sup = f if isinstance(f, SupportedField) else g
-        rows, sub = sup.rows_at(pts) if isinstance(sup, SupportedField) else (None, pts)
-        # einsum sums a single row in another order than a longer array
-        if rows is None or len(rows) == 1:
-            return _frame_gamma(self.frame_values(pts), f, g, pts)
-        val = np.zeros(len(pts))
+        on = support(f if isinstance(f, SupportedField) else g, pts)
         # the coefficients on the sub-array are the support rows' values in
         # the whole array's C-contiguous (j, n, i) layout, so einsum sums in
         # the same order, and they are freed with the sub-array
-        val[rows] = _frame_gamma(self.frame_values(sub), unsupported(f),
-                                 unsupported(g), sub)
-        return val
+        return on.spread(_frame_gamma(self.frame_values(on.sub), unsupported(f),
+                                      unsupported(g), on.sub))
 
     def gamma_field(self, f: ScalarField, g: ScalarField | None = None) -> ScalarField:
         return FrameGammaField(self, f, f if g is None else g)
@@ -255,18 +249,42 @@ def gamma_w(diff: Diffusion, W: ScalarField, f: ScalarField, p):
 
     Gamma^W(f) = (1/2)(L(W^2) f^2 + 2 Gamma(W^2, f^2) + 2 W^2 Gamma(f)).
     """
-    pts, single = _checked(diff, W, p)
+    pts, single = as_points(p, diff.dim)
+    on, val = gamma_w_rows(diff, W, f, pts)
+    val = on.spread(val)
+    return float(val[0]) if single else val
+
+
+def gamma_w_rows(diff: Diffusion, W: ScalarField, f: ScalarField, pts):
+    """(on, values): ``on`` = ``fields.support(f, pts)`` and Gamma^W(f) on
+    its rows; every other node gives exactly 0.  The weight-side terms are
+    gathered from their whole-array memo entries, L(W^2) first, so its pass
+    never meets a bump's sub-array.  The domain masks hold on all of pts,
+    and off the rows the value is (1/2)(L(W^2) 0 + 0 + 2 W^2 0), so L(W^2)
+    or 2 W^2 not finite at some node raises the NumericError too; both
+    weight-side checks run once per points array."""
+    pts, _ = as_points(pts, diff.dim)
+    in_domain = memo(W, (diff, "in domain"), pts,
+                     lambda p: bool(np.all(diff.mask(p) & W._mask(p))))
+    if not in_domain:
+        raise DomainError("point outside the domain mask of the field or diffusion")
     if not np.all(f._mask(pts)):
         raise DomainError("point outside the domain mask of f")
     W2 = squared(W)
-    f2 = squared(f)
-    fv = f.value_at(pts)
-    val = 0.5 * (l_of_square(diff, W, pts) * fv ** 2
-                 + 2.0 * diff.gamma(W2, f2, pts)
-                 + 2.0 * W2.value_at(pts) * diff.gamma(f, f, pts))
-    if not np.all(np.isfinite(val)):
+    lw2 = l_of_square(diff, W, pts)
+    w2 = W2.value_at(pts)
+    finite = memo(W, (diff, "L(W^2), 2 W^2 finite"), pts,
+                  lambda _: bool(np.all(np.isfinite(lw2)) and np.all(np.isfinite(2.0 * w2))))
+    on = support(f, pts)
+    tree, sub = on.tree, on.sub
+    fv = tree.value_at(sub)
+    # a fresh square: ``squared`` would cache it on the tree, in a cycle
+    val = 0.5 * (on.take(lw2) * fv ** 2
+                 + 2.0 * diff.gamma(W2, ProductField(tree, tree), sub)
+                 + 2.0 * on.take(w2) * diff.gamma(tree, tree, sub))
+    if not (finite and np.all(np.isfinite(val))):
         raise NumericError("non-finite value in Gamma^W(f)")
-    return float(val[0]) if single else val
+    return on, val
 
 
 def _match_oracle(derived: ScalarField, *parents: ScalarField) -> ScalarField:

@@ -23,7 +23,7 @@ from .catalog import (GEOMETRIES, WEIGHTS, GeometrySpec, Weight, _is_bounds, _is
                       _is_number, make_geometry, make_weight)
 from .conditions import check_curvature, check_suffcond, qcond_report
 from .errors import DegenerateInputError, NumericError, PreconditionError, UsageError
-from .fields import ComposeField, ScalarField, power_map
+from .fields import ComposeField, ScalarField, power_map, value_in_blocks
 from .grid import Grid, default_grid
 from .testfunctions import bump_corpus, polynomial_bump_corpus
 
@@ -190,7 +190,7 @@ class _Context:
         psi's range on the grid."""
         psi_range = self.cfg.parameters.get("psi_range")
         if psi_range is None:
-            vals = self.weight.psi.value_at(self.grid.points)
+            vals = value_in_blocks(self.weight.psi, self.grid.points)
             lo, hi = float(np.min(vals)), float(np.max(vals))
             span = hi - lo
             psi_range = (lo + 0.15 * span, hi - 0.15 * span)

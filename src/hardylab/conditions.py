@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import Diffusion, gamma_w
+from .calculus import Diffusion, gamma_w_rows
 from .catalog import Weight
 from .errors import DegenerateInputError, PreconditionError
 from .fields import ScalarField, blockwise
@@ -129,12 +129,14 @@ def check_curvature(diff, W: ScalarField, f: ScalarField, gamma: float, grid) ->
     """min over retained nodes of Gamma^W(f) - gamma W^2 f^2; a nonnegative
     minimum certifies the curvature condition for this f.  Every node
     outside a compactly supported f's support gives exactly 0, so a bump
-    that passes reports 0, and only a violation shows its margin."""
+    that passes reports 0, and only a violation shows its margin.  The
+    defect is computed on f's support rows; only the minimum sees a
+    full-length array, zero off them."""
     pts = grid.points
-    vals = gamma_w(diff, W, f, pts)
-    phi = (W.value_at(pts) * f.value_at(pts)) ** 2
+    on, vals = gamma_w_rows(diff, W, f, pts)
+    phi = (on.take(W.value_at(pts)) * on.tree.value_at(on.sub)) ** 2
     with np.errstate(over="ignore"):  # an overflowing gamma W^2 f^2 gives -inf
-        return float(np.min(vals - gamma * phi))
+        return float(np.min(on.spread(vals - gamma * phi)))
 
 
 def power_range(Q: float):

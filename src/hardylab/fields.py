@@ -22,21 +22,26 @@ pure, so fields are safe to share across threads.
 Compactly supported fields can be wrapped in :class:`SupportedField`.  Its
 rows on a points array are a superset of the points where the value,
 gradient or Hessian can be non-zero, read off the ``inside`` predicates of
-the bump maps in the expression tree; the tree is evaluated on those rows
-only and the results are scattered into full-size zeros.  Callers that sum
-over points keep summing the full arrays, so sums do not change.  A memo
-entry (:func:`memo`) lives as long as its points array.  A supported field
-memoizes its rows and sub-array, and its tree the values on that sub-array,
-but no full-size array: each call scatters afresh.  The sub-array lives in
-the field's own table, so when the last reference to the field goes, the
-sub-array goes, and with it every entry on it, also those of shared fields
-(a weight psi), whose entries on the whole grid stay.
+the bump maps in the expression tree (run on every row, or only on rows a
+caller knows to hold the support: the corpus passes a bump's tensor box).
+Per-bump work runs on those rows (:func:`support`), with weight-side terms
+gathered from their whole-grid memo entries; only a final reduction over
+the nodes (a quadrature sum, a minimum) sees a full-length array, zero off
+the rows, so numpy reduces the same array as with whole-grid values.  A
+memo entry (:func:`memo`) lives as long as its points array.  A supported
+field memoizes its rows and sub-array, and its tree the values on that
+sub-array, but no full-size array: ``value_at`` and the like scatter
+afresh.  The sub-array lives in the field's own table, so when the last
+reference to the field goes, the sub-array goes, and with it every entry on
+it, also those of shared fields (a weight psi), whose entries on the whole
+grid stay.
 
 Passes that only need each node's own value, gradient and Hessian run in
 row blocks of at most about ``BLOCK_ROWS`` = 16,384 nodes
 (:func:`blockwise`): the comparison ratio of ``conditions.qcond_ratios``,
 ``suffcond_values``, ``calculus.l_of_square``, the weight-side terms of
-``inequalities`` and ``catalog.estimate_kappa``.  Each block is a new array
+``inequalities`` (psi too, :func:`value_in_blocks`) and
+``catalog.estimate_kappa``.  Each block is a new array
 object, freed with its memo entries once its part is done, so a tree holds
 one block's arrays at a time, not the whole grid's.  A block's values,
 gradients and Hessians down the tree of W^2 are the largest arrays a sweep
@@ -52,6 +57,7 @@ depend on the length.
 from __future__ import annotations
 
 import weakref
+from typing import NamedTuple
 
 import numpy as np
 
@@ -823,6 +829,7 @@ class SupportedField(ScalarField):
     Only the rows, their sub-array and the base tree's values on it are
     memoized: a full-size array is a zero fill and one scatter, so each call
     builds it afresh and nothing of the whole grid's size stays behind.
+    Callers that reduce over the nodes use :func:`support` instead.
     """
 
     def __init__(self, base: ScalarField, rows_of: SupportedField | None = None):
@@ -838,25 +845,24 @@ class SupportedField(ScalarField):
     def hess_at(self, pts):
         return self._hess(pts)
 
-    def rows_at(self, pts):
-        """(rows, pts[rows]), memoized per points array; the base tree
-        memoizes its own values against that one sub-array."""
+    def rows_at(self, pts, within=None):
+        """(rows, pts[rows]), ascending, memoized per points array; the base
+        tree memoizes its own values against that one sub-array.  The
+        predicates run only on ``within`` when given: ascending rows that
+        hold every row where the base may be non-zero."""
         if self.rows_of is not None:
-            return self.rows_of.rows_at(pts)
+            return self.rows_of.rows_at(pts, within)
 
         def compute(p):
-            rows = _support_rows(self.base, p)
+            rows = _support_rows(self.base, p, within)
             rows = np.arange(len(p)) if rows is None else rows
             return rows, p[rows]
 
         return memo(self, "rows", pts, compute)
 
     def _scatter(self, pts, evaluate):
-        rows, sub = self.rows_at(pts)
-        vals = evaluate(sub)
-        out = np.zeros((len(pts),) + vals.shape[1:])
-        out[rows] = vals
-        return out
+        on = support(self, pts)
+        return on.spread(evaluate(on.sub))
 
     def _value(self, pts):
         return self._scatter(pts, self.base.value_at)
@@ -869,6 +875,50 @@ class SupportedField(ScalarField):
 
     def _mask(self, pts):
         return self.base._mask(pts)
+
+
+class Support(NamedTuple):
+    """A field on its support rows of ``pts`` (:func:`support`): ``tree``
+    gives its values on ``sub`` = ``pts[index]``, where ``index`` is
+    ``rows`` but takes a lone row of a longer array twice (einsum sums a
+    one-row array in another order).  ``take`` gathers a whole-array term at
+    ``index``; ``spread`` puts values on ``sub`` into full-size zeros (a
+    lone row's first value) and returns values on every row as they are."""
+
+    pts: np.ndarray
+    rows: np.ndarray | slice
+    index: np.ndarray | slice
+    sub: np.ndarray
+    tree: ScalarField
+
+    def take(self, whole):
+        return whole[self.index]
+
+    def spread(self, vals):
+        if isinstance(self.rows, slice):
+            return vals
+        out = np.zeros((len(self.pts),) + vals.shape[1:])
+        out[self.rows] = vals if self.index is self.rows else vals[:1]
+        return out
+
+
+def support(field: ScalarField, pts) -> Support:
+    """A supported field's rows, sub-array and base tree on ``pts``; every
+    row (``slice(None)``), pts and the field itself otherwise."""
+    if not isinstance(field, SupportedField):
+        every = slice(None)
+        return Support(pts, every, every, pts, field)
+    rows, sub = field.rows_at(pts)
+    if len(rows) == 1 < len(pts):
+        index = np.repeat(rows, 2)
+        return Support(pts, rows, index, pts[index], field.base)
+    return Support(pts, rows, rows, sub, field.base)
+
+
+def value_in_blocks(field: ScalarField, pts):
+    """``field.value_at(pts)``, computed in row blocks when first asked for,
+    so that the field's inner nodes keep no entry on pts."""
+    return memo(field, "v", pts, lambda p: blockwise(field._value, p))
 
 
 def unsupported(field: ScalarField) -> ScalarField:

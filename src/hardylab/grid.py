@@ -23,7 +23,7 @@ import numpy as np
 
 from .catalog import Weight
 from .errors import DegenerateInputError, NumericError, PreconditionError
-from .fields import ScalarField, blockwise, memo
+from .fields import ScalarField, blockwise, memo, support
 
 DEFAULT_EXCISION_FACTOR = 3.0
 
@@ -95,17 +95,39 @@ class Grid:
     def supports(self, f: ScalarField, layers: int = 2, rel_tol: float = 1e-12) -> bool:
         """True when f vanishes on every node within ``layers`` of a missing
         neighbor (i.e. its support stays clear of the boundary/excisions).
-        The verdict is memoized on f for this grid's points, so a corpus
-        bump checked when it is drawn is not checked again by each report."""
+        Only f's support rows are read (``fields.support``); the zeros off
+        them pass unless the bound is NaN or negative.  The verdict is
+        memoized on f for this grid's points, so a corpus bump checked when
+        it is drawn is not checked again by each report."""
 
         def check(pts):
-            vals = np.abs(f.value_at(pts))
+            on = support(f, pts)
+            vals = np.abs(on.tree.value_at(on.sub))
             scale = float(np.max(vals)) if len(vals) else 0.0
             if scale == 0.0:
                 return True
-            return bool(np.all(vals[self.fringe_mask(layers)] <= rel_tol * scale))
+            bound = rel_tol * scale
+            fringe = self.fringe_mask(layers)
+            if not 0.0 <= bound:  # no node passes
+                return not np.any(fringe)
+            return bool(np.all(vals[on.take(fringe)] <= bound))
 
         return memo(f, ("supports", layers, rel_tol), self.points, check)
+
+    def box_rows(self, box):
+        """Ascending rows of the retained nodes within one cell of ``box``
+        ((lo, hi) per axis), read off ``index_map`` without visiting the
+        others: a superset of the nodes strictly inside the box."""
+        axes = []
+        for (lo, _), (a, b), h, k in zip(self.bounds, box, self.spacing, self.shape):
+            # node i sits at lo + (i + 1/2) h; the extra cell absorbs rounding
+            first = max(int(np.floor((a - lo) / h - 0.5)) - 1, 0)
+            last = min(int(np.ceil((b - lo) / h - 0.5)) + 1, k - 1)
+            if first > last:
+                return np.empty(0, dtype=np.int64)
+            axes.append(np.arange(first, last + 1))
+        rows = self.index_map[np.ravel_multi_index(np.ix_(*axes), self.shape).ravel()]
+        return rows[rows >= 0]
 
     def refined(self, factor: int = 2) -> "Grid":
         """Same box and excisions with the spacing divided by ``factor``."""

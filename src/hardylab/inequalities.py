@@ -25,10 +25,15 @@ The costly terms no test function enters are computed once per (grid, weight)
 and cached on the weight's field while that points array lives
 (``fields.memo``): psi, G(psi), the powers psi^a (W^2 among them), L(W^2) and
 L(W), the defects G(psi, G(psi)) and D psi - psi, and the kappa estimates; a
-bump's own entries on its sub-array leave them in place.  Keys carry every
+bump's own entries on its sub-array leave them in place.  psi's value is
+computed in row blocks, so its inner nodes keep none.  Keys carry every
 parameter a value depends on (the diffusion, alpha, Q, beta; p through W
 itself).  Only the inputs of the checks are cached: every report compares
 them against its own tolerance and raises on its own.
+
+A report works on f's support rows (``fields.support``; every row when f is
+not supported): cached terms are gathered there, f's own terms computed on
+the support sub-array, and only the quadrature sums see full-length arrays.
 
 ``estimate_best_constant`` runs a Rayleigh-quotient search over smoothed
 truncations of the near-optimal power profile; the supremum approaches the
@@ -44,9 +49,9 @@ import numpy as np
 
 from .calculus import Diffusion, l_of_square
 from .catalog import GeometrySpec, Weight, estimate_kappa, make_weight
-from .errors import DegenerateInputError, PreconditionError, UsageError
-from .fields import ScalarField, blockwise, memo
-from .grid import Grid, integrate
+from .errors import DegenerateInputError, NumericError, PreconditionError, UsageError
+from .fields import Support, ScalarField, blockwise, memo, support, value_in_blocks
+from .grid import Grid
 from .operators import dilation_operator
 from .testfunctions import smoothed_power
 
@@ -87,28 +92,37 @@ def _masked_log(vals, pv):
     return np.where(vals != 0.0, np.log(np.where(vals != 0.0, pv, 1.0)), 1.0)
 
 
-def _total(grid: Grid, terms) -> float:
-    """Sum of coefficient * integral over (coefficient, integrand) terms, in order."""
-    values = [c * integrate(grid, vals) for c, vals in terms]
+def _total(grid: Grid, on: Support, terms) -> float:
+    """Sum of coefficient * integral over (coefficient, integrand on f's rows)
+    terms, in order.  Each integral sums one full-length array, zero off the
+    rows: off them every integrand is a zero (``_factor`` raises where it is
+    not), and numpy's pairwise sum adds zeros of either sign alike."""
+    values = []
+    for c, vals in terms:
+        if not np.all(np.isfinite(vals)):
+            raise NumericError("non-finite integrand value at a grid node")
+        values.append(c * float(np.sum(on.spread(vals * on.take(grid.weights)))))
     return sum(values[1:], values[0])
 
 
 def _form(inequality_id: str, grid: Grid, f: ScalarField, sides,
           check_support: bool = True) -> HardyReport:
     """The core under every report.  Checks f's support (unless the caller
-    opts out), then asks ``sides(pts, fv)`` for (const, lhs_terms, rhs_terms,
-    params): left terms are (a, V) pairs, V multiplying f^2 only where f != 0;
-    right terms are (b, U) pairs of finished integrands."""
+    opts out), then asks ``sides(on, fv)`` for (const, lhs_terms, rhs_terms,
+    params), where ``on`` = ``fields.support(f, grid.points)`` and fv is f
+    on its rows; every term is an array on those rows.  Left terms are
+    (a, V) pairs, V multiplying f^2 only where f != 0; right terms are
+    (b, U) pairs of finished integrands."""
     if check_support and not grid.supports(f):
         raise PreconditionError("test function support touches the grid boundary "
                                 "or an excised region")
-    pts = grid.points
-    fv = f.value_at(pts)
-    # integrate raises the NumericError for a non-finite integrand
+    on = support(f, grid.points)
+    fv = on.tree.value_at(on.sub)
+    # _total raises the NumericError for a non-finite integrand
     with np.errstate(over="ignore", invalid="ignore"):
-        const, lhs_terms, rhs_terms, params = sides(pts, fv)
-        lhs = _total(grid, [(a, _masked_product(fv ** 2, v)) for a, v in lhs_terms])
-        rhs = _total(grid, rhs_terms)
+        const, lhs_terms, rhs_terms, params = sides(on, fv)
+        lhs = _total(grid, on, [(a, _masked_product(fv ** 2, v)) for a, v in lhs_terms])
+        rhs = _total(grid, on, rhs_terms)
     return HardyReport(inequality_id, lhs, rhs, const, lhs / rhs if rhs > 0 else None,
                        params)
 
@@ -116,8 +130,8 @@ def _form(inequality_id: str, grid: Grid, f: ScalarField, sides,
 # -- weight-side terms: once per (field, key, points array) -----------------
 # Each is cached in the field's one memo table, next to its own "v"/"g"/"h";
 # keys name the quantity, the diffusion and every parameter it depends on, so
-# no two meet.  The terms that need derivatives are computed in row blocks
-# (``fields.blockwise``) and cached for the whole points array.
+# no two meet.  The terms are computed in row blocks (``fields.blockwise``)
+# and cached for the whole points array.
 
 def _gamma_psi(diff: Diffusion, psi: ScalarField, pts):
     return memo(psi, (diff, "Gamma"), pts,
@@ -125,7 +139,17 @@ def _gamma_psi(diff: Diffusion, psi: ScalarField, pts):
 
 
 def _power(psi: ScalarField, a: float, pts):
-    return memo(psi, ("power", a), pts, lambda p: psi.value_at(p) ** a)
+    return memo(psi, ("power", a), pts, lambda p: value_in_blocks(psi, p) ** a)
+
+
+def _factor(psi: ScalarField, a: float, on: Support):
+    """psi^a on f's rows, as the factor of an integrand psi^a E, E one of
+    f's terms: off the rows that is psi^a 0, so a psi^a not finite at every
+    node raises the NumericError."""
+    pa = _power(psi, a, on.pts)
+    if not memo(psi, ("power", a, "finite"), on.pts, lambda _: bool(np.all(np.isfinite(pa)))):
+        raise NumericError("non-finite integrand value at a grid node")
+    return on.take(pa)
 
 
 def _excluded(value: float, point: float, *operands: float) -> bool:
@@ -146,13 +170,16 @@ def _log_constant(alpha: float) -> float:
 
 
 def _hardy_sides(diff: Diffusion, psi: ScalarField, alpha: float, const: float,
-                 f: ScalarField, params: dict):
+                 params: dict):
     """psi^alpha Gamma(psi) / psi^2 against const psi^alpha Gamma(f)."""
 
-    def sides(pts, fv):
-        pa = _power(psi, alpha, pts)
-        return (const, [(1.0, pa * _gamma_psi(diff, psi, pts) / psi.value_at(pts) ** 2)],
-                [(const, pa * diff.gamma(f, f, pts))], params)
+    def sides(on, fv):
+        pts = on.pts
+        lhs = (on.take(_power(psi, alpha, pts)) * on.take(_gamma_psi(diff, psi, pts))
+               / on.take(value_in_blocks(psi, pts)) ** 2)
+        return (const, [(1.0, lhs)],
+                [(const, _factor(psi, alpha, on) * diff.gamma(on.tree, on.tree, on.sub))],
+                params)
 
     return sides
 
@@ -160,12 +187,12 @@ def _hardy_sides(diff: Diffusion, psi: ScalarField, alpha: float, const: float,
 def _log_sides(const: float, alpha: float, psi: ScalarField, parts, params: dict):
     """Sides of a log family: int w |log psi|^a num/(den log^2 psi) f^2 against
     const int w |log psi|^a E, for const = ``_log_constant(alpha)``.
-    ``parts(pts)`` runs the family's own checks and gives (w, num, den, E),
-    1.0 for a missing factor."""
+    ``parts(on)`` runs the family's own checks and gives (w, num, den, E) on
+    f's rows, 1.0 for a missing factor."""
 
-    def sides(pts, fv):
-        w, num, den, energy = parts(pts)
-        pv = psi.value_at(pts)
+    def sides(on, fv):
+        w, num, den, energy = parts(on)
+        pv = on.take(value_in_blocks(psi, on.pts))
         nz = fv != 0.0
         if np.any(pv[nz] < 1.0) and np.any(pv[nz] > 1.0):
             raise PreconditionError("support crosses the level set {psi = 1}")
@@ -181,7 +208,7 @@ def hardy_report(geo, psi: Weight, Q: float, alpha: float, f: ScalarField,
                  grid: Grid) -> HardyReport:
     """General weighted Hardy inequality with constant (2/(Q + alpha - 2))^2."""
     const = _hardy_constant(Q, alpha, "log_hardy_report / weighted_log_hardy_report")
-    return _form("hardy", grid, f, _hardy_sides(geo, psi.psi, alpha, const, f,
+    return _form("hardy", grid, f, _hardy_sides(geo, psi.psi, alpha, const,
                                                 {"Q": Q, "alpha": alpha, "weight": psi.name}))
 
 
@@ -191,9 +218,10 @@ def log_hardy_report(geo, psi: Weight, alpha: float, f: ScalarField,
     constant (2/(alpha - 1))^2; log^p psi means |log psi|^p."""
     const = _log_constant(alpha)
 
-    def parts(pts):
-        return (1.0, _gamma_psi(geo, psi.psi, pts), psi.psi.value_at(pts) ** 2,
-                geo.gamma(f, f, pts))
+    def parts(on):
+        return (1.0, on.take(_gamma_psi(geo, psi.psi, on.pts)),
+                on.take(value_in_blocks(psi.psi, on.pts)) ** 2,
+                geo.gamma(on.tree, on.tree, on.sub))
 
     return _form("log-hardy", grid, f, _log_sides(const, alpha, psi.psi, parts,
                                                   {"alpha": alpha, "weight": psi.name}))
@@ -207,9 +235,11 @@ def weighted_log_hardy_report(geo, psi: Weight, Q: float, alpha: float,
         raise UsageError("Q = 2 reduces to log_hardy_report")
     const = _log_constant(alpha)
 
-    def parts(pts):
-        return (_power(psi.psi, 2.0 - Q, pts), _gamma_psi(geo, psi.psi, pts),
-                psi.psi.value_at(pts) ** 2, geo.gamma(f, f, pts))
+    def parts(on):
+        return (on.take(_power(psi.psi, 2.0 - Q, on.pts)),
+                on.take(_gamma_psi(geo, psi.psi, on.pts)),
+                on.take(value_in_blocks(psi.psi, on.pts)) ** 2,
+                geo.gamma(on.tree, on.tree, on.sub))
 
     return _form("weighted-log-hardy", grid, f, _log_sides(
         const, alpha, psi.psi, parts, {"Q": Q, "alpha": alpha, "weight": psi.name}))
@@ -239,12 +269,14 @@ def radial_hardy_report(geo, psi: Weight, Q: float, alpha: float, f: ScalarField
     Gamma(psi, f)^2.  Requires Gamma(psi, Gamma(psi)) = 0 on the grid."""
     const = _hardy_constant(Q, alpha, "radial_log_hardy_report")
 
-    def sides(pts, fv):
+    def sides(on, fv):
+        pts = on.pts
         _require_secondary(geo, psi.psi, pts, secondary_tol)
-        pa = _power(psi.psi, alpha, pts)
-        gpsi = _gamma_psi(geo, psi.psi, pts)
-        return (const, [(1.0, pa * gpsi ** 2 / psi.psi.value_at(pts) ** 2)],
-                [(const, pa * geo.gamma(psi.psi, f, pts) ** 2)],
+        pa = on.take(_power(psi.psi, alpha, pts))
+        gpsi = on.take(_gamma_psi(geo, psi.psi, pts))
+        return (const, [(1.0, pa * gpsi ** 2 / on.take(value_in_blocks(psi.psi, pts)) ** 2)],
+                [(const, _factor(psi.psi, alpha, on)
+                  * geo.gamma(psi.psi, on.tree, on.sub) ** 2)],
                 {"Q": Q, "alpha": alpha, "weight": psi.name})
 
     return _form("radial", grid, f, sides)
@@ -257,10 +289,12 @@ def radial_log_hardy_report(geo, psi: Weight, Q: float, alpha: float,
     (2/(alpha-1))^2)."""
     const = _log_constant(alpha)
 
-    def parts(pts):
-        _require_secondary(geo, psi.psi, pts, secondary_tol)
-        return (_power(psi.psi, 2.0 - Q, pts), _gamma_psi(geo, psi.psi, pts) ** 2,
-                psi.psi.value_at(pts) ** 2, geo.gamma(psi.psi, f, pts) ** 2)
+    def parts(on):
+        _require_secondary(geo, psi.psi, on.pts, secondary_tol)
+        return (on.take(_power(psi.psi, 2.0 - Q, on.pts)),
+                on.take(_gamma_psi(geo, psi.psi, on.pts)) ** 2,
+                on.take(value_in_blocks(psi.psi, on.pts)) ** 2,
+                geo.gamma(psi.psi, on.tree, on.sub) ** 2)
 
     return _form("radial-log", grid, f, _log_sides(
         const, alpha, psi.psi, parts, {"Q": Q, "alpha": alpha, "weight": psi.name}))
@@ -271,7 +305,7 @@ def _require_euler(geo: GeometrySpec, dil, psi: ScalarField, pts, tol: float):
     the defect is computed once per (geometry, psi, points array)."""
 
     def compute(p):
-        pv = psi.value_at(p)
+        pv = value_in_blocks(psi, p)
         scale = max(float(np.max(np.abs(pv))), 1.0)
         dpsi = blockwise(lambda b: dil.dilation.apply(psi, b), p)
         return float(np.max(np.abs(dpsi - pv))), scale
@@ -295,10 +329,11 @@ def dilation_hardy_report(geo: GeometrySpec, psi: Weight, alpha: float,
         raise UsageError("alpha = -Q_hom is excluded for the dilation family")
     const = (2.0 / (dil.Q_hom + alpha)) ** 2
 
-    def sides(pts, fv):
-        _require_euler(geo, dil, psi.psi, pts, euler_tol)
-        pa = _power(psi.psi, alpha, pts)
-        return (const, [(1.0, pa)], [(const, pa * dil.dilation.apply(f, pts) ** 2)],
+    def sides(on, fv):
+        _require_euler(geo, dil, psi.psi, on.pts, euler_tol)
+        return (const, [(1.0, on.take(_power(psi.psi, alpha, on.pts)))],
+                [(const, _factor(psi.psi, alpha, on)
+                  * dil.dilation.apply(on.tree, on.sub) ** 2)],
                 {"Q_hom": dil.Q_hom, "alpha": alpha, "weight": psi.name})
 
     return _form("dilation", grid, f, sides)
@@ -311,9 +346,10 @@ def dilation_log_hardy_report(geo: GeometrySpec, psi: Weight, alpha: float,
     const = _log_constant(alpha)
     dil = dilation_operator(geo)
 
-    def parts(pts):
-        _require_euler(geo, dil, psi.psi, pts, euler_tol)
-        return _power(psi.psi, -dil.Q_hom, pts), 1.0, 1.0, dil.dilation.apply(f, pts) ** 2
+    def parts(on):
+        _require_euler(geo, dil, psi.psi, on.pts, euler_tol)
+        return (on.take(_power(psi.psi, -dil.Q_hom, on.pts)), 1.0, 1.0,
+                dil.dilation.apply(on.tree, on.sub) ** 2)
 
     return _form("dilation-log", grid, f, _log_sides(
         const, alpha, psi.psi, parts, {"Q_hom": dil.Q_hom, "alpha": alpha, "weight": psi.name}))
@@ -324,10 +360,11 @@ def funcineq_report(diff, W: ScalarField, gamma: float, f: ScalarField,
     """The multiplier functional inequality
     int L(W^2) f^2 <= 2 int W^2 G(f) - 2 gamma int W^2 f^2."""
 
-    def sides(pts, fv):
-        wv2 = _power(W, 2, pts)
-        return (1.0, [(1.0, l_of_square(diff, W, pts))],
-                [(2.0, wv2 * diff.gamma(f, f, pts)),
+    def sides(on, fv):
+        pts = on.pts
+        wv2 = on.take(_power(W, 2, pts))
+        return (1.0, [(1.0, on.take(l_of_square(diff, W, pts)))],
+                [(2.0, _factor(W, 2, on) * diff.gamma(on.tree, on.tree, on.sub)),
                  (-2.0 * gamma, _masked_product(fv ** 2, wv2))], {"gamma": gamma})
 
     return _form("funcineq", grid, f, sides)
@@ -339,14 +376,17 @@ def funcineqgeneral_report(diff, W: ScalarField, beta: float, f: ScalarField,
     (1-b) int W^(1-2b) LW f^2 + (b^2-b+1) int W^(-2b) G(W) f^2
         <= int W^(2-2b) G(f)."""
 
-    def sides(pts, fv):
+    def sides(on, fv):
+        pts = on.pts
         lw = memo(W, (diff, "L(W)"), pts,
                   lambda p: blockwise(lambda b: diff.apply_L(W, b), p))
         gw = _gamma_psi(diff, W, pts)
-        return (1.0, [(1.0 - beta, _power(W, 1.0 - 2.0 * beta, pts) * lw),
-                      (beta ** 2 - beta + 1.0, _power(W, -2.0 * beta, pts) * gw)],
-                [(1.0, _masked_product(diff.gamma(f, f, pts),
-                                       _power(W, 2.0 - 2.0 * beta, pts)))], {"beta": beta})
+        return (1.0, [(1.0 - beta, on.take(_power(W, 1.0 - 2.0 * beta, pts)) * on.take(lw)),
+                      (beta ** 2 - beta + 1.0,
+                       on.take(_power(W, -2.0 * beta, pts)) * on.take(gw))],
+                [(1.0, _masked_product(diff.gamma(on.tree, on.tree, on.sub),
+                                       on.take(_power(W, 2.0 - 2.0 * beta, pts))))],
+                {"beta": beta})
 
     return _form("funcineq-general", grid, f, sides)
 
@@ -362,7 +402,8 @@ def homogeneous_norm_report(geo: GeometrySpec, rho: Weight, f: ScalarField,
     once per (geometry, rho, points array).
     """
 
-    def sides(pts, fv):
+    def sides(on, fv):
+        pts = on.pts
         if geo.stratification is None:
             raise UsageError("homogeneous-norm reports need a stratified geometry")
         hor = [i for i, s in enumerate(geo.stratification) if s == 0]
@@ -380,8 +421,8 @@ def homogeneous_norm_report(geo: GeometrySpec, rho: Weight, f: ScalarField,
 
         k_comp, k_rho = memo(rho.psi, (geo, "kappa"), pts, kappas)
         const = branch_const * k_comp ** 2 * k_rho ** 2
-        return (const, [(1.0, 1.0 / rho.psi.value_at(pts) ** 2)],
-                [(const, geo.gamma(f, f, pts))],
+        return (const, [(1.0, 1.0 / on.take(value_in_blocks(rho.psi, pts)) ** 2)],
+                [(const, geo.gamma(on.tree, on.tree, on.sub))],
                 {"n0": n0, "kappa_comp": k_comp, "kappa_rho": k_rho, "weight": rho.name})
 
     return _form("homo-norm", grid, f, sides)
@@ -394,7 +435,7 @@ def homogeneous_norm_report(geo: GeometrySpec, rho: Weight, f: ScalarField,
 def rayleigh_ratio(geo, psi: Weight, alpha: float, f: ScalarField, grid: Grid) -> float:
     """R(f) = int psi^a (G(psi)/psi^2) f^2 / int psi^a G(f) (no constant).
     The support is not checked: callers that need it check it first."""
-    rep = _form("rayleigh", grid, f, _hardy_sides(geo, psi.psi, alpha, 1.0, f, {}),
+    rep = _form("rayleigh", grid, f, _hardy_sides(geo, psi.psi, alpha, 1.0, {}),
                 check_support=False)
     if rep.ratio is None:
         raise DegenerateInputError("trial function has vanishing energy")

@@ -11,13 +11,13 @@ non-zero (the ``|u| < 1`` tests of the bump maps themselves).  The
 expression tree runs on those rows only, and every array handed back is
 full-size with exact zeros elsewhere, so full-grid sums see the same values.
 
-An accepted bump holds four things: its support rows, the sub-array of the
-grid's points on them, its tree's values on that sub-array and its
-``grid.supports`` verdict.  The full-size arrays of the floor test and of
-the support check are built afresh and dropped, and a support predicate
-reads its argument through ``_value``, not memoized, so no bump holds an
-array of the grid's size.  The four are memo entries on the bump or on its
-sub-array (:func:`~hardylab.fields.memo`), so they go with the bump.
+A candidate's rows are the retained nodes near its tensor box
+(``Grid.box_rows``), narrowed by the bump maps' own predicates, and its
+floor test and support check read its values on those rows only.  An
+accepted bump holds its support rows, their sub-array of the grid's points,
+its tree's values there and its ``grid.supports`` verdict, and no array of
+the grid's size; all four are memo entries on the bump or its sub-array
+(:func:`~hardylab.fields.memo`), so they go with the bump.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from .errors import UsageError
 from .fields import (ComposeField, PolyField, ProductField, ScalarField,
                      CoordinateField, SupportedField, bump_window_map,
-                     smoothed_power_profile)
+                     smoothed_power_profile, support)
 
 
 def radial_bump(psi: ScalarField, a: float, b: float) -> ScalarField:
@@ -78,14 +78,17 @@ def bump_corpus(psi: ScalarField, grid, n: int, seed: int, psi_range: tuple[floa
         width = hi_psi - lo_psi
         w = width * (_MIN_REL_WIDTH + (1.0 - _MIN_REL_WIDTH) * rng.random())
         a = lo_psi + (width - w) * rng.random()
-        return ProductField(radial_bump(psi, a, a + w), tensor_bump(_interior_box(grid, rng)))
+        radial = radial_bump(psi, a, a + w)
+        box = _interior_box(grid, rng)
+        return ProductField(radial, tensor_bump(box)), box
 
     return _corpus(grid, n, seed, draw, 1e-6)
 
 
 def _corpus(grid, n: int, seed: int, draw, floor: float):
-    """n fields ``draw(rng)``, each redrawn until it exceeds ``floor`` on the
-    grid and the grid supports it; a UsageError after 50 n draws."""
+    """n fields from ``draw(rng)`` (a field and its tensor factor's box),
+    each redrawn until it exceeds ``floor`` on the grid and the grid
+    supports it; a UsageError after 50 n draws."""
     rng = np.random.default_rng(seed)
     out = []
     attempts = 0
@@ -93,8 +96,12 @@ def _corpus(grid, n: int, seed: int, draw, floor: float):
         attempts += 1
         if attempts > 50 * n:
             raise UsageError("could not place the requested corpus inside the grid")
-        f = SupportedField(draw(rng))
-        if np.abs(f.value_at(grid.points)).max() > floor and grid.supports(f):
+        base, box = draw(rng)
+        f = SupportedField(base)
+        f.rows_at(grid.points, within=grid.box_rows(box))
+        on = support(f, grid.points)
+        vals = np.abs(on.tree.value_at(on.sub))
+        if len(vals) and vals.max() > floor and grid.supports(f):
             out.append(f)
     return out
 
@@ -133,6 +140,6 @@ def polynomial_bump_corpus(grid, n: int, seed: int):
 
     def draw(rng):
         box = _interior_box(grid, rng)
-        return ProductField(random_polynomial(len(grid.bounds), 2, rng), tensor_bump(box))
+        return ProductField(random_polynomial(len(grid.bounds), 2, rng), tensor_bump(box)), box
 
     return _corpus(grid, n, seed, draw, 1e-9)

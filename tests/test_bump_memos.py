@@ -173,3 +173,32 @@ def test_a_curvature_run_keeps_no_frame_or_density_entry_on_the_grid(monkeypatch
               for j, X in enumerate(diff.frame) for i, c in enumerate(X.coeffs)]
     for name, node in nodes:
         assert all(ref() is not grid.points for ref, _ in _entries(node).values()), name
+
+
+def test_a_hardy_run_keeps_psis_whole_grid_values_in_psis_own_table(monkeypatch):
+    """psi's whole-grid value is computed in row blocks, so after a hardy run
+    only psi's own table holds entries keyed on the grid's points (its value
+    and the weight-side terms) and none of its inner nodes does.  The
+    8,000-node grid runs in 4 blocks, as a grid of the benchmark's size
+    does: a grid of one block is its own block."""
+    monkeypatch.setattr(fields, "BLOCK_ROWS", 2048)
+    seen = {}
+    build_grid, report = cli.default_grid, ineq.hardy_report
+
+    def recorded_grid(*args, **kwargs):
+        seen["grid"] = build_grid(*args, **kwargs)
+        return seen["grid"]
+
+    def recorded_report(geo, psi, *args, **kwargs):
+        seen["psi"] = psi.psi
+        return report(geo, psi, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "default_grid", recorded_grid)
+    monkeypatch.setattr(ineq, "hardy_report", recorded_report)
+    assert cli.run(_config("hardy", {"psi_range": [0.6, 1.8]})).exit_code == 0
+    psi, pts = seen["psi"], seen["grid"].points
+    on_grid = [node for node in _tree(psi)
+               if any(ref() is pts for ref, _ in _entries(node).values())]
+    assert on_grid == [psi]
+    (terms,) = [values for ref, values in _entries(psi).values() if ref() is pts]
+    assert "v" in terms
