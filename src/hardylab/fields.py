@@ -30,28 +30,28 @@ the nodes (a quadrature sum, a minimum) sees a full-length array, zero off
 the rows, so numpy reduces the same array as with whole-grid values.  A
 memo entry (:func:`memo`) lives as long as its points array.  A supported
 field memoizes its rows and sub-array, and its tree the values on that
-sub-array, but no full-size array: ``value_at`` and the like scatter
-afresh.  The sub-array lives in the field's own table, so when the last
-reference to the field goes, the sub-array goes, and with it every entry on
-it, also those of shared fields (a weight psi), whose entries on the whole
-grid stay.
+sub-array; evaluated on a whole array, it memoizes like any field, which
+only a semigroup's initial state does.  The sub-array lives in the field's
+own table, so when the last reference to the field goes, the sub-array
+goes, and with it every entry on it, also those of shared fields (a weight
+psi), whose entries on the whole grid stay.
 
 Passes that only need each node's own value, gradient and Hessian run in
 row blocks of at most about ``BLOCK_ROWS`` = 16,384 nodes
-(:func:`blockwise`): the comparison ratio of ``conditions.qcond_ratios``,
-``suffcond_values``, ``calculus.l_of_square``, the weight-side terms of
-``inequalities`` (psi too, :func:`value_in_blocks`) and
-``catalog.estimate_kappa``.  Each block is a new array
-object, freed with its memo entries once its part is done, so a tree holds
-one block's arrays at a time, not the whole grid's.  A block's values,
-gradients and Hessians down the tree of W^2 are the largest arrays a sweep
-holds, so the block size bounds its peak memory.  The results are
-bit-identical to one whole-array pass: every operation on a row depends on
-that row alone, each block is C-contiguous like the grid, so einsum sums in
-the same order, and a block has at least 2 rows, since einsum sums a
-one-row array in another order.  Reductions over the nodes (min, max, mean,
-sum) run once, on the whole output array, because numpy's pairwise sums
-depend on the length.
+(:func:`blockwise`): the domain mask and excisions of ``grid.make_grid``,
+the comparison ratio of ``conditions.qcond_ratios``, ``suffcond_values``,
+``calculus.l_of_square``, the weight-side terms of ``inequalities`` (psi
+too, :func:`value_in_blocks`) and ``catalog.estimate_kappa``.  Each block
+is a new array object, at every array size, freed with its memo entries
+once its part is done, so a tree holds one block's arrays at a time, not
+the whole grid's.  A block's values, gradients and Hessians down the tree
+of W^2 are the largest arrays a sweep holds, so the block size bounds its
+peak memory.  The results are bit-identical to one whole-array pass: every
+operation on a row depends on that row alone, each block is C-contiguous
+like the grid, so einsum sums in the same order, and a block of a longer
+array has at least 2 rows, since einsum sums a one-row array in another
+order.  Reductions over the nodes (min, max, mean, sum) run once, on the
+whole output array, because numpy's pairwise sums depend on the length.
 """
 
 from __future__ import annotations
@@ -101,14 +101,11 @@ def blockwise(fn, pts):
     The outputs are allocated once, from the first block's shapes and dtypes,
     and each block's results are written into them in place, so no block's
     result outlives its turn.  A tail of fewer than 2 rows joins the block
-    before it; an array of one block is passed to ``fn`` as it is.  See the
-    module doc for why the result equals ``fn(pts)`` bit for bit."""
-    starts = list(range(0, len(pts), BLOCK_ROWS))
+    before it.  See the module doc for why the result equals ``fn(pts)`` bit
+    for bit."""
+    starts = list(range(0, len(pts), BLOCK_ROWS)) or [0]
     if len(starts) > 1 and len(pts) - starts[-1] < 2:
         starts.pop()
-    if len(starts) <= 1:
-        return fn(pts)
-
     outs = None
     for a, b in zip(starts, starts[1:] + [len(pts)]):
         part = fn(np.ascontiguousarray(pts[a:b]))
@@ -482,12 +479,11 @@ def _as_field(x) -> ScalarField:
 
 
 def squared(field: ScalarField) -> ScalarField:
-    """field*field.  The square of a supported field is supported on the same
-    rows and built afresh, since a cached one would hold the field in a
-    reference cycle; any other field's square is constructed once, so its
-    evaluations stay memoized."""
-    if isinstance(field, SupportedField):
-        return SupportedField(ProductField(field.base, field.base), rows_of=field)
+    """field*field, constructed once, so its evaluations stay memoized: for
+    long-lived fields (a weight, a multiplier).  A caller that squares a bump
+    builds ``ProductField(tree, tree)`` afresh, as
+    ``calculus.gamma_w_rows`` does, since a cached square would hold the bump
+    in a reference cycle."""
     sq = field.__dict__.get("_squared_field")
     if sq is None:
         sq = field.__dict__["_squared_field"] = ProductField(field, field)
@@ -823,35 +819,18 @@ class SupportedField(ScalarField):
 
     Value, gradient and Hessian are ``base``'s on the rows and zero
     elsewhere, which is exact because the rows come from the bump maps'
-    own ``inside`` predicates.  ``rows_of`` shares another supported
-    field's rows (the square of a field has the same support).
-
-    Only the rows, their sub-array and the base tree's values on it are
-    memoized: a full-size array is a zero fill and one scatter, so each call
-    builds it afresh and nothing of the whole grid's size stays behind.
-    Callers that reduce over the nodes use :func:`support` instead.
+    own ``inside`` predicates.  A whole-array evaluation memoizes like any
+    field's; callers that reduce over the nodes use :func:`support` instead.
     """
 
-    def __init__(self, base: ScalarField, rows_of: SupportedField | None = None):
+    def __init__(self, base: ScalarField):
         self.base = base
-        self.rows_of = rows_of
-
-    def value_at(self, pts):
-        return self._value(pts)
-
-    def grad_at(self, pts):
-        return self._grad(pts)
-
-    def hess_at(self, pts):
-        return self._hess(pts)
 
     def rows_at(self, pts, within=None):
         """(rows, pts[rows]), ascending, memoized per points array; the base
         tree memoizes its own values against that one sub-array.  The
         predicates run only on ``within`` when given: ascending rows that
         hold every row where the base may be non-zero."""
-        if self.rows_of is not None:
-            return self.rows_of.rows_at(pts, within)
 
         def compute(p):
             rows = _support_rows(self.base, p, within)
@@ -879,26 +858,25 @@ class SupportedField(ScalarField):
 
 class Support(NamedTuple):
     """A field on its support rows of ``pts`` (:func:`support`): ``tree``
-    gives its values on ``sub`` = ``pts[index]``, where ``index`` is
-    ``rows`` but takes a lone row of a longer array twice (einsum sums a
-    one-row array in another order).  ``take`` gathers a whole-array term at
-    ``index``; ``spread`` puts values on ``sub`` into full-size zeros (a
-    lone row's first value) and returns values on every row as they are."""
+    gives its values on ``sub`` = ``pts[rows]``, where a lone row of a
+    longer array is repeated in ``rows`` (einsum sums a one-row array in
+    another order).  ``take`` gathers a whole-array term at ``rows``;
+    ``spread`` puts values on ``sub`` into full-size zeros and returns
+    values on every row as they are."""
 
     pts: np.ndarray
     rows: np.ndarray | slice
-    index: np.ndarray | slice
     sub: np.ndarray
     tree: ScalarField
 
     def take(self, whole):
-        return whole[self.index]
+        return whole[self.rows]
 
     def spread(self, vals):
         if isinstance(self.rows, slice):
             return vals
         out = np.zeros((len(self.pts),) + vals.shape[1:])
-        out[self.rows] = vals if self.index is self.rows else vals[:1]
+        out[self.rows] = vals
         return out
 
 
@@ -906,13 +884,12 @@ def support(field: ScalarField, pts) -> Support:
     """A supported field's rows, sub-array and base tree on ``pts``; every
     row (``slice(None)``), pts and the field itself otherwise."""
     if not isinstance(field, SupportedField):
-        every = slice(None)
-        return Support(pts, every, every, pts, field)
+        return Support(pts, slice(None), pts, field)
     rows, sub = field.rows_at(pts)
     if len(rows) == 1 < len(pts):
-        index = np.repeat(rows, 2)
-        return Support(pts, rows, index, pts[index], field.base)
-    return Support(pts, rows, rows, sub, field.base)
+        rows = np.repeat(rows, 2)
+        sub = pts[rows]
+    return Support(pts, rows, sub, field.base)
 
 
 def value_in_blocks(field: ScalarField, pts):

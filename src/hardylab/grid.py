@@ -87,18 +87,19 @@ class Grid:
             depth[missing & (depth > layer - 1)] = layer - 1
         return depth.ravel()[retained]
 
-    def fringe_mask(self, layers: int = 2):
-        """Nodes within ``layers`` of a missing lattice neighbor (cached)."""
-        return memo(self, ("fringe", layers), self.points,
-                    lambda p: self.interior_depth(layers) < layers)
+    def fringe_mask(self):
+        """Nodes within 2 layers of a missing lattice neighbor (cached)."""
+        return memo(self, "fringe", self.points, lambda p: self.interior_depth(2) < 2)
 
-    def supports(self, f: ScalarField, layers: int = 2, rel_tol: float = 1e-12) -> bool:
-        """True when f vanishes on every node within ``layers`` of a missing
-        neighbor (i.e. its support stays clear of the boundary/excisions).
-        Only f's support rows are read (``fields.support``); the zeros off
-        them pass unless the bound is NaN or negative.  The verdict is
-        memoized on f for this grid's points, so a corpus bump checked when
-        it is drawn is not checked again by each report."""
+    def supports(self, f: ScalarField) -> bool:
+        """True when |f| is at most 1e-12 max |f| on every node within 2
+        layers of a missing neighbor (i.e. its support stays clear of the
+        boundary/excisions).  Only f's support rows are read
+        (``fields.support``); the zeros off them pass unless the bound is
+        NaN or negative.  The verdict is memoized on f for this grid's
+        points, so a corpus bump checked when it is drawn, or a trial
+        function checked before its Rayleigh quotient, is not checked again
+        by its report."""
 
         def check(pts):
             on = support(f, pts)
@@ -106,13 +107,13 @@ class Grid:
             scale = float(np.max(vals)) if len(vals) else 0.0
             if scale == 0.0:
                 return True
-            bound = rel_tol * scale
-            fringe = self.fringe_mask(layers)
+            bound = 1e-12 * scale
+            fringe = self.fringe_mask()
             if not 0.0 <= bound:  # no node passes
                 return not np.any(fringe)
             return bool(np.all(vals[on.take(fringe)] <= bound))
 
-        return memo(f, ("supports", layers, rel_tol), self.points, check)
+        return memo(f, "supports", self.points, check)
 
     def box_rows(self, box):
         """Ascending rows of the retained nodes within one cell of ``box``

@@ -19,7 +19,7 @@ The four log families (log-hardy, weighted-log-hardy, radial-log, dilation-log)
 take (2/(alpha-1))^2 from ``_log_constant`` (it rejects alpha = 1) and share
 ``_log_sides``: f's support stays on one side of {psi = 1}, log psi is taken only
 where an integrand is nonzero, |log psi|^a and the family's factor w (1.0 for
-none) go on both sides.  ``rayleigh_ratio``: hardy, constant 1, no support check.
+none) go on both sides.  ``rayleigh_ratio``: hardy, constant 1.
 
 The costly terms no test function enters are computed once per (grid, weight)
 and cached on the weight's field while that points array lives
@@ -29,7 +29,7 @@ bump's own entries on its sub-array leave them in place.  psi's value is
 computed in row blocks, so its inner nodes keep none.  Keys carry every
 parameter a value depends on (the diffusion, alpha, Q, beta; p through W
 itself).  Only the inputs of the checks are cached: every report compares
-them against its own tolerance and raises on its own.
+them against ``SECONDARY_TOL`` or ``EULER_TOL`` and raises on its own.
 
 A report works on f's support rows (``fields.support``; every row when f is
 not supported): cached terms are gathered there, f's own terms computed on
@@ -54,6 +54,9 @@ from .fields import Support, ScalarField, blockwise, memo, support, value_in_blo
 from .grid import Grid
 from .operators import dilation_operator
 from .testfunctions import smoothed_power
+
+SECONDARY_TOL = 1e-8  # largest max |Gamma(psi, Gamma(psi))| the radial families accept
+EULER_TOL = 1e-8  # largest max |D psi - psi|, relative to max(max |psi|, 1), for dilation
 
 
 @dataclass
@@ -105,15 +108,14 @@ def _total(grid: Grid, on: Support, terms) -> float:
     return sum(values[1:], values[0])
 
 
-def _form(inequality_id: str, grid: Grid, f: ScalarField, sides,
-          check_support: bool = True) -> HardyReport:
-    """The core under every report.  Checks f's support (unless the caller
-    opts out), then asks ``sides(on, fv)`` for (const, lhs_terms, rhs_terms,
-    params), where ``on`` = ``fields.support(f, grid.points)`` and fv is f
-    on its rows; every term is an array on those rows.  Left terms are
-    (a, V) pairs, V multiplying f^2 only where f != 0; right terms are
-    (b, U) pairs of finished integrands."""
-    if check_support and not grid.supports(f):
+def _form(inequality_id: str, grid: Grid, f: ScalarField, sides) -> HardyReport:
+    """The core under every report.  Checks f's support, then asks
+    ``sides(on, fv)`` for (const, lhs_terms, rhs_terms, params), where
+    ``on`` = ``fields.support(f, grid.points)`` and fv is f on its rows;
+    every term is an array on those rows.  Left terms are (a, V) pairs, V
+    multiplying f^2 only where f != 0; right terms are (b, U) pairs of
+    finished integrands."""
+    if not grid.supports(f):
         raise PreconditionError("test function support touches the grid boundary "
                                 "or an excised region")
     on = support(f, grid.points)
@@ -130,26 +132,31 @@ def _form(inequality_id: str, grid: Grid, f: ScalarField, sides,
 # -- weight-side terms: once per (field, key, points array) -----------------
 # Each is cached in the field's one memo table, next to its own "v"/"g"/"h";
 # keys name the quantity, the diffusion and every parameter it depends on, so
-# no two meet.  The terms are computed in row blocks (``fields.blockwise``)
-# and cached for the whole points array.
+# no two meet.  The terms are computed in row blocks (``fields.blockwise``),
+# cached for the whole points array and gathered at f's rows.
 
-def _gamma_psi(diff: Diffusion, psi: ScalarField, pts):
-    return memo(psi, (diff, "Gamma"), pts,
-                lambda p: blockwise(lambda b: diff.gamma(psi, psi, b), p))
+def _value(psi: ScalarField, on: Support):
+    return on.take(value_in_blocks(psi, on.pts))
 
 
-def _power(psi: ScalarField, a: float, pts):
-    return memo(psi, ("power", a), pts, lambda p: value_in_blocks(psi, p) ** a)
+def _gamma_psi(diff: Diffusion, psi: ScalarField, on: Support):
+    return on.take(memo(psi, (diff, "Gamma"), on.pts,
+                        lambda p: blockwise(lambda b: diff.gamma(psi, psi, b), p)))
+
+
+def _power(psi: ScalarField, a: float, on: Support):
+    return on.take(memo(psi, ("power", a), on.pts, lambda p: value_in_blocks(psi, p) ** a))
 
 
 def _factor(psi: ScalarField, a: float, on: Support):
     """psi^a on f's rows, as the factor of an integrand psi^a E, E one of
     f's terms: off the rows that is psi^a 0, so a psi^a not finite at every
     node raises the NumericError."""
-    pa = _power(psi, a, on.pts)
-    if not memo(psi, ("power", a, "finite"), on.pts, lambda _: bool(np.all(np.isfinite(pa)))):
+    whole = support(psi, on.pts)  # every row: a weight is no supported field
+    if not memo(psi, ("power", a, "finite"), on.pts,
+                lambda _: bool(np.all(np.isfinite(_power(psi, a, whole))))):
         raise NumericError("non-finite integrand value at a grid node")
-    return on.take(pa)
+    return _power(psi, a, on)
 
 
 def _excluded(value: float, point: float, *operands: float) -> bool:
@@ -174,9 +181,7 @@ def _hardy_sides(diff: Diffusion, psi: ScalarField, alpha: float, const: float,
     """psi^alpha Gamma(psi) / psi^2 against const psi^alpha Gamma(f)."""
 
     def sides(on, fv):
-        pts = on.pts
-        lhs = (on.take(_power(psi, alpha, pts)) * on.take(_gamma_psi(diff, psi, pts))
-               / on.take(value_in_blocks(psi, pts)) ** 2)
+        lhs = _power(psi, alpha, on) * _gamma_psi(diff, psi, on) / _value(psi, on) ** 2
         return (const, [(1.0, lhs)],
                 [(const, _factor(psi, alpha, on) * diff.gamma(on.tree, on.tree, on.sub))],
                 params)
@@ -192,7 +197,7 @@ def _log_sides(const: float, alpha: float, psi: ScalarField, parts, params: dict
 
     def sides(on, fv):
         w, num, den, energy = parts(on)
-        pv = on.take(value_in_blocks(psi, on.pts))
+        pv = _value(psi, on)
         nz = fv != 0.0
         if np.any(pv[nz] < 1.0) and np.any(pv[nz] > 1.0):
             raise PreconditionError("support crosses the level set {psi = 1}")
@@ -219,8 +224,7 @@ def log_hardy_report(geo, psi: Weight, alpha: float, f: ScalarField,
     const = _log_constant(alpha)
 
     def parts(on):
-        return (1.0, on.take(_gamma_psi(geo, psi.psi, on.pts)),
-                on.take(value_in_blocks(psi.psi, on.pts)) ** 2,
+        return (1.0, _gamma_psi(geo, psi.psi, on), _value(psi.psi, on) ** 2,
                 geo.gamma(on.tree, on.tree, on.sub))
 
     return _form("log-hardy", grid, f, _log_sides(const, alpha, psi.psi, parts,
@@ -236,10 +240,8 @@ def weighted_log_hardy_report(geo, psi: Weight, Q: float, alpha: float,
     const = _log_constant(alpha)
 
     def parts(on):
-        return (on.take(_power(psi.psi, 2.0 - Q, on.pts)),
-                on.take(_gamma_psi(geo, psi.psi, on.pts)),
-                on.take(value_in_blocks(psi.psi, on.pts)) ** 2,
-                geo.gamma(on.tree, on.tree, on.sub))
+        return (_power(psi.psi, 2.0 - Q, on), _gamma_psi(geo, psi.psi, on),
+                _value(psi.psi, on) ** 2, geo.gamma(on.tree, on.tree, on.sub))
 
     return _form("weighted-log-hardy", grid, f, _log_sides(
         const, alpha, psi.psi, parts, {"Q": Q, "alpha": alpha, "weight": psi.name}))
@@ -256,25 +258,23 @@ def secondary_condition_defect(diff: Diffusion, psi: ScalarField, pts) -> float:
     return memo(psi, (diff, "secondary"), np.asarray(pts, dtype=float), compute)
 
 
-def _require_secondary(diff: Diffusion, psi: ScalarField, pts, tol: float):
+def _require_secondary(diff: Diffusion, psi: ScalarField, pts):
     defect = secondary_condition_defect(diff, psi, pts)
-    if defect > tol:
-        raise PreconditionError(
-            f"Gamma(psi, Gamma(psi)) = {defect:.3e} exceeds tolerance {tol:.1e}")
+    if defect > SECONDARY_TOL:
+        raise PreconditionError(f"Gamma(psi, Gamma(psi)) = {defect:.3e} exceeds "
+                                f"tolerance {SECONDARY_TOL:.1e}")
 
 
 def radial_hardy_report(geo, psi: Weight, Q: float, alpha: float, f: ScalarField,
-                        grid: Grid, secondary_tol: float = 1e-8) -> HardyReport:
+                        grid: Grid) -> HardyReport:
     """Radial-derivative Hardy inequality: the right side only sees
     Gamma(psi, f)^2.  Requires Gamma(psi, Gamma(psi)) = 0 on the grid."""
     const = _hardy_constant(Q, alpha, "radial_log_hardy_report")
 
     def sides(on, fv):
-        pts = on.pts
-        _require_secondary(geo, psi.psi, pts, secondary_tol)
-        pa = on.take(_power(psi.psi, alpha, pts))
-        gpsi = on.take(_gamma_psi(geo, psi.psi, pts))
-        return (const, [(1.0, pa * gpsi ** 2 / on.take(value_in_blocks(psi.psi, pts)) ** 2)],
+        _require_secondary(geo, psi.psi, on.pts)
+        pa, gpsi = _power(psi.psi, alpha, on), _gamma_psi(geo, psi.psi, on)
+        return (const, [(1.0, pa * gpsi ** 2 / _value(psi.psi, on) ** 2)],
                 [(const, _factor(psi.psi, alpha, on)
                   * geo.gamma(psi.psi, on.tree, on.sub) ** 2)],
                 {"Q": Q, "alpha": alpha, "weight": psi.name})
@@ -283,24 +283,21 @@ def radial_hardy_report(geo, psi: Weight, Q: float, alpha: float, f: ScalarField
 
 
 def radial_log_hardy_report(geo, psi: Weight, Q: float, alpha: float,
-                            f: ScalarField, grid: Grid,
-                            secondary_tol: float = 1e-8) -> HardyReport:
+                            f: ScalarField, grid: Grid) -> HardyReport:
     """Logarithmic variant of the radial family (factor psi^(2-Q), constant
     (2/(alpha-1))^2)."""
     const = _log_constant(alpha)
 
     def parts(on):
-        _require_secondary(geo, psi.psi, on.pts, secondary_tol)
-        return (on.take(_power(psi.psi, 2.0 - Q, on.pts)),
-                on.take(_gamma_psi(geo, psi.psi, on.pts)) ** 2,
-                on.take(value_in_blocks(psi.psi, on.pts)) ** 2,
-                geo.gamma(psi.psi, on.tree, on.sub) ** 2)
+        _require_secondary(geo, psi.psi, on.pts)
+        return (_power(psi.psi, 2.0 - Q, on), _gamma_psi(geo, psi.psi, on) ** 2,
+                _value(psi.psi, on) ** 2, geo.gamma(psi.psi, on.tree, on.sub) ** 2)
 
     return _form("radial-log", grid, f, _log_sides(
         const, alpha, psi.psi, parts, {"Q": Q, "alpha": alpha, "weight": psi.name}))
 
 
-def _require_euler(geo: GeometrySpec, dil, psi: ScalarField, pts, tol: float):
+def _require_euler(geo: GeometrySpec, dil, psi: ScalarField, pts):
     """Check the Euler identity D psi = psi on the grid, relative to max |psi|;
     the defect is computed once per (geometry, psi, points array)."""
 
@@ -311,14 +308,13 @@ def _require_euler(geo: GeometrySpec, dil, psi: ScalarField, pts, tol: float):
         return float(np.max(np.abs(dpsi - pv))), scale
 
     defect, scale = memo(psi, (geo, "euler"), pts, compute)
-    if defect > tol * scale:
+    if defect > EULER_TOL * scale:
         raise PreconditionError("Euler identity D psi = psi fails on the grid; "
                                 "the weight is not a homogeneous quasinorm")
 
 
 def dilation_hardy_report(geo: GeometrySpec, psi: Weight, alpha: float,
-                          f: ScalarField, grid: Grid,
-                          euler_tol: float = 1e-8) -> HardyReport:
+                          f: ScalarField, grid: Grid) -> HardyReport:
     """Hardy inequality for the dilation operator, constant (2/(Q_hom+a))^2.
 
     The weight must be a homogeneous quasinorm: the Euler identity
@@ -330,8 +326,8 @@ def dilation_hardy_report(geo: GeometrySpec, psi: Weight, alpha: float,
     const = (2.0 / (dil.Q_hom + alpha)) ** 2
 
     def sides(on, fv):
-        _require_euler(geo, dil, psi.psi, on.pts, euler_tol)
-        return (const, [(1.0, on.take(_power(psi.psi, alpha, on.pts)))],
+        _require_euler(geo, dil, psi.psi, on.pts)
+        return (const, [(1.0, _power(psi.psi, alpha, on))],
                 [(const, _factor(psi.psi, alpha, on)
                   * dil.dilation.apply(on.tree, on.sub) ** 2)],
                 {"Q_hom": dil.Q_hom, "alpha": alpha, "weight": psi.name})
@@ -340,15 +336,14 @@ def dilation_hardy_report(geo: GeometrySpec, psi: Weight, alpha: float,
 
 
 def dilation_log_hardy_report(geo: GeometrySpec, psi: Weight, alpha: float,
-                              f: ScalarField, grid: Grid,
-                              euler_tol: float = 1e-8) -> HardyReport:
+                              f: ScalarField, grid: Grid) -> HardyReport:
     """Critical dilation family: factor psi^(-Q_hom), weights |log psi|^a."""
     const = _log_constant(alpha)
     dil = dilation_operator(geo)
 
     def parts(on):
-        _require_euler(geo, dil, psi.psi, on.pts, euler_tol)
-        return (on.take(_power(psi.psi, -dil.Q_hom, on.pts)), 1.0, 1.0,
+        _require_euler(geo, dil, psi.psi, on.pts)
+        return (_power(psi.psi, -dil.Q_hom, on), 1.0, 1.0,
                 dil.dilation.apply(on.tree, on.sub) ** 2)
 
     return _form("dilation-log", grid, f, _log_sides(
@@ -361,11 +356,10 @@ def funcineq_report(diff, W: ScalarField, gamma: float, f: ScalarField,
     int L(W^2) f^2 <= 2 int W^2 G(f) - 2 gamma int W^2 f^2."""
 
     def sides(on, fv):
-        pts = on.pts
-        wv2 = on.take(_power(W, 2, pts))
-        return (1.0, [(1.0, on.take(l_of_square(diff, W, pts)))],
+        return (1.0, [(1.0, on.take(l_of_square(diff, W, on.pts)))],
                 [(2.0, _factor(W, 2, on) * diff.gamma(on.tree, on.tree, on.sub)),
-                 (-2.0 * gamma, _masked_product(fv ** 2, wv2))], {"gamma": gamma})
+                 (-2.0 * gamma, _masked_product(fv ** 2, _power(W, 2, on)))],
+                {"gamma": gamma})
 
     return _form("funcineq", grid, f, sides)
 
@@ -377,15 +371,13 @@ def funcineqgeneral_report(diff, W: ScalarField, beta: float, f: ScalarField,
         <= int W^(2-2b) G(f)."""
 
     def sides(on, fv):
-        pts = on.pts
-        lw = memo(W, (diff, "L(W)"), pts,
-                  lambda p: blockwise(lambda b: diff.apply_L(W, b), p))
-        gw = _gamma_psi(diff, W, pts)
-        return (1.0, [(1.0 - beta, on.take(_power(W, 1.0 - 2.0 * beta, pts)) * on.take(lw)),
+        lw = on.take(memo(W, (diff, "L(W)"), on.pts,
+                          lambda p: blockwise(lambda b: diff.apply_L(W, b), p)))
+        return (1.0, [(1.0 - beta, _power(W, 1.0 - 2.0 * beta, on) * lw),
                       (beta ** 2 - beta + 1.0,
-                       on.take(_power(W, -2.0 * beta, pts)) * on.take(gw))],
+                       _power(W, -2.0 * beta, on) * _gamma_psi(diff, W, on))],
                 [(1.0, _masked_product(diff.gamma(on.tree, on.tree, on.sub),
-                                       on.take(_power(W, 2.0 - 2.0 * beta, pts))))],
+                                       _power(W, 2.0 - 2.0 * beta, on)))],
                 {"beta": beta})
 
     return _form("funcineq-general", grid, f, sides)
@@ -403,7 +395,6 @@ def homogeneous_norm_report(geo: GeometrySpec, rho: Weight, f: ScalarField,
     """
 
     def sides(on, fv):
-        pts = on.pts
         if geo.stratification is None:
             raise UsageError("homogeneous-norm reports need a stratified geometry")
         hor = [i for i, s in enumerate(geo.stratification) if s == 0]
@@ -419,9 +410,9 @@ def homogeneous_norm_report(geo: GeometrySpec, rho: Weight, f: ScalarField,
                     else make_weight(geo, "coordinate", index=hor[0]))
             return estimate_kappa(comp, nw, grid), estimate_kappa(rho, nw, grid)
 
-        k_comp, k_rho = memo(rho.psi, (geo, "kappa"), pts, kappas)
+        k_comp, k_rho = memo(rho.psi, (geo, "kappa"), on.pts, kappas)
         const = branch_const * k_comp ** 2 * k_rho ** 2
-        return (const, [(1.0, 1.0 / on.take(value_in_blocks(rho.psi, pts)) ** 2)],
+        return (const, [(1.0, 1.0 / _value(rho.psi, on) ** 2)],
                 [(const, geo.gamma(on.tree, on.tree, on.sub))],
                 {"n0": n0, "kappa_comp": k_comp, "kappa_rho": k_rho, "weight": rho.name})
 
@@ -433,10 +424,8 @@ def homogeneous_norm_report(geo: GeometrySpec, rho: Weight, f: ScalarField,
 # ---------------------------------------------------------------------------
 
 def rayleigh_ratio(geo, psi: Weight, alpha: float, f: ScalarField, grid: Grid) -> float:
-    """R(f) = int psi^a (G(psi)/psi^2) f^2 / int psi^a G(f) (no constant).
-    The support is not checked: callers that need it check it first."""
-    rep = _form("rayleigh", grid, f, _hardy_sides(geo, psi.psi, alpha, 1.0, {}),
-                check_support=False)
+    """R(f) = int psi^a (G(psi)/psi^2) f^2 / int psi^a G(f) (no constant)."""
+    rep = _form("rayleigh", grid, f, _hardy_sides(geo, psi.psi, alpha, 1.0, {}))
     if rep.ratio is None:
         raise DegenerateInputError("trial function has vanishing energy")
     return rep.ratio
@@ -509,16 +498,14 @@ def _golden_section_max(fun, lo: float, hi: float):
 
 
 def estimate_best_constant(geo, psi: Weight, alpha: float,
-                           trial_family: PowerTrialFamily | None = None,
-                           grid: Grid | None = None, refine: bool = True):
+                           trial_family: PowerTrialFamily | None = None, *,
+                           grid: Grid, refine: bool = True):
     """Maximize the Rayleigh quotient over the trial family.
 
     Returns (sup_ratio, best_params).  The supremum is compared against the
     theoretical constant (2/(Q + alpha - 2))^2 by the caller; it approaches
     that constant from below as the family widens (smaller eps, larger b/a).
     """
-    if grid is None:
-        raise UsageError("estimate_best_constant requires a grid")
     Q = psi.claimed_Q
     if trial_family is None:
         if Q is None:

@@ -17,9 +17,9 @@ import weakref
 import numpy as np
 import pytest
 
-from hardylab import cli, fields
+from hardylab import cli
 from hardylab import inequalities as ineq
-from hardylab.fields import ComposeField, ProductField, ScalarField, squared
+from hardylab.fields import ComposeField, ProductField, ScalarField, SupportedField, squared
 
 
 def _config(operation, parameters):
@@ -83,7 +83,7 @@ def test_a_bump_holds_its_support_rows_until_its_check_and_nothing_after(
             assert 0 < len(rows) == len(sub) < grid.n_nodes
             # one entry, on the grid's points: the rows and the supports verdict
             (ref, values), = _entries(f).values()
-            assert ref() is grid.points and set(values) == {"rows", ("supports", 2, 1e-12)}
+            assert ref() is grid.points and set(values) == {"rows", "supports"}
             # the tree keeps its values on the rows, for the report to read
             assert [ref() for ref, _ in _entries(f.base).values()] == [sub]
         # weak references only: the run alone decides how long a bump lives
@@ -150,13 +150,11 @@ def test_a_curvature_run_evaluates_each_weight_side_node_on_the_grid_once(monkey
 
 
 def test_a_curvature_run_keeps_no_frame_or_density_entry_on_the_grid(monkeypatch):
-    """A bump's Gamma takes the frame coefficients on its own sub-array, and
-    the grid reads the density without memoizing it, so after a curvature
-    run the diffusion, its frame coefficient fields and rho hold nothing
-    keyed on the grid's points.  The 8,000-node grid runs in 4 blocks, as a
-    grid of the benchmark's size does: a grid of one block is its own block,
-    so L(W^2)'s pass leaves the frame coefficients on it."""
-    monkeypatch.setattr(fields, "BLOCK_ROWS", 2048)
+    """A bump's Gamma takes the frame coefficients on its own sub-array,
+    L(W^2)'s pass takes them on its row blocks, and the grid reads the
+    density without memoizing it, so after a curvature run the diffusion,
+    its frame coefficient fields and rho hold nothing keyed on the grid's
+    points.  The 8,000-node grid is one block, which is still a new array."""
     seen = {}
     build_grid = cli.default_grid
 
@@ -179,9 +177,7 @@ def test_a_hardy_run_keeps_psis_whole_grid_values_in_psis_own_table(monkeypatch)
     """psi's whole-grid value is computed in row blocks, so after a hardy run
     only psi's own table holds entries keyed on the grid's points (its value
     and the weight-side terms) and none of its inner nodes does.  The
-    8,000-node grid runs in 4 blocks, as a grid of the benchmark's size
-    does: a grid of one block is its own block."""
-    monkeypatch.setattr(fields, "BLOCK_ROWS", 2048)
+    8,000-node grid is one block, which is still a new array."""
     seen = {}
     build_grid, report = cli.default_grid, ineq.hardy_report
 
@@ -202,3 +198,33 @@ def test_a_hardy_run_keeps_psis_whole_grid_values_in_psis_own_table(monkeypatch)
     assert on_grid == [psi]
     (terms,) = [values for ref, values in _entries(psi).values() if ref() is pts]
     assert "v" in terms
+
+
+@pytest.mark.parametrize("operation,parameters,whole", [
+    pytest.param("hardy", {"psi_range": [0.6, 1.8]}, [], id="hardy"),
+    pytest.param("funcineq", {"p": 0.5, "psi_range": [0.6, 1.8]}, [], id="funcineq"),
+    pytest.param("curvature", {"p": 0.5}, [], id="curvature"),
+    # the one bump that is evaluated on the whole grid: a semigroup's
+    # initial state, once, since the value is memoized
+    pytest.param("evolve", {"t_max": 0.002, "dt": 0.001, "psi_range": [0.6, 1.8]},
+                 ["_value"], id="evolve"),
+])
+def test_no_sweep_or_curvature_run_evaluates_a_bump_on_the_whole_grid(
+        monkeypatch, operation, parameters, whole):
+    """A bump's corpus test, reports and curvature check read it on its
+    support rows only, so no bump memoizes an array of the grid's size."""
+    seen = {"calls": []}
+    build_grid = cli.default_grid
+
+    def recorded_grid(*args, **kwargs):
+        seen["grid"] = build_grid(*args, **kwargs)
+        return seen["grid"]
+
+    monkeypatch.setattr(cli, "default_grid", recorded_grid)
+    for name in ("_value", "_grad", "_hess"):
+        def recorded(self, pts, name=name, method=getattr(SupportedField, name)):
+            seen["calls"].append((name, len(pts)))
+            return method(self, pts)
+        monkeypatch.setattr(SupportedField, name, recorded)
+    assert cli.run(_config(operation, parameters)).exit_code == 0
+    assert [name for name, n in seen["calls"] if n == seen["grid"].n_nodes] == whole

@@ -14,10 +14,10 @@ from hardylab.fields import (AffineField, ComposeField, ConstField,
                              ProductField, SquareNormField, SupportedField,
                              VectorField, as_points, bump_window_map, exp_map,
                              log_map, power_map, poly_bump_map,
-                             smoothed_power_profile, smoothstep_map, squared,
-                             with_fd)
+                             smoothed_power_profile, smoothstep_map, with_fd)
 from hardylab.inequalities import hardy_report, radial_hardy_report
-from hardylab.testfunctions import bump_corpus, polynomial_bump_corpus, random_polynomial
+from hardylab.testfunctions import (bump_corpus, polynomial_bump_corpus, random_polynomial,
+                                    tensor_bump)
 
 RNG = np.random.default_rng(42)
 
@@ -291,15 +291,22 @@ def test_supported_field_off_its_support_is_zero():
     assert np.array_equal(f.hess_at(far), np.zeros((3, 3, 3)))
 
 
-def test_square_of_supported_field_shares_its_rows():
-    f = _supported_bump()
-    sq = squared(f)
-    assert isinstance(sq, SupportedField)
-    pts = RNG.uniform(-2, 2, size=(300, 3))
-    assert sq.rows_at(pts) is f.rows_at(pts)
-    plain = ProductField(f.base, f.base)
+def test_a_lone_support_row_is_repeated_and_spreads_to_the_whole_arrays_values():
+    # einsum sums a one-row array in another order, so a lone row is
+    # computed twice in a two-row sub-array; both copies carry the same
+    # bits, whichever of them the scatter writes last
+    pts = RNG.uniform(-2, 2, size=(400, 3))
+    row = 123
+    box = [(c - 0.9e-3, c + 0.6e-3) for c in pts[row]]
+    f = SupportedField(ProductField(random_polynomial(3, 2, RNG), tensor_bump(box)))
+    assert list(f.rows_at(pts)[0]) == [row]
+    on = fields.support(f, pts)
+    assert list(on.rows) == [row, row] and np.array_equal(on.sub, pts[[row, row]])
     for name in ("value_at", "grad_at", "hess_at"):
-        assert np.array_equal(getattr(sq, name)(pts), getattr(plain, name)(pts))
+        got, want = getattr(f, name)(pts), getattr(f.base, name)(pts)
+        assert got[row].tobytes() == want[row].tobytes() and np.array_equal(got, want)
+        # a whole-array evaluation memoizes like any field's
+        assert getattr(f, name)(pts) is got
 
 
 def test_field_without_support_predicate_keeps_every_row():
@@ -358,7 +365,6 @@ def test_dropping_a_supported_field_frees_its_sub_array_and_every_entry_on_it(no
         tree.append(node)
         todo.extend(v for v in vars(node).values() if isinstance(v, fields.ScalarField))
     assert all(ref() is sub() for node in tree[1:] for ref, _ in vars(node)["_memo"].values())
-    squared(f).grad_at(pts)  # as a curvature check does: the square holds f, f not it
     bump, tree = weakref.ref(f), tree[1:]
     del f
     assert bump() is None and sub() is None
@@ -420,8 +426,9 @@ def test_blockwise_equals_one_whole_array_pass_bit_for_bit(monkeypatch, n, block
     got = fields.blockwise(per_node, pts)
     assert [rows for rows, _, _ in seen] == blocks
     assert all(contiguous for _, contiguous, _ in seen)
-    # one block is the array itself, so its memos serve later whole-array calls
-    assert [same for _, _, same in seen] == [len(blocks) == 1] * len(blocks)
+    # every block is a new array object, also the only one, so no memo
+    # entry made inside a pass outlives it
+    assert not any(same for _, _, same in seen)
     for a, b in zip(got, whole):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
     single = fields.blockwise(lambda p: psi.value_at(p), pts)

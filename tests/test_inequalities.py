@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import hardylab as hl
+from hardylab import inequalities as ineq
 from hardylab.errors import PreconditionError, UsageError
 from hardylab.fields import (ComposeField, QuotientField, SquareNormField,
                              poly_bump_map, power_map)
@@ -152,7 +153,7 @@ def test_radial_lhs_weight_matches_gauge_formula(h1):
     assert np.allclose(gpsi ** 2 / nv ** 2, x0sq ** 2 / nv ** 6, atol=1e-14)
 
 
-def test_radial_hardy_rejects_failing_secondary_condition():
+def test_radial_hardy_rejects_failing_secondary_condition(monkeypatch):
     geo = hl.make_geometry("euclidean", m=2)
     aniso = ComposeField(power_map(0.5), SquareNormField([0]) + 4.0 * SquareNormField([1]))
     w = hl.Weight("aniso", aniso, None)
@@ -165,8 +166,10 @@ def test_radial_hardy_rejects_failing_secondary_condition():
             radial_hardy_report(geo, w, 2.5, 0.0, f, grid)
         with pytest.raises(PreconditionError, match="Gamma"):
             radial_log_hardy_report(geo, w, 2.5, 0.0, f, grid)
-    # against its own tolerance
-    assert radial_hardy_report(geo, w, 2.5, 0.0, f, grid, secondary_tol=1e3).lhs > 0
+    # against the module's tolerance, read at each call
+    with monkeypatch.context() as m:
+        m.setattr(ineq, "SECONDARY_TOL", 1e3)
+        assert radial_hardy_report(geo, w, 2.5, 0.0, f, grid).lhs > 0
     with pytest.raises(PreconditionError):
         radial_hardy_report(geo, w, 2.5, 0.0, f, grid)
     assert secondary_condition_defect(geo, aniso, grid.points) == pytest.approx(
@@ -196,7 +199,7 @@ def test_radial_log_hardy_runs(eu3):
     assert rep.ratio is not None and rep.ratio <= 1.0
 
 
-def test_dilation_hardy_oracle_and_exclusions(eu3):
+def test_dilation_hardy_oracle_and_exclusions(eu3, monkeypatch):
     geo, w, _ = eu3
     grid = hl.default_grid(geo, w, bounds=[(-2.6, 2.6)] * 3, n=48,
                            excision_radius=0.3)
@@ -213,7 +216,8 @@ def test_dilation_hardy_oracle_and_exclusions(eu3):
     for _ in range(2):
         with pytest.raises(PreconditionError):
             dilation_hardy_report(geo, not_homogeneous, 0.0, g, grid)
-    assert dilation_hardy_report(geo, not_homogeneous, 0.0, g, grid, euler_tol=1e3).lhs > 0
+    monkeypatch.setattr(ineq, "EULER_TOL", 1e3)
+    assert dilation_hardy_report(geo, not_homogeneous, 0.0, g, grid).lhs > 0
 
 
 def test_dilation_hardy_heisenberg(h1):
@@ -314,6 +318,13 @@ def test_single_bump_rayleigh_never_beats_the_constant(eu3):
     geo, w, grid = eu3
     f = radial_bump(w.psi, 0.8, 1.6)
     assert rayleigh_ratio(geo, w, 0.0, f, grid) <= 4.0 + 1e-6
+
+
+def test_rayleigh_ratio_rejects_a_trial_function_touching_the_boundary(eu3):
+    geo, w, grid = eu3
+    f = radial_bump(w.psi, 0.8, 3.5)
+    with pytest.raises(PreconditionError, match="touches the grid boundary"):
+        rayleigh_ratio(geo, w, 0.0, f, grid)
 
 
 def test_report_refinement_convergence(eu3):

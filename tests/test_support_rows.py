@@ -81,16 +81,16 @@ def _outcome(run):
     return tuple(None if v is None else np.float64(v).tobytes() for v in values)
 
 
-def _whole_supports(grid, f, layers=2, rel_tol=1e-12):
+def _whole_supports(grid, f, rel_tol=1e-12):
     """Grid.supports from f's full-size values on every node."""
     vals = np.abs(f.value_at(grid.points))
     scale = float(np.max(vals))
-    return scale == 0.0 or bool(np.all(vals[grid.fringe_mask(layers)] <= rel_tol * scale))
+    return scale == 0.0 or bool(np.all(vals[grid.fringe_mask()] <= rel_tol * scale))
 
 
-def _whole_form(grid, f, sides, check_support=True):
+def _whole_form(grid, f, sides):
     """The whole-grid core: every integrand on all nodes, then integrate."""
-    if check_support and not _whole_supports(grid, f):
+    if not _whole_supports(grid, f):
         raise PreconditionError("test function support touches the grid boundary "
                                 "or an excised region")
     pts = grid.points
@@ -156,7 +156,7 @@ def _cases(name):
                               pv ** 2, gam(f, f, pts), fv)
 
         def dilation_log(f, pts, fv):
-            ineq._require_euler(geo, dil, psi, pts, 1e-8)
+            ineq._require_euler(geo, dil, psi, pts)
             pv = psi.value_at(pts)
             return _log_terms(log_const, alpha, pv, pv ** (-dil.Q_hom), 1.0, 1.0,
                               dil.dilation.apply(f, pts) ** 2, fv)
@@ -179,7 +179,7 @@ def _cases(name):
     radial_const = ineq._hardy_constant(Q, 0.5, "")
 
     def radial(f, pts, fv):
-        ineq._require_secondary(geo, psi, pts, 1e-8)
+        ineq._require_secondary(geo, psi, pts)
         pv = psi.value_at(pts)
         pa = pv ** 0.5
         return ([(1.0, pa * gam(psi, psi, pts) ** 2 / pv ** 2)],
@@ -191,7 +191,7 @@ def _cases(name):
     dconst = (2.0 / (dil.Q_hom + 0.5)) ** 2
 
     def dilation(f, pts, fv):
-        ineq._require_euler(geo, dil, psi, pts, 1e-8)
+        ineq._require_euler(geo, dil, psi, pts)
         pa = psi.value_at(pts) ** 0.5
         return [(1.0, pa)], [(dconst, pa * dil.dilation.apply(f, pts) ** 2)]
 
