@@ -71,7 +71,7 @@ class HardyReport:
     params: dict = field(default_factory=dict)
 
     def passes(self, tol: float = 1e-6) -> bool:
-        """ratio <= 1 + tol; without a ratio (rhs <= 0), lhs <= rhs."""
+        """ratio <= 1 + tol; without a ratio (rhs < 0, a negative term), lhs <= rhs."""
         return self.lhs <= self.rhs if self.ratio is None else self.ratio <= 1.0 + tol
 
     def row(self) -> dict:
@@ -95,9 +95,9 @@ def _masked_log(vals, pv):
     return np.where(vals != 0.0, np.log(np.where(vals != 0.0, pv, 1.0)), 1.0)
 
 
-def _total(grid: Grid, on: Support, terms) -> float:
-    """Sum of coefficient * integral over (coefficient, integrand on f's rows)
-    terms, in order.  Each integral sums one full-length array, zero off the
+def _integrals(grid: Grid, on: Support, terms) -> list:
+    """coefficient * integral for each (coefficient, integrand on f's rows)
+    term, in order.  Each integral sums one full-length array, zero off the
     rows: off them every integrand is a zero (``_factor`` raises where it is
     not), and numpy's pairwise sum adds zeros of either sign alike."""
     values = []
@@ -105,7 +105,7 @@ def _total(grid: Grid, on: Support, terms) -> float:
         if not np.all(np.isfinite(vals)):
             raise NumericError("non-finite integrand value at a grid node")
         values.append(c * float(np.sum(on.spread(vals * on.take(grid.weights)))))
-    return sum(values[1:], values[0])
+    return values
 
 
 def _form(inequality_id: str, grid: Grid, f: ScalarField, sides) -> HardyReport:
@@ -114,17 +114,22 @@ def _form(inequality_id: str, grid: Grid, f: ScalarField, sides) -> HardyReport:
     ``on`` = ``fields.support(f, grid.points)`` and fv is f on its rows;
     every term is an array on those rows.  Left terms are (a, V) pairs, V
     multiplying f^2 only where f != 0; right terms are (b, U) pairs of
-    finished integrands."""
+    finished integrands.  A right side whose every term is 0 holds no
+    evidence (a nonzero f has energy) and raises ``DegenerateInputError``."""
     if not grid.supports(f):
         raise PreconditionError("test function support touches the grid boundary "
                                 "or an excised region")
     on = support(f, grid.points)
     fv = on.tree.value_at(on.sub)
-    # _total raises the NumericError for a non-finite integrand
+    # _integrals raises the NumericError for a non-finite integrand
     with np.errstate(over="ignore", invalid="ignore"):
         const, lhs_terms, rhs_terms, params = sides(on, fv)
-        lhs = _total(grid, on, [(a, _masked_product(fv ** 2, v)) for a, v in lhs_terms])
-        rhs = _total(grid, on, rhs_terms)
+        lhs = _integrals(grid, on, [(a, _masked_product(fv ** 2, v)) for a, v in lhs_terms])
+        rhs = _integrals(grid, on, rhs_terms)
+    if not any(rhs):
+        raise DegenerateInputError("every right-side term is 0: the test function "
+                                   "has no energy on the grid")
+    lhs, rhs = sum(lhs[1:], lhs[0]), sum(rhs[1:], rhs[0])
     return HardyReport(inequality_id, lhs, rhs, const, lhs / rhs if rhs > 0 else None,
                        params)
 
@@ -368,7 +373,10 @@ def funcineqgeneral_report(diff, W: ScalarField, beta: float, f: ScalarField,
                            grid: Grid) -> HardyReport:
     """The beta-transformed family
     (1-b) int W^(1-2b) LW f^2 + (b^2-b+1) int W^(-2b) G(W) f^2
-        <= int W^(2-2b) G(f)."""
+        <= int W^(2-2b) G(f).
+    A beta whose square overflows a float is a UsageError."""
+    if not np.isfinite(float(beta) * float(beta)):
+        raise UsageError(f"beta {beta!r} is too large: beta^2 overflows")
 
     def sides(on, fv):
         lw = on.take(memo(W, (diff, "L(W)"), on.pts,
@@ -425,10 +433,7 @@ def homogeneous_norm_report(geo: GeometrySpec, rho: Weight, f: ScalarField,
 
 def rayleigh_ratio(geo, psi: Weight, alpha: float, f: ScalarField, grid: Grid) -> float:
     """R(f) = int psi^a (G(psi)/psi^2) f^2 / int psi^a G(f) (no constant)."""
-    rep = _form("rayleigh", grid, f, _hardy_sides(geo, psi.psi, alpha, 1.0, {}))
-    if rep.ratio is None:
-        raise DegenerateInputError("trial function has vanishing energy")
-    return rep.ratio
+    return _form("rayleigh", grid, f, _hardy_sides(geo, psi.psi, alpha, 1.0, {})).ratio
 
 
 @dataclass

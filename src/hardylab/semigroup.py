@@ -22,33 +22,27 @@ ordering and no pivoting, and every step (the first included) uses that
 factor; stiff grids go this way.  The choice depends only on the iteration
 count, so results are deterministic.
 
+``trajectory``, ``evolve`` and ``contraction_trace`` share one set of checks
+(``_start``) and one stepping loop (``_walk``).  No inequality is evaluated
+here: a caller comparing a trace with one calls ``funcineq_report`` itself.
+
 A simulation owns its state; independent simulations are safe to run
 concurrently.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import NumericError, PreconditionError
-from .fields import PolyField, ScalarField
+from .fields import ScalarField
 from .grid import Grid
 
 _CG_PROBE_ITERS = 40
-
-
-def _nonzero_axes(vector_field, m: int):
-    axes = []
-    for i in range(m):
-        c = vector_field.coeffs[i]
-        if isinstance(c, PolyField) and not c.terms:
-            continue
-        axes.append(i)
-    return axes
 
 
 def assemble_generator(diff, grid: Grid):
@@ -61,10 +55,10 @@ def assemble_generator(diff, grid: Grid):
     W = sp.diags(w)
     A = sp.csr_matrix((n, n))
     rows = np.arange(n)
-    frame = getattr(diff, "frame", None)
     C = diff.frame_values(pts)  # (l, n, m)
     for j in range(C.shape[0]):
-        axes = _nonzero_axes(frame[j], grid.dim) if frame is not None else range(grid.dim)
+        # a zero column would add only explicit zeros, which the products drop
+        axes = [i for i in range(grid.dim) if np.any(C[j, :, i])]
         for s in (+1, -1):
             data = []
             r_idx = []
@@ -157,11 +151,8 @@ class _Stepper:
         return out
 
 
-def _start(diff, f0, grid: Grid, t_max: float, dt: float, n_samples: int):
-    """(stepper, initial state, sample step indices) after every check."""
-    if n_samples < 2:
-        raise PreconditionError(f"n_samples must be at least 2 (t = 0 and the final time), "
-                                f"got {n_samples!r}")
+def _start(diff, f0, grid: Grid, t_max: float, dt: float):
+    """(stepper, initial state, step count) after every check."""
     if not isinstance(f0, ScalarField) and np.shape(f0) != (grid.n_nodes,):
         raise PreconditionError(f"initial state must have shape ({grid.n_nodes},), one value "
                                 f"per grid node, got {np.shape(f0)}")
@@ -169,7 +160,15 @@ def _start(diff, f0, grid: Grid, t_max: float, dt: float, n_samples: int):
     u = np.array(f0.value_at(grid.points) if isinstance(f0, ScalarField) else f0, float)
     if not np.all(np.isfinite(u)):
         raise PreconditionError("initial state must be finite on the grid")
-    nsteps = stepper.n_steps(t_max)
+    return stepper, u, stepper.n_steps(t_max)
+
+
+def _sampled(diff, f0, grid: Grid, t_max: float, dt: float, n_samples: int):
+    """(stepper, initial state, sample step indices) after every check."""
+    if n_samples < 2:
+        raise PreconditionError(f"n_samples must be at least 2 (t = 0 and the final time), "
+                                f"got {n_samples!r}")
+    stepper, u, nsteps = _start(diff, f0, grid, t_max, dt)
     steps = np.unique(np.linspace(0, nsteps, min(n_samples, nsteps + 1)).astype(int))
     return stepper, u, steps
 
@@ -196,13 +195,13 @@ def trajectory(diff, f0, grid: Grid, t_max: float, dt: float, n_samples: int = 5
     Only the current state is held, and no yielded state is changed later.
     The arguments are checked when this is called, before the first sample.
     """
-    return _walk(*_start(diff, f0, grid, t_max, dt, n_samples))
+    return _walk(*_sampled(diff, f0, grid, t_max, dt, n_samples))
 
 
 def evolve(diff, f0, grid: Grid, t_max: float, dt: float, n_samples: int = 51):
     """The samples of ``trajectory`` as (times, states), states of shape
     (samples, n_nodes)."""
-    stepper, u, steps = _start(diff, f0, grid, t_max, dt, n_samples)
+    stepper, u, steps = _sampled(diff, f0, grid, t_max, dt, n_samples)
     times = np.empty(len(steps))
     states = np.empty((len(steps), grid.n_nodes))
     for i, (t, state) in enumerate(_walk(stepper, u, steps)):
@@ -217,9 +216,6 @@ class ContractionTrace:
     times: np.ndarray
     I_values: np.ndarray
     gamma: float
-    mass_values: np.ndarray
-    funcineq_flag: bool | None = None
-    params: dict = field(default_factory=dict)
 
     def damped(self):
         """e^{2 gamma t} I(t), the quantity that must not increase."""
@@ -235,38 +231,17 @@ class ContractionTrace:
         return float(np.max(np.diff(J) / np.maximum(J[:-1], 1e-300)))
 
 
-def contraction_trace(diff, W: ScalarField, f0: ScalarField, grid: Grid,
-                      t_max: float, dt: float, gamma: float = 0.0,
-                      precheck_corpus=None) -> ContractionTrace:
+def contraction_trace(diff, W: ScalarField, f0, grid: Grid, t_max: float, dt: float,
+                      gamma: float = 0.0) -> ContractionTrace:
     """Track I(t) = int W^2 (P_t f0)^2 dmu_h at every implicit-Euler step.
 
-    When a corpus is supplied, the matching functional inequality is
-    evaluated on it first, at ratio tolerance 1e-6; a violation only flags
-    the trace, it does not suppress it.
+    f0 and the times are checked and stepped as in ``trajectory``.
     """
-    stepper = _Stepper(diff, grid, dt)
-    flag = None
-    if precheck_corpus is not None:
-        from .inequalities import funcineq_report
-        flag = False
-        for f in precheck_corpus:
-            rep = funcineq_report(diff, W, gamma, f, grid)
-            if not rep.passes(1e-6):
-                flag = True
-                break
-    w = stepper.w
-    u = f0.value_at(grid.points)
-    w2 = W.value_at(grid.points) ** 2
-    nsteps = stepper.n_steps(t_max)
-    times = np.arange(nsteps + 1) * dt
-    I = np.empty(nsteps + 1)
-    mass = np.empty(nsteps + 1)
-    for k, (_, state) in enumerate(_walk(stepper, u, range(nsteps + 1))):
-        I[k] = float(np.sum(w * w2 * state ** 2))
-        mass[k] = float(np.sum(w * state))
-    return ContractionTrace(times=times, I_values=I, gamma=gamma,
-                            mass_values=mass, funcineq_flag=flag,
-                            params={"t_max": t_max, "dt": dt})
+    stepper, u, nsteps = _start(diff, f0, grid, t_max, dt)
+    ww2 = stepper.w * W.value_at(grid.points) ** 2
+    I = np.array([float(np.sum(ww2 * state ** 2))
+                  for _, state in _walk(stepper, u, range(nsteps + 1))])
+    return ContractionTrace(times=np.arange(nsteps + 1) * dt, I_values=I, gamma=gamma)
 
 
 def subcommutation_check(diff, W: ScalarField, f0: ScalarField, grid: Grid,

@@ -544,6 +544,29 @@ def test_funcineq_right_side_below_zero_is_a_violation(tmp_path, capsys):
     assert all(float(row[lhs]) > 0.0 > float(row[rhs]) for row in rows[1:])
 
 
+@pytest.mark.parametrize("payload,message", [
+    # beta^2 overflows a float
+    pytest.param({"schema": 1, "geometry": HEIS1, "weight": {"name": "koranyi-gauge"},
+                  "operation": "funcineq-general",
+                  "parameters": {"p": 0.5, "beta": 1e155, "psi_range": [0.6, 1.8]},
+                  "grid": {"bounds": [[-2, 2]] * 3, "n": 24}, "corpus": {"seed": 7, "size": 3}},
+                 "beta 1e+155 is too large", id="funcineq-general-beta-1e155"),
+    # psi^3000 underflows to 0 on every bump, so both sides of every report are 0
+    pytest.param({"schema": 1, "geometry": {"name": "euclidean", "params": {"m": 2}},
+                  "weight": {"name": "euclid-norm"}, "operation": "hardy",
+                  "parameters": {"alpha": 3000, "psi_range": [0.1, 0.6]},
+                  "grid": {"bounds": [[-0.5, 0.5]] * 2, "n": 64, "excision_radius": 0.02},
+                  "corpus": {"seed": 7, "size": 4}},
+                 "every right-side term is 0", id="hardy-alpha-3000-underflow"),
+])
+def test_run_without_evidence_or_with_an_overflowing_beta_exits_2_with_one_line(
+        tmp_path, capsys, payload, message):
+    assert main(["run", "--config", write_config(tmp_path, payload)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 @pytest.mark.parametrize("payload", [
     pytest.param(SMALL_HARDY, id="alpha-1"),
     pytest.param(dict(SMALL_HARDY, grid={"bounds": [[-2, 2], [-2, 2]], "n": 16,

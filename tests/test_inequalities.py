@@ -7,7 +7,7 @@ import pytest
 
 import hardylab as hl
 from hardylab import inequalities as ineq
-from hardylab.errors import PreconditionError, UsageError
+from hardylab.errors import DegenerateInputError, PreconditionError, UsageError
 from hardylab.fields import (ComposeField, QuotientField, SquareNormField,
                              poly_bump_map, power_map)
 from hardylab.inequalities import (HardyReport, PowerTrialFamily,
@@ -38,11 +38,11 @@ EU3_DIL_RHS_INT = 4 * np.pi * 31.098501498501513
 
 
 def test_hardy_zero_function_flags_undefined_ratio(eu3):
+    # both sides are 0: no evidence either way, so no report
     geo, w, grid = eu3
     from hardylab.fields import ConstField
-    rep = hardy_report(geo, w, 3.0, 0.0, ConstField(0.0), grid)
-    assert rep.lhs == 0.0 and rep.rhs == 0.0 and rep.ratio is None
-    assert rep.passes()
+    with pytest.raises(DegenerateInputError, match="every right-side term is 0"):
+        hardy_report(geo, w, 3.0, 0.0, ConstField(0.0), grid)
 
 
 def test_hardy_euclidean_matches_radial_oracle(eu3):

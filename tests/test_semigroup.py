@@ -56,7 +56,7 @@ def test_discrete_self_adjointness(interval_grid, eu3):
 
 def test_weighted_generator_assembles_from_the_scaled_frame(eu3):
     # the weighted operator has no frame of its own: its frame values are the
-    # base's times sqrt(omega), on every axis
+    # base's times sqrt(omega), and an axis whose values are all zero is skipped
     geo, w, _ = eu3
     grid = hl.default_grid(geo, w, bounds=[(-2, 2)] * 3, n=8)
     _, A = assemble_generator(geo, grid)
@@ -97,9 +97,8 @@ def test_contraction_trace_weighted_radial_model(radial3):
     geo, w, grid = radial3
     W = ComposeField(power_map(0.5), w.psi)
     f0 = radial_bump(w.psi, 1.0, 3.0)
-    tr = contraction_trace(geo, W, f0, grid, t_max=0.2, dt=1e-3,
-                           precheck_corpus=[f0])
-    assert tr.funcineq_flag is False
+    assert funcineq_report(geo, W, 0.0, f0, grid).passes(1e-6)
+    tr = contraction_trace(geo, W, f0, grid, t_max=0.2, dt=1e-3)
     assert tr.passes(1e-8)
 
 
@@ -115,9 +114,8 @@ def test_contraction_trace_gronwall_with_positive_gamma(eu3):
     assert s > 0
     gamma = 0.5 * s
     f0 = radial_bump(w.psi, 0.8, 1.5)
-    tr = contraction_trace(geo, W, f0, grid, t_max=0.05, dt=1e-3,
-                           gamma=gamma, precheck_corpus=[f0])
-    assert tr.funcineq_flag is False
+    assert funcineq_report(geo, W, gamma, f0, grid).passes(1e-6)
+    tr = contraction_trace(geo, W, f0, grid, t_max=0.05, dt=1e-3, gamma=gamma)
     assert tr.passes(1e-8)
     J = tr.damped()
     assert np.all(J <= J[0] * (1.0 + 1e-8))
@@ -185,9 +183,7 @@ def test_equivalence_both_directions(radial3):
                            base_exponent=0.5, ramp_factor=float(np.exp(1.5)))
     rep_bad = funcineq_report(geo_l, bad, 0.0, f_bad, grid_l)
     assert rep_bad.ratio > 1.0
-    tr_bad = contraction_trace(geo_l, bad, f_bad, grid_l, t_max=0.01,
-                               dt=1e-4, precheck_corpus=[f_bad])
-    assert tr_bad.funcineq_flag is True
+    tr_bad = contraction_trace(geo_l, bad, f_bad, grid_l, t_max=0.01, dt=1e-4)
     assert not tr_bad.passes(1e-8)
 
 
@@ -226,13 +222,32 @@ def test_fewer_than_two_samples_is_rejected(interval_grid, run, n_samples):
         run(geo, ConstField(0.0), grid, 0.01, 1e-3, n_samples=n_samples)
 
 
-@pytest.mark.parametrize("run", [evolve, trajectory])
+def _unit_trace(diff, f0, grid, t_max, dt):
+    """contraction_trace with W = 1, called like trajectory."""
+    return contraction_trace(diff, ConstField(1.0), f0, grid, t_max, dt)
+
+
+@pytest.mark.parametrize("run", [evolve, trajectory, _unit_trace])
 @pytest.mark.parametrize("shape", [(511,), (1, 512), (512, 1), ()])
 def test_initial_state_of_the_wrong_shape_is_rejected(interval_grid, run, shape):
     geo, grid = interval_grid
     assert grid.n_nodes == 512
     with pytest.raises(PreconditionError, match=r"shape \(512,\), one value per grid node"):
         run(geo, np.zeros(shape), grid, 0.01, 1e-3)
+
+
+@pytest.mark.parametrize("run", [evolve, trajectory, _unit_trace])
+@pytest.mark.parametrize("as_field", [False, True])
+def test_initial_state_that_is_not_finite_is_rejected(interval_grid, run, as_field):
+    # checked before the first step, for an array and for a field alike
+    geo, grid = interval_grid
+
+    def nan_right(p):
+        return np.where(p[:, 0] > 0.5, np.nan, 0.0)
+
+    f0 = FuncField(nan_right) if as_field else nan_right(grid.points)
+    with pytest.raises(PreconditionError, match="initial state must be finite on the grid"):
+        run(geo, f0, grid, 0.01, 1e-3)
 
 
 def test_initial_state_array_is_copied(interval_grid):
@@ -244,17 +259,16 @@ def test_initial_state_array_is_copied(interval_grid):
     assert t0 == 0.0 and np.array_equal(f0, first)
 
 
-def test_contraction_trace_precheck_flags_a_report_without_ratio(eu2):
+def test_a_report_without_ratio_is_a_violation_and_its_trace_grows(eu2):
     # a large gamma makes the right side negative: the report has no ratio,
-    # and lhs > rhs is a violation that the precheck must flag
+    # and lhs > rhs is a violation; the damped trace with that gamma grows
     geo, w, _ = eu2
     grid = hl.default_grid(geo, w, bounds=[(-2, 2)] * 2, n=24, excision_radius=0.3)
     f = hl.bump_corpus(w.psi, grid, 1, 0, (0.5, 1.6))[0]
     rep = funcineq_report(geo, ConstField(1.0), 1000.0, f, grid)
     assert rep.ratio is None and rep.lhs > rep.rhs and not rep.passes()
-    tr = contraction_trace(geo, ConstField(1.0), f, grid, 0.002, 1e-3, gamma=1000.0,
-                           precheck_corpus=[f])
-    assert tr.funcineq_flag is True
+    tr = contraction_trace(geo, ConstField(1.0), f, grid, 0.002, 1e-3, gamma=1000.0)
+    assert not tr.passes()
 
 
 def test_evolve_rejects_bad_dt(interval_grid):
