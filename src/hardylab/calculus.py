@@ -25,7 +25,10 @@ and ``FrameDiffusion.apply_L`` returns the second-order sum without building
 the frame gradients (``FrameDiffusion.drift_free``, checked once per
 diffusion, on first use).  Where f's gradient is not finite on a block it
 takes the full path, whose 0 * inf gives NaN.  Both paths give the same bits
-wherever the frame coefficients and their derivatives are finite.
+wherever the frame coefficients and their derivatives are finite.  Likewise,
+when every frame coefficient is a constant (``FrameDiffusion.constant_frame``:
+the Euclidean frames, whatever rho), ``frame_derivatives`` builds no frame
+gradients, whose terms are exactly zero.
 """
 
 from __future__ import annotations
@@ -61,6 +64,11 @@ class Diffusion:
         raise NotImplementedError
 
 
+def _constant(field: ScalarField) -> bool:
+    """True when ``field`` is a constant ``PolyField``."""
+    return isinstance(field, PolyField) and not any(any(e) for _, e in field.terms)
+
+
 class FrameDiffusion(Diffusion):
     """L = sum_j X_j^2 + div_rho(X_j) X_j for a frame and the density rho of
     its reversible measure, which must be positive on the domain mask: L is
@@ -85,8 +93,7 @@ class FrameDiffusion(Diffusion):
         on a coordinate x_i whose coefficient c_{j,i} is nonzero.  Computed
         on first use, since it walks every coefficient of every field."""
         rho = self.measure_density
-        if not (isinstance(rho, PolyField) and not any(any(e) for _, e in rho.terms)
-                and sum(c for c, _ in rho.terms) > 0.0):
+        if not (_constant(rho) and sum(c for c, _ in rho.terms) > 0.0):
             return False
         for X in self.frame:
             if not all(isinstance(c, PolyField) for c in X.coeffs):
@@ -95,6 +102,13 @@ class FrameDiffusion(Diffusion):
             if any(X.coeffs[i].terms for i in moving):
                 return False
         return True
+
+    @functools.cached_property
+    def constant_frame(self) -> bool:
+        """True when every frame coefficient is a constant ``PolyField``, so
+        every frame gradient d_a c_{j,i} is the zero polynomial.  Computed on
+        first use."""
+        return all(_constant(c) for X in self.frame for c in X.coeffs)
 
     # -- frame data (memoized against the points-array identity) -------------
 
@@ -112,12 +126,20 @@ class FrameDiffusion(Diffusion):
         shapes (l, n) and (l, n, m), cached per (f, points array):
 
             d_a (X_j f) = sum_i (d_a c_{j,i}) d_i f + sum_i c_{j,i} d_i d_a f.
+
+        When ``constant_frame`` holds and f's gradient is finite on pts, the
+        first sum is exactly +0.0, so it is neither built nor summed: adding
+        0.0 to the second gives the same bits, signed zeros included.
         """
         def compute(p):
             C = self.frame_values(p)
             gf = f.grad_at(p)
-            dxf = np.einsum("jnia,ni->jna", self.frame_grads(p), gf)
-            dxf += np.einsum("jni,nia->jna", C, f.hess_at(p))
+            if self.constant_frame and np.all(np.isfinite(gf)):
+                dxf = np.einsum("jni,nia->jna", C, f.hess_at(p))
+                dxf += 0.0
+            else:
+                dxf = np.einsum("jnia,ni->jna", self.frame_grads(p), gf)
+                dxf += np.einsum("jni,nia->jna", C, f.hess_at(p))
             return np.einsum("jni,ni->jn", C, gf), dxf
         return memo(f, (self, "X"), pts, compute)
 

@@ -152,6 +152,10 @@ def _build_grid(geo: GeometrySpec, weight, grid_cfg: dict, psi_range, refine: in
                             excision_radius=grid_cfg.get("excision_radius"))
     except MemoryError:
         raise UsageError(f"grid.n gives {nodes} nodes, more than memory holds") from None
+    except FloatingPointError as e:
+        # the domain mask, excisions or density overflow on far-out nodes
+        raise UsageError(f"grid.bounds {bounds!r} are too large to build the grid on: "
+                         f"{e}") from None
 
 
 def _one_by_one(corpus: list):

@@ -292,39 +292,50 @@ def smoothed_power_profile(exponent: float, a: float, b: float,
     Equals the pure power exactly on [ramp_factor*a, b/ramp_factor]; the C^2
     ramps live on [a, ramp_factor*a] and [b/ramp_factor, b] and are smooth
     in log u, which keeps their energy bounded however wide the support is.
+
+    Each derivative order computes only the pieces it needs.  The pieces all
+    orders share (the mask of (a, b), u clipped to [a, b], its power, both
+    log coordinates and both ramps) are computed once per argument array and
+    memoized on it (:func:`memo`), so a composition's value, gradient and
+    Hessian, which pass the same memoized u, share them; an entry goes with
+    u or with the profile.
     """
     if not (a > 0 and b > ramp_factor ** 2 * a):
         raise ValueError("need 0 < a and b > ramp_factor^2 * a for a nonempty plateau")
     step = smoothstep_map()
     w = np.log(ramp_factor)
 
-    def pieces(u):
-        u = np.asarray(u, dtype=float)
+    def shared_pieces(u):
         safe = np.clip(u, a, b)
-        pw = np.power(safe, exponent)
-        pw1 = exponent * np.power(safe, exponent - 1.0)
-        pw2 = exponent * (exponent - 1.0) * np.power(safe, exponent - 2.0)
         xa = np.log(safe / a) / w
         xb = np.log(b / safe) / w
-        up = step.f(xa)
-        up1 = step.d1(xa) / (w * safe)
-        up2 = (step.d2(xa) / w - step.d1(xa)) / (w * safe ** 2)
-        dn = step.f(xb)
-        dn1 = -step.d1(xb) / (w * safe)
-        dn2 = (step.d2(xb) / w + step.d1(xb)) / (w * safe ** 2)
-        out = (u > a) & (u < b)
-        return out, pw, pw1, pw2, up, up1, up2, dn, dn1, dn2
+        return (u > a) & (u < b), safe, np.power(safe, exponent), xa, xb, step.f(xa), step.f(xb)
+
+    def pieces(u):
+        # the memo table lives on shared_pieces, which refers to nothing of
+        # the profile's, so it goes with the profile, with no cycle
+        return memo(shared_pieces, "pieces", np.asarray(u, dtype=float), shared_pieces)
 
     def f(u):
-        out, pw, _, _, up, _, _, dn, _, _ = pieces(u)
+        out, _, pw, _, _, up, dn = pieces(u)
         return np.where(out, pw * up * dn, 0.0)
 
     def d1(u):
-        out, pw, pw1, _, up, up1, _, dn, dn1, _ = pieces(u)
+        out, safe, pw, xa, xb, up, dn = pieces(u)
+        pw1 = exponent * np.power(safe, exponent - 1.0)
+        up1 = step.d1(xa) / (w * safe)
+        dn1 = -step.d1(xb) / (w * safe)
         return np.where(out, pw1 * up * dn + pw * (up1 * dn + up * dn1), 0.0)
 
     def d2(u):
-        out, pw, pw1, pw2, up, up1, up2, dn, dn1, dn2 = pieces(u)
+        out, safe, pw, xa, xb, up, dn = pieces(u)
+        pw1 = exponent * np.power(safe, exponent - 1.0)
+        pw2 = exponent * (exponent - 1.0) * np.power(safe, exponent - 2.0)
+        sa, sb = step.d1(xa), step.d1(xb)
+        up1 = sa / (w * safe)
+        up2 = (step.d2(xa) / w - sa) / (w * safe ** 2)
+        dn1 = -sb / (w * safe)
+        dn2 = (step.d2(xb) / w + sb) / (w * safe ** 2)
         val = (pw2 * up * dn + 2.0 * pw1 * (up1 * dn + up * dn1)
                + pw * (up2 * dn + 2.0 * up1 * dn1 + up * dn2))
         return np.where(out, val, 0.0)

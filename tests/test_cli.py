@@ -531,6 +531,29 @@ def test_grid_failing_to_allocate_exits_2_with_one_line_naming_grid_n(tmp_path, 
     assert err.startswith("error: grid.n gives ") and err.count("\n") == 1
 
 
+def _far_bounds(name: str, bound: float) -> dict:
+    """bench/configs/<name>.json on 16 nodes per axis with every axis at
+    [-bound, bound]."""
+    cfg = _bench_config(name, 16)
+    cfg["grid"]["bounds"] = [[-bound, bound]] * len(cfg["grid"]["bounds"])
+    return cfg
+
+
+@pytest.mark.parametrize("payload", [
+    pytest.param(_far_bounds("heis-qcond", 1e300), id="heis-qcond-1e300"),
+    pytest.param(_far_bounds("heis-hardy", 1e300), id="heis-hardy-1e300"),
+    pytest.param(_far_bounds("heis-hardy", 1e200), id="heis-hardy-1e200"),
+    pytest.param(_far_bounds("eu3-radial", 1e300), id="eu3-radial-1e300"),
+])
+def test_grid_bounds_overflowing_exit_2_with_one_line_naming_grid_bounds(tmp_path, capsys,
+                                                                         payload):
+    # the excision mask squares the far nodes' coordinates, which overflows
+    assert main(["run", "--config", write_config(tmp_path, payload)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid.bounds ") and err.count("\n") == 1
+    assert "overflow" in err
+
+
 def test_funcineq_right_side_below_zero_is_a_violation(tmp_path, capsys):
     # gamma 1000 takes every right side below 0 while each left side stays above
     cfg = write_config(tmp_path, _bench_config("heis-funcineq", 20, gamma=1000.0))
