@@ -27,8 +27,8 @@ diffusion, on first use).  Where f's gradient is not finite on a block it
 takes the full path, whose 0 * inf gives NaN.  Both paths give the same bits
 wherever the frame coefficients and their derivatives are finite.  Likewise,
 when every frame coefficient is a constant (``FrameDiffusion.constant_frame``:
-the Euclidean frames, whatever rho), ``frame_derivatives`` builds no frame
-gradients, whose terms are exactly zero.
+the Euclidean frames, whatever rho), neither ``frame_derivatives`` nor
+``apply_L`` builds the frame gradients, whose terms are exactly zero.
 """
 
 from __future__ import annotations
@@ -151,18 +151,25 @@ class FrameDiffusion(Diffusion):
         div_rho X_j = sum_i d_i c_{j,i} + X_j rho / rho.  When ``drift_free``
         holds and f's gradient is finite on pts, every b_k is zero and the
         second-order sum is returned as it is: the full path would only add
-        zeros to it."""
+        zeros to it.  When only ``constant_frame`` holds (and the gradient is
+        finite), the frame-gradient terms are exactly +0.0, so they are not
+        built: adding 0.0 in their place gives the same bits, signed zeros
+        included."""
         C = self.frame_values(pts)
         gf = f.grad_at(pts)
         val = np.einsum("jni,jnk,nik->n", C, C, f.hess_at(pts))
-        if self.drift_free and np.all(np.isfinite(gf)):
+        finite = np.all(np.isfinite(gf))
+        if self.drift_free and finite:
             return val
-        G = self.frame_grads(pts)
-        first = np.einsum("jni,jnki->nk", C, G)
         rho = self.measure_density
-        div = (np.einsum("jnii->jn", G)
-               + np.einsum("jni,ni->jn", C, rho.grad_at(pts)) / rho.value_at(pts))
-        first += np.einsum("jn,jnk->nk", div, C)
+        x_log_rho = np.einsum("jni,ni->jn", C, rho.grad_at(pts)) / rho.value_at(pts)
+        if self.constant_frame and finite:
+            first = np.einsum("jn,jnk->nk", x_log_rho + 0.0, C)
+            first += 0.0
+        else:
+            G = self.frame_grads(pts)
+            first = np.einsum("jni,jnki->nk", C, G)
+            first += np.einsum("jn,jnk->nk", np.einsum("jnii->jn", G) + x_log_rho, C)
         val += np.einsum("nk,nk->n", first, gf)
         return val
 

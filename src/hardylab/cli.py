@@ -1,9 +1,11 @@
 """Batch front-end: parse a JSON run configuration, run its operation, emit reports.
 
 Exit codes: 0 = all checks pass, 1 = a verified violation beyond tolerance
-(re-checked once at halved spacing before being reported), 2 = usage or
-configuration error.  CSV output uses '.' decimals, LF line endings and a
-header row; identical config and seed give byte-identical output.
+(re-checked once at halved spacing before being reported; a corpus re-check
+that fails stops at its first violating bump, since only its exit code is
+kept), 2 = usage or configuration error.  CSV output uses '.' decimals, LF
+line endings and a header row; identical config and seed give
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from .conditions import check_curvature, check_suffcond, qcond_report
 from .errors import DegenerateInputError, NumericError, PreconditionError, UsageError
 from .fields import ComposeField, ScalarField, power_map, value_in_blocks
 from .grid import Grid, default_grid
-from .testfunctions import bump_corpus, polynomial_bump_corpus
+from .testfunctions import (bump_corpus, iter_bump_corpus, iter_polynomial_bump_corpus,
+                            polynomial_bump_corpus)
 
 SCHEMA_VERSION = 1
 RATIO_TOL = 1e-6
@@ -161,7 +164,9 @@ def _build_grid(geo: GeometrySpec, weight, grid_cfg: dict, psi_range, refine: in
 def _one_by_one(corpus: list):
     """The bumps of ``corpus`` in order, each taken out of the list as it is
     handed on, so a bump, its sub-array and every memo entry on that array
-    go as soon as the caller drops it after its check."""
+    go as soon as the caller drops it after its check.  A verdict-only
+    re-check draws its bumps lazily instead, and stops at its first
+    violating bump."""
     corpus.reverse()
     while corpus:
         yield corpus.pop()
@@ -188,17 +193,20 @@ class _Context:
     params: dict
     seed: int
     size: int
+    verdict_only: bool = False  # only the exit code is kept (see _dispatch)
 
-    def bumps(self, size: int):
+    def bumps(self, size: int, lazy: bool = False):
         """Corpus bumps in parameters.psi_range, by default the middle 70% of
-        psi's range on the grid."""
+        psi's range on the grid: a list, or, ``lazy``, a generator that
+        draws each bump as the caller takes it."""
         psi_range = self.cfg.parameters.get("psi_range")
         if psi_range is None:
             vals = value_in_blocks(self.weight.psi, self.grid.points)
             lo, hi = float(np.min(vals)), float(np.max(vals))
             span = hi - lo
             psi_range = (lo + 0.15 * span, hi - 0.15 * span)
-        return bump_corpus(self.weight.psi, self.grid, size, self.seed, tuple(psi_range))
+        build = iter_bump_corpus if lazy else bump_corpus
+        return build(self.weight.psi, self.grid, size, self.seed, tuple(psi_range))
 
 
 # Each handler returns (passed, summary, rows); _dispatch puts the operation
@@ -222,11 +230,16 @@ def _suffcond(ctx: _Context):
 
 
 def _curvature(ctx: _Context):
-    gam = ctx.params["gamma"]
-    corpus = polynomial_bump_corpus(ctx.grid, ctx.size, ctx.seed)
-    defects = [check_curvature(ctx.geo, ctx.W, f, gam, ctx.grid) for f in _one_by_one(corpus)]
+    gam, tol = ctx.params["gamma"], ctx.params["tol"]
+    bumps = (iter_polynomial_bump_corpus(ctx.grid, ctx.size, ctx.seed) if ctx.verdict_only
+             else _one_by_one(polynomial_bump_corpus(ctx.grid, ctx.size, ctx.seed)))
+    defects = []
+    for f in bumps:
+        defects.append(check_curvature(ctx.geo, ctx.W, f, gam, ctx.grid))
+        if ctx.verdict_only and defects[-1] < -tol:
+            break
     worst = min(defects)
-    return (worst >= -ctx.params["tol"], {"gamma": gam, "worst_defect": worst},
+    return (worst >= -tol, {"gamma": gam, "worst_defect": worst},
             [{"index": i, "min_defect": d} for i, d in enumerate(defects)])
 
 
@@ -238,8 +251,13 @@ def _sweep(report: str, on_multiplier: bool = False):
     def handler(ctx: _Context):
         make = getattr(ineq, report)
         lead = (ctx.geo, ctx.W if on_multiplier else ctx.weight)
-        reports = [make(*lead, f=f, grid=ctx.grid, **ctx.params)
-                   for f in _one_by_one(ctx.bumps(ctx.size))]
+        bumps = (ctx.bumps(ctx.size, lazy=True) if ctx.verdict_only
+                 else _one_by_one(ctx.bumps(ctx.size)))
+        reports = []
+        for f in bumps:
+            reports.append(make(*lead, f=f, grid=ctx.grid, **ctx.params))
+            if ctx.verdict_only and not reports[-1].passes(RATIO_TOL):
+                break
         ratios = [rep.ratio for rep in reports if rep.ratio is not None]
         worst = max(ratios) if ratios else None
         return (all(rep.passes(RATIO_TOL) for rep in reports),
@@ -342,7 +360,11 @@ _SECTIONS = {
 }
 
 
-def _dispatch(cfg: RunConfig, refine: int = 1) -> RunResult:
+def _dispatch(cfg: RunConfig, refine: int = 1, *, verdict_only: bool = False) -> RunResult:
+    """One pass of ``cfg`` on its grid refined ``refine`` times.  In a
+    ``verdict_only`` pass a corpus sweep or curvature check draws its bumps
+    one at a time and stops at the first that fails, so its summary and rows
+    cover only the bumps it checked."""
     op = cfg.operation
     entry = _OPERATIONS[op]
     geo = make_geometry(cfg.geometry["name"], **cfg.geometry.get("params", {}))
@@ -365,7 +387,7 @@ def _dispatch(cfg: RunConfig, refine: int = 1) -> RunResult:
     if entry.needs_Q:
         params["Q"] = Q
     ctx = _Context(cfg, geo, weight, grid, W, Q, params, int(cfg.corpus.get("seed", 0)),
-                   int(cfg.corpus.get("size", 20)))
+                   int(cfg.corpus.get("size", 20)), verdict_only)
     passed, summary, rows = entry.handler(ctx)
     summary = {"operation": op, **summary}
     summary.setdefault("verdict", "pass" if passed else "violation")
@@ -374,13 +396,16 @@ def _dispatch(cfg: RunConfig, refine: int = 1) -> RunResult:
 
 def run(cfg: RunConfig, refine: bool = False) -> RunResult:
     """Execute a config; violations are re-checked once at halved spacing.
+    Only the re-check's exit code is kept when it fails too, so a corpus
+    re-check draws its bumps one at a time and stops at the first violating
+    one; a re-check that passes returns all of its rows.
     A float overflow or invalid value raises ``FloatingPointError`` rather
     than printing a numpy warning; code that expects one sets its own
     ``np.errstate``."""
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         result = _dispatch(cfg, refine=2 if refine else 1)
         if result.exit_code == 1 and not refine:
-            rechecked = _dispatch(cfg, refine=2)
+            rechecked = _dispatch(cfg, refine=2, verdict_only=True)
             if rechecked.exit_code == 0:
                 rechecked.summary["note"] = "violation resolved at halved spacing"
                 return rechecked

@@ -4,12 +4,15 @@ Everything is built from the polynomial bump u -> (1 - u^2)^3 on |u| <= 1
 and the quintic smoothstep, so supports are exact (identically zero outside
 the stated sets) and first/second derivatives are closed form.
 
-``bump_corpus`` and ``polynomial_bump_corpus`` return
-:class:`~hardylab.fields.SupportedField` bumps.  On a points array their rows
-are a superset of the points where the value, gradient or Hessian is
-non-zero (the ``|u| < 1`` tests of the bump maps themselves).  The
-expression tree runs on those rows only, and every array handed back is
-full-size with exact zeros elsewhere, so full-grid sums see the same values.
+``bump_corpus`` and ``polynomial_bump_corpus`` return lists of
+:class:`~hardylab.fields.SupportedField` bumps; ``iter_bump_corpus`` and
+``iter_polynomial_bump_corpus`` yield the same bumps one at a time, each
+drawn only when the caller asks for it, so a caller that stops early draws
+no more.  On a points array a bump's rows are a superset of the points where
+the value, gradient or Hessian is non-zero (the ``|u| < 1`` tests of the
+bump maps themselves).  The expression tree runs on those rows only, and
+every array handed back is full-size with exact zeros elsewhere, so
+full-grid sums see the same values.
 
 A candidate's rows are the retained nodes near its tensor box
 (``Grid.box_rows``), narrowed by the bump maps' own predicates, and its
@@ -70,6 +73,13 @@ def bump_corpus(psi: ScalarField, grid, n: int, seed: int, psi_range: tuple[floa
     by construction.  Candidates whose support misses the retained nodes are
     rejected and redrawn, keeping the corpus deterministic for a given seed.
     """
+    return list(iter_bump_corpus(psi, grid, n, seed, psi_range))
+
+
+def iter_bump_corpus(psi: ScalarField, grid, n: int, seed: int,
+                     psi_range: tuple[float, float]):
+    """``bump_corpus``'s bumps, yielded as each is accepted; psi_range is
+    checked when this is called, not at the first draw."""
     lo_psi, hi_psi = float(psi_range[0]), float(psi_range[1])
     if not 0 <= lo_psi < hi_psi:
         raise UsageError("psi_range must satisfy 0 <= lo < hi")
@@ -86,13 +96,12 @@ def bump_corpus(psi: ScalarField, grid, n: int, seed: int, psi_range: tuple[floa
 
 
 def _corpus(grid, n: int, seed: int, draw, floor: float):
-    """n fields from ``draw(rng)`` (a field and its tensor factor's box),
-    each redrawn until it exceeds ``floor`` on the grid and the grid
-    supports it; a UsageError after 50 n draws."""
+    """Yield n fields from ``draw(rng)`` (a field and its tensor factor's
+    box), each redrawn until it exceeds ``floor`` on the grid and the grid
+    supports it; a UsageError at the draw after the 50 n-th."""
     rng = np.random.default_rng(seed)
-    out = []
-    attempts = 0
-    while len(out) < n:
+    accepted = attempts = 0
+    while accepted < n:
         attempts += 1
         if attempts > 50 * n:
             raise UsageError("could not place the requested corpus inside the grid")
@@ -102,8 +111,8 @@ def _corpus(grid, n: int, seed: int, draw, floor: float):
         on = support(f, grid.points)
         vals = np.abs(on.tree.value_at(on.sub))
         if len(vals) and vals.max() > floor and grid.supports(f):
-            out.append(f)
-    return out
+            accepted += 1
+            yield f
 
 
 def _interior_box(grid, rng):
@@ -137,6 +146,11 @@ def random_polynomial(dim: int, degree: int, rng) -> PolyField:
 
 def polynomial_bump_corpus(grid, n: int, seed: int):
     """Random polynomial of degree <= 2 times tensor-bump corpus (for curvature checks)."""
+    return list(iter_polynomial_bump_corpus(grid, n, seed))
+
+
+def iter_polynomial_bump_corpus(grid, n: int, seed: int):
+    """``polynomial_bump_corpus``'s bumps, yielded as each is accepted."""
 
     def draw(rng):
         box = _interior_box(grid, rng)

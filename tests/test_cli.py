@@ -661,17 +661,185 @@ def test_violation_resolved_at_halved_spacing_reports_the_recheck(monkeypatch):
 
     calls = []
 
-    def dispatch(cfg, refine=1):
-        calls.append(refine)
+    def dispatch(cfg, refine=1, verdict_only=False):
+        calls.append((refine, verdict_only))
         code = 1 if len(calls) == 1 else 0
         return cli.RunResult(code, {"verdict": "violation" if code else "pass"},
                              [{"index": 0, "refine": refine}])
 
     monkeypatch.setattr(cli, "_dispatch", dispatch)
     result = cli.run(RunConfig.from_json(json.dumps(SMALL_HARDY)))
-    assert calls == [1, 2] and result.exit_code == 0
+    assert calls == [(1, False), (2, True)] and result.exit_code == 0
     assert result.summary == {"verdict": "pass", "note": "violation resolved at halved spacing"}
     assert result.rows == [{"index": 0, "refine": 2}]
+
+
+# -- the halved-spacing re-check -------------------------------------------------
+# When the re-check fails too, run keeps only its exit code, so it draws its
+# bumps one at a time and stops at its first violating one; the first pass,
+# --refine and a re-check that passes check every bump.
+
+def _counting(monkeypatch, owner, name):
+    """Wrap ``owner.<name>`` to record the node count of each call's grid."""
+    real, calls = getattr(owner, name), []
+
+    def counted(*args, **kwargs):
+        grid = kwargs.get("grid") or args[-1]
+        calls.append(grid.n_nodes)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+VIOLATION = _bench_config("eu2-hardy-violation", 32)  # 3 bumps; the first violates
+RESOLVED = {  # a violation of the grid: worst ratio 1.097 at n = 96, 0.798 at n = 192
+    "schema": 1, "geometry": {"name": "euclidean", "params": {"m": 2}},
+    "weight": {"name": "euclid-norm"}, "operation": "hardy",
+    "parameters": {"alpha": 200.0, "psi_range": [0.2, 0.8]},
+    "grid": {"bounds": [[-2, 2], [-2, 2]], "n": 96, "excision_radius": 0.05},
+    "corpus": {"seed": 7, "size": 4}}
+
+
+def test_a_persisting_violation_rechecks_up_to_its_first_violating_bump(monkeypatch):
+    from hardylab import cli
+
+    reports = _counting(monkeypatch, cli.ineq, "hardy_report")
+    result = run(RunConfig.from_json(json.dumps(VIOLATION)))
+    assert result.exit_code == 1
+    assert result.summary["note"] == "violation persists at halved spacing"
+    coarse, fine = sorted(set(reports))
+    assert reports == [coarse] * 3 + [fine]  # the first fine bump already fails
+    assert [row["index"] for row in result.rows] == [0, 1, 2]
+
+
+def test_a_persisting_curvature_violation_rechecks_up_to_its_first_violating_bump(
+        monkeypatch):
+    from hardylab import cli
+
+    payload = {"schema": 1, "geometry": {"name": "euclidean", "params": {"m": 2}},
+               "weight": {"name": "euclid-norm"}, "operation": "curvature",
+               "parameters": {"p": 0.5, "gamma": 0.5},
+               "grid": {"bounds": [[-2, 2], [-2, 2]], "n": 32}, "corpus": {"seed": 9, "size": 4}}
+    checks = _counting(monkeypatch, cli, "check_curvature")
+    result = run(RunConfig.from_json(json.dumps(payload)))
+    assert result.exit_code == 1
+    assert result.summary["note"] == "violation persists at halved spacing"
+    coarse, fine = sorted(set(checks))
+    assert checks == [coarse] * 4 + [fine]
+    assert len(result.rows) == 4
+
+
+def test_a_resolved_violation_returns_every_recheck_row(monkeypatch):
+    from hardylab import cli
+
+    cfg = RunConfig.from_json(json.dumps(RESOLVED))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        first, listed = cli._dispatch(cfg), cli._dispatch(cfg, refine=2)
+    assert first.exit_code == 1 and listed.exit_code == 0
+    reports = _counting(monkeypatch, cli.ineq, "hardy_report")
+    result = run(cfg)
+    assert result.exit_code == 0
+    assert result.summary == {**listed.summary, "note": "violation resolved at halved spacing"}
+    assert result.rows == listed.rows and len(result.rows) == 4
+    coarse, fine = sorted(set(reports))
+    assert reports == [coarse] * 4 + [fine] * 4
+
+
+def test_refine_reports_every_bump_on_the_fine_grid(monkeypatch):
+    from hardylab import cli
+
+    reports = _counting(monkeypatch, cli.ineq, "hardy_report")
+    result = run(RunConfig.from_json(json.dumps(VIOLATION)), refine=True)
+    assert result.exit_code == 1 and "note" not in result.summary
+    assert len(result.rows) == 3 and len(reports) == 3 and len(set(reports)) == 1
+
+
+def _recheck_corpus(monkeypatch, *tail):
+    """The re-check's bumps: its real first bump, then each of ``tail`` in
+    turn, a function of the grid giving a bump, or an exception to raise."""
+    from hardylab import cli
+
+    real = cli.iter_bump_corpus
+
+    def drawn(psi, grid, n, seed, psi_range):
+        yield next(real(psi, grid, n, seed, psi_range))
+        for item in tail:
+            if isinstance(item, Exception):
+                raise item
+            yield item(grid)
+
+    monkeypatch.setattr(cli, "iter_bump_corpus", drawn)
+
+
+def _on_the_boundary(grid):
+    """A bump whose report raises: its support touches the grid boundary."""
+    from hardylab.fields import SupportedField
+
+    return SupportedField(hl.tensor_bump(grid.bounds))
+
+
+PLACE = UsageError("could not place the requested corpus inside the grid")
+
+
+# Behaviour changes of the early stop: what the re-check would raise after its
+# first violating bump no longer turns exit 1 into exit 2, and in a re-check
+# whose bumps pass so far a report's error comes before the corpus's.
+@pytest.mark.parametrize("tail", [pytest.param((PLACE,), id="could-not-place"),
+                                  pytest.param((_on_the_boundary,), id="report-error")])
+def test_what_follows_the_first_violating_recheck_bump_is_never_reached(
+        tmp_path, capsys, monkeypatch, tail):
+    _recheck_corpus(monkeypatch, *tail)
+    assert main(["run", "--config", write_config(tmp_path, VIOLATION)]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out)["note"] == "violation persists at halved spacing" and err == ""
+
+
+def test_a_passing_recheck_reports_an_error_before_the_corpus_gives_out(
+        tmp_path, capsys, monkeypatch):
+    _recheck_corpus(monkeypatch, _on_the_boundary, PLACE)
+    assert main(["run", "--config", write_config(tmp_path, RESOLVED)]) == 2
+    assert capsys.readouterr().err == ("error: test function support touches the grid "
+                                       "boundary or an excised region\n")
+
+
+def _small_euclidean(operation, parameters, n, excision, seed, size):
+    return {"schema": 1, "geometry": {"name": "euclidean", "params": {"m": 2}},
+            "weight": {"name": "euclid-norm"}, "operation": operation, "parameters": parameters,
+            "grid": {"bounds": [[-2, 2], [-2, 2]], "n": n, "excision_radius": excision},
+            "corpus": {"seed": seed, "size": size}}
+
+
+# The same changes on configs a random search over small euclidean(2) grids
+# found: each one's coarse pass violates, and its re-check, run on the list
+# path, raises ``listed``.
+@pytest.mark.parametrize("payload,listed,code,err", [
+    pytest.param(_small_euclidean("hardy", {"psi_range": [0.1, 1.1], "Q": 100.0}, 12, 0.5,
+                                  511, 5),
+                 "could not place", 1, "", id="could-not-place-after-a-violation"),
+    pytest.param(_small_euclidean("hardy", {"psi_range": [0.05, 0.65], "alpha": 400.0,
+                                            "Q": 14.0}, 10, 0.01, 666, 5),
+                 "every right-side term is 0", 1, "", id="report-error-after-a-violation"),
+    pytest.param(_small_euclidean("weighted-log-hardy", {"psi_range": [0.1, 1.1],
+                                                         "alpha": -300.0, "Q": 2.5},
+                                  12, 0.5, 355, 2),
+                 "could not place", 2, "error: support crosses the level set {psi = 1}\n",
+                 id="report-error-before-the-corpus-gives-out"),
+])
+def test_recheck_behaviour_changes_on_found_configs(tmp_path, capsys, payload, listed, code,
+                                                    err):
+    from hardylab import cli
+
+    cfg = RunConfig.from_json(json.dumps(payload))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        assert cli._dispatch(cfg).exit_code == 1
+        with pytest.raises(Exception, match=listed):
+            cli._dispatch(cfg, refine=2)
+    assert main(["run", "--config", write_config(tmp_path, payload)]) == code
+    out, got = capsys.readouterr()
+    assert got == err
+    if code == 1:
+        assert json.loads(out)["note"] == "violation persists at halved spacing"
 
 
 def test_console_script_is_cli_main():

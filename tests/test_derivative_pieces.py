@@ -7,9 +7,10 @@ its value and both derivatives must agree bit for bit in every region of u,
 in every call order, on two arrays with equal values, and on the log-radial
 default trial family; the shared entry must go with u and with the profile.
 
-``FrameDiffusion.frame_derivatives`` skips the frame gradients of a
-constant frame.  With ``constant_frame`` forced off on the instance it takes
-the general path, which must give the same bits, signed zeros included."""
+``FrameDiffusion.frame_derivatives`` and ``FrameDiffusion.apply_L`` skip the
+frame gradients of a constant frame.  With ``constant_frame`` forced off on
+the instance they take the general path, which must give the same bits,
+signed zeros included."""
 
 import gc
 import weakref
@@ -18,7 +19,8 @@ import numpy as np
 import pytest
 
 import hardylab as hl
-from hardylab.fields import (ComposeField, PolyField, SmoothMap, smoothed_power_profile,
+from hardylab.calculus import FrameDiffusion
+from hardylab.fields import (ComposeField, ConstField, PolyField, VectorField, SmoothMap, smoothed_power_profile,
                              smoothstep_map)
 from hardylab.inequalities import default_trial_family
 from hardylab.testfunctions import random_polynomial
@@ -272,3 +274,47 @@ def test_non_finite_gradient_takes_the_general_path():
         (xs, dxs), (xg, dxg) = _both_paths(geo, f, pts)
     assert np.isnan(dxs[:, 0]).any() and np.isfinite(dxs[:, 1]).all()
     assert _same_bits(xs, xg) and _same_bits(dxs, dxg)
+
+
+# ---------------------------------------------------------------------------
+# constant_frame: apply_L without frame gradients when rho is not constant
+# ---------------------------------------------------------------------------
+
+def _random_constant_frame(seed):
+    """A constant frame with zero, negative and positive coefficients on
+    R^m, against the positive density 1 + x_0^2 + x_{m-1}^2 / 2."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 4))
+    frame = [VectorField([ConstField(float(c)) for c in
+                          rng.choice([0.0, -1.5, -1.0, 0.5, 2.0], size=m)])
+             for _ in range(int(rng.integers(1, 4)))]
+    rho = PolyField([(1.0, ()), (1.0, (2,)), (0.5, (0,) * (m - 1) + (2,))])
+    return FrameDiffusion(frame, rho, m)
+
+
+@pytest.mark.parametrize("seed", range(40))
+@pytest.mark.parametrize("case", ["euclidean-radial-2", "euclidean-radial-3",
+                                  "euclidean-radial-5", "random-constant-frame"])
+def test_apply_L_on_a_constant_frame_equals_the_general_path_bit_for_bit(case, seed):
+    rng = np.random.default_rng(1000 + seed)
+    if case == "random-constant-frame":
+        diff = _random_constant_frame(seed)
+        pts = rng.uniform(-2.0, 2.0, size=(int(rng.integers(2, 40)), diff.dim))
+        # exact zeros of both signs, where products and sums of zeros meet
+        pts[rng.random(pts.shape) < 0.2] = 0.0
+        pts[rng.random(pts.shape) < 0.1] = -0.0
+    else:
+        diff = hl.make_geometry("euclidean-radial", m=int(case.rsplit("-", 1)[1]))
+        pts = rng.uniform(0.1, 2.0, size=(int(rng.integers(2, 40)), 1))
+    assert diff.constant_frame and not diff.drift_free
+    f = random_polynomial(diff.dim, int(rng.integers(1, 4)), rng)
+    short = diff.apply_L(f, pts)
+    (entry,) = diff.__dict__["_memo"].values()
+    assert set(entry[1]) == {"C"}  # no frame gradients were built
+    diff.constant_frame = False  # the instance attribute hides the cached flag
+    try:
+        general = diff.apply_L(f, pts)
+    finally:
+        del diff.constant_frame
+    assert set(entry[1]) == {"C", "G"}
+    assert _same_bits(short, general)

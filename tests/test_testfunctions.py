@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from hardylab import testfunctions
 from hardylab.errors import UsageError
 from hardylab.grid import default_grid
-from hardylab.fields import NormField, ProductField, SupportedField
-from hardylab.testfunctions import (bump_corpus, polynomial_bump_corpus, radial_bump,
-                                    smoothed_power, tensor_bump)
+from hardylab.fields import NormField, ProductField, SupportedField, support, value_in_blocks
+from hardylab.testfunctions import (_corpus, bump_corpus, iter_bump_corpus,
+                                    iter_polynomial_bump_corpus, polynomial_bump_corpus,
+                                    radial_bump, smoothed_power, tensor_bump)
 
 
 def test_radial_bump_vanishes_at_support_edges():
@@ -133,3 +135,97 @@ def test_gamma_on_a_one_row_support(eu3):
     want = [diff.gamma(f.base, f.base, pts), diff.gamma(w.psi, f.base, pts)]
     for a, b in zip(got, want):
         assert a.tobytes() == b.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The corpus drawn one bump at a time
+# ---------------------------------------------------------------------------
+
+def _same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _middle_psi_range(w, grid):
+    pv = value_in_blocks(w.psi, grid.points)
+    lo, hi = float(pv.min()), float(pv.max())
+    return lo + 0.15 * (hi - lo), hi - 0.15 * (hi - lo)
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """The number of candidates drawn so far: one sub-box per candidate."""
+    drawn = []
+    box = testfunctions._interior_box
+    monkeypatch.setattr(testfunctions, "_interior_box",
+                        lambda grid, rng: drawn.append(1) or box(grid, rng))
+    return drawn
+
+
+@pytest.mark.parametrize("setup", ["eu2", "eu3", "h1"])
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_the_iterated_corpus_yields_the_listed_bumps_bit_for_bit(setup, seed, request):
+    _, w, grid = request.getfixturevalue(setup)
+    pts = grid.points
+    psi_range = _middle_psi_range(w, grid)
+    for listed, drawn in [(bump_corpus(w.psi, grid, 5, seed, psi_range),
+                           iter_bump_corpus(w.psi, grid, 5, seed, psi_range)),
+                          (polynomial_bump_corpus(grid, 3, seed),
+                           iter_polynomial_bump_corpus(grid, 3, seed))]:
+        assert isinstance(listed, list) and iter(drawn) is drawn
+        drawn = list(drawn)
+        assert len(drawn) == len(listed) > 0
+        for f, g in zip(listed, drawn):
+            on_f, on_g = support(f, pts), support(g, pts)
+            assert _same_bits(on_f.rows, on_g.rows) and _same_bits(on_f.sub, on_g.sub)
+            assert _same_bits(on_f.tree.value_at(on_f.sub), on_g.tree.value_at(on_g.sub))
+            assert _same_bits(on_f.tree.grad_at(on_f.sub), on_g.tree.grad_at(on_g.sub))
+
+
+def test_the_iterated_corpus_draws_only_as_far_as_it_is_taken(eu2, draws):
+    _, w, grid = eu2
+    psi_range = _middle_psi_range(w, grid)
+    bump_corpus(w.psi, grid, 6, 3, psi_range)
+    listed = len(draws)
+    draws.clear()
+    bumps = iter_bump_corpus(w.psi, grid, 6, 3, psi_range)
+    assert draws == []
+    next(bumps)
+    first = len(draws)
+    assert 0 < first < listed
+    assert len(list(bumps)) == 5 and len(draws) == listed
+
+
+def test_the_iterated_corpus_checks_psi_range_when_called():
+    with pytest.raises(UsageError, match="psi_range"):
+        iter_bump_corpus(NormField(), None, 1, 0, (2.0, 1.0))
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_both_corpora_give_up_at_the_same_draw(eu2, draws, n):
+    # no retained node has psi in (50, 60), so every candidate is rejected
+    _, w, grid = eu2
+    for build in (bump_corpus, lambda *a: list(iter_bump_corpus(*a))):
+        draws.clear()
+        with pytest.raises(UsageError, match="could not place"):
+            build(w.psi, grid, n, 7, (50.0, 60.0))
+        assert len(draws) == 50 * n
+
+
+def test_a_corpus_out_of_draws_has_yielded_what_it_placed(eu2):
+    # the first two candidates fit the grid (away from the excised origin);
+    # every later one lies outside it
+    _, _, grid = eu2
+    inside, outside = [(1.0, 2.0), (1.0, 2.5)], [(10.0, 11.0), (10.0, 11.0)]
+    drawn = []
+
+    def draw(rng):
+        drawn.append(1)
+        box = inside if len(drawn) <= 2 else outside
+        return tensor_bump(box), box
+
+    bumps = _corpus(grid, 3, 0, draw, 1e-6)
+    assert [isinstance(next(bumps), SupportedField) for _ in range(2)] == [True, True]
+    assert len(drawn) == 2
+    with pytest.raises(UsageError, match="could not place"):
+        next(bumps)
+    assert len(drawn) == 150
