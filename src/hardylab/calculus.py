@@ -153,8 +153,11 @@ class FrameDiffusion(Diffusion):
         second-order sum is returned as it is: the full path would only add
         zeros to it.  When only ``constant_frame`` holds (and the gradient is
         finite), the frame-gradient terms are exactly +0.0, so they are not
-        built: adding 0.0 in their place gives the same bits, signed zeros
-        included."""
+        built.  Leaving them out gives the same bits, signed zeros included:
+        the general path adds +0.0 to X_j rho / rho and to the drift, which
+        can only turn a -0.0 into +0.0, but the drift is an einsum sum, which
+        starts from +0.0 and so is never -0.0, and X_j rho / rho only enters
+        such a sum, where the sign of a zero term cannot show."""
         C = self.frame_values(pts)
         gf = f.grad_at(pts)
         val = np.einsum("jni,jnk,nik->n", C, C, f.hess_at(pts))
@@ -164,8 +167,7 @@ class FrameDiffusion(Diffusion):
         rho = self.measure_density
         x_log_rho = np.einsum("jni,ni->jn", C, rho.grad_at(pts)) / rho.value_at(pts)
         if self.constant_frame and finite:
-            first = np.einsum("jn,jnk->nk", x_log_rho + 0.0, C)
-            first += 0.0
+            first = np.einsum("jn,jnk->nk", x_log_rho, C)
         else:
             G = self.frame_grads(pts)
             first = np.einsum("jni,jnki->nk", C, G)
@@ -291,7 +293,11 @@ def gamma_w_rows(diff: Diffusion, W: ScalarField, f: ScalarField, pts):
     never meets a bump's sub-array.  The domain masks hold on all of pts,
     and off the rows the value is (1/2)(L(W^2) 0 + 0 + 2 W^2 0), so L(W^2)
     or 2 W^2 not finite at some node raises the NumericError too; both
-    weight-side checks run once per points array."""
+    weight-side checks run once per points array.  The two per-bump terms,
+    Gamma(W^2, f^2) and Gamma(f), come from one pass over the sub-array in
+    row blocks (``fields.blockwise``), where each block's gradients of the
+    tree serve both, so no gradient or frame coefficient is held on more
+    than one block's rows; f's values stay memoized on the whole sub-array."""
     pts, _ = as_points(pts, diff.dim)
     in_domain = memo(W, (diff, "in domain"), pts,
                      lambda p: bool(np.all(diff.mask(p) & W._mask(p))))
@@ -308,9 +314,9 @@ def gamma_w_rows(diff: Diffusion, W: ScalarField, f: ScalarField, pts):
     tree, sub = on.tree, on.sub
     fv = tree.value_at(sub)
     # a fresh square: ``squared`` would cache it on the tree, in a cycle
-    val = 0.5 * (on.take(lw2) * fv ** 2
-                 + 2.0 * diff.gamma(W2, ProductField(tree, tree), sub)
-                 + 2.0 * on.take(w2) * diff.gamma(tree, tree, sub))
+    f2 = ProductField(tree, tree)
+    g_w2_f2, g_f = blockwise(lambda b: (diff.gamma(W2, f2, b), diff.gamma(tree, tree, b)), sub)
+    val = 0.5 * (on.take(lw2) * fv ** 2 + 2.0 * g_w2_f2 + 2.0 * on.take(w2) * g_f)
     if not (finite and np.all(np.isfinite(val))):
         raise NumericError("non-finite value in Gamma^W(f)")
     return on, val

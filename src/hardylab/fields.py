@@ -37,21 +37,26 @@ goes, and with it every entry on it, also those of shared fields (a weight
 psi), whose entries on the whole grid stay.
 
 Passes that only need each node's own value, gradient and Hessian run in
-row blocks of at most about ``BLOCK_ROWS`` = 16,384 nodes
+row blocks of at most about ``BLOCK_ROWS`` = 4,096 nodes
 (:func:`blockwise`): the domain mask and excisions of ``grid.make_grid``,
 the comparison ratio of ``conditions.qcond_ratios``, ``suffcond_values``,
 ``calculus.l_of_square``, the weight-side terms of ``inequalities`` (psi
-too, :func:`value_in_blocks`) and ``catalog.estimate_kappa``.  Each block
-is a new array object, at every array size, freed with its memo entries
-once its part is done, so a tree holds one block's arrays at a time, not
-the whole grid's.  A block's values, gradients and Hessians down the tree
-of W^2 are the largest arrays a sweep holds, so the block size bounds its
-peak memory.  The results are bit-identical to one whole-array pass: every
-operation on a row depends on that row alone, each block is C-contiguous
-like the grid, so einsum sums in the same order, and a block of a longer
-array has at least 2 rows, since einsum sums a one-row array in another
-order.  Reductions over the nodes (min, max, mean, sum) run once, on the
-whole output array, because numpy's pairwise sums depend on the length.
+too, :func:`value_in_blocks`), ``catalog.estimate_kappa``, and the per-bump
+Gamma(W^2, f^2) and Gamma(f) of ``calculus.gamma_w_rows``, in blocks of the
+bump's sub-array.  Each block is a new array object, at every array size,
+freed with its memo entries once its part is done, so a tree holds one
+block's arrays at a time, not the whole grid's.  A block's values,
+gradients and Hessians down the tree of W^2 are the largest arrays a sweep
+holds, and a curvature check's gradients and frame coefficients on a bump's
+rows the largest it holds per bump, so the block size bounds their peak
+memory.  Smaller blocks cost more per-block overhead: 2,048-row blocks ran
+a 512,000-node qcond pass about 12% slower.  The results are bit-identical
+to one whole-array pass: every operation on a row depends on that row
+alone, each block is C-contiguous like the grid, so einsum sums in the same
+order, and a block of a longer array has at least 2 rows, since einsum sums
+a one-row array in another order.  Reductions over the nodes (min, max,
+mean, sum) run once, on the whole output array, because numpy's pairwise
+sums depend on the length.
 """
 
 from __future__ import annotations
@@ -64,7 +69,7 @@ import numpy as np
 from .errors import DomainError, UsageError
 
 DEFAULT_FD_STEP = 1e-4
-BLOCK_ROWS = 16384
+BLOCK_ROWS = 4096
 
 
 def memo(owner, key, pts, fn):

@@ -5,8 +5,8 @@ import hardylab as hl
 from hardylab.calculus import (FrameDiffusion, chain_rule_defect, eval_L, gamma,
                                gamma_chain_rule_defect,
                                gamma_definition_defect, gamma_w, ibp_defect)
-from hardylab.errors import DomainError, PreconditionError
-from hardylab.fields import (ComposeField, ConstField, CoordinateField,
+from hardylab.errors import DomainError, NumericError, PreconditionError
+from hardylab.fields import (ComposeField, ConstField, CoordinateField, FuncField,
                              NormField, PolyField, SquareNormField, coordinate_frame,
                              identity_map, power_map, with_fd)
 from hardylab.operators import dilation_operator, drifted_operator, radial_operator
@@ -47,6 +47,13 @@ def test_eval_L_domain_and_numeric_errors(hyp3):
     geo, w, _ = hyp3
     with pytest.raises(DomainError):
         eval_L(geo, w.psi, np.array([0.0, 0.0, -1.0]))
+    # a NaN Hessian entry, where no RuntimeWarning fires on the way
+    p = np.array([[0.3, -0.2, 2.0], [0.1, 0.4, 1.5]])
+    f = FuncField(w.psi._value, w.psi._grad,
+                  lambda q: np.where(q[:, :1, None] > 0.2, np.nan, w.psi._hess(q)))
+    with pytest.raises(NumericError, match="non-finite derivative in L f"):
+        eval_L(geo, f, p)
+    assert np.isfinite(eval_L(geo, f, p[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +130,36 @@ def test_gamma_koranyi_gauge_formula(h1):
     assert np.allclose(got, expected, atol=1e-12)
 
 
+def _masked(field):
+    """``field`` with its closed-form derivatives, on the domain x_0 < 1."""
+    return FuncField(field._value, field._grad, field._hess, mask_fn=lambda p: p[:, 0] < 1.0)
+
+
+def test_gamma_needs_points(eu3):
+    geo, w, _ = eu3
+    with pytest.raises(TypeError, match="requires evaluation points"):
+        gamma(geo, w.psi)
+
+
+def test_gamma_checks_the_domain_mask_of_g(eu3):
+    geo, _, _ = eu3
+    x = CoordinateField(0)
+    g = _masked(SquareNormField())
+    pts = np.array([[0.5, 0.1, 0.2], [1.5, 0.1, 0.2]])
+    with pytest.raises(DomainError, match="domain mask of g"):
+        gamma(geo, x, g, pts)
+    assert gamma(geo, x, g, pts[:1])[0] == 1.0
+
+
+def test_gamma_rejects_a_non_finite_value(eu3):
+    geo, _, _ = eu3
+    f = FuncField(lambda p: p[:, 0], lambda p: np.where(p > 1.0, np.inf, 1.0))
+    pts = np.array([[0.5, 0.1, 0.2], [0.5, 1.5, 0.2]])
+    with pytest.raises(NumericError, match="non-finite value in Gamma"):
+        gamma(geo, f, f, pts)
+    assert gamma(geo, f, f, pts[:1])[0] == 3.0
+
+
 # ---------------------------------------------------------------------------
 # gamma_w
 # ---------------------------------------------------------------------------
@@ -156,6 +193,19 @@ def test_gamma_w_matches_bruteforce_expansion(eu3):
                    + 2.0 * gamma(geo, W2, f2, pts)
                    + 2.0 * W2._value(pts) * gamma(geo, f, f, pts))
     assert np.max(np.abs(gamma_w(geo, W, f, pts) - brute)) < 1e-10
+
+
+def test_gamma_w_checks_the_domain_masks_of_W_and_f(eu3):
+    geo, _, _ = eu3
+    W = PolyField([(1.0, ()), (1.0, (2,))])
+    f = random_polynomial(3, 2, np.random.default_rng(10))
+    pts = np.array([[0.5, 0.1, 0.2], [1.5, 0.1, 0.2]])
+    assert np.all(np.isfinite(gamma_w(geo, _masked(W), f, pts[:1])))
+    with pytest.raises(DomainError, match="of the field or diffusion"):
+        gamma_w(geo, _masked(W), f, pts)
+    assert np.all(np.isfinite(gamma_w(geo, W, _masked(f), pts[:1])))
+    with pytest.raises(DomainError, match="domain mask of f"):
+        gamma_w(geo, W, _masked(f), pts)
 
 
 # ---------------------------------------------------------------------------

@@ -280,21 +280,23 @@ def test_non_finite_gradient_takes_the_general_path():
 # constant_frame: apply_L without frame gradients when rho is not constant
 # ---------------------------------------------------------------------------
 
-def _random_constant_frame(seed):
+def _random_constant_frame(seed, sign=1.0):
     """A constant frame with zero, negative and positive coefficients on
-    R^m, against the positive density 1 + x_0^2 + x_{m-1}^2 / 2."""
+    R^m, against the density 1 + x_0^2 + x_{m-1}^2 / 2, or with ``sign``
+    -1.0 the density 2 - x_0^2 - x_{m-1}^2 / 2, positive on [-1, 1]^m."""
     rng = np.random.default_rng(seed)
     m = int(rng.integers(1, 4))
     frame = [VectorField([ConstField(float(c)) for c in
                           rng.choice([0.0, -1.5, -1.0, 0.5, 2.0], size=m)])
              for _ in range(int(rng.integers(1, 4)))]
-    rho = PolyField([(1.0, ()), (1.0, (2,)), (0.5, (0,) * (m - 1) + (2,))])
+    rho = PolyField([(1.5 - 0.5 * sign, ()), (sign, (2,)), (0.5 * sign, (0,) * (m - 1) + (2,))])
     return FrameDiffusion(frame, rho, m)
 
 
 @pytest.mark.parametrize("seed", range(40))
 @pytest.mark.parametrize("case", ["euclidean-radial-2", "euclidean-radial-3",
-                                  "euclidean-radial-5", "random-constant-frame"])
+                                  "euclidean-radial-5", "random-constant-frame",
+                                  "negative-zero-density-gradient"])
 def test_apply_L_on_a_constant_frame_equals_the_general_path_bit_for_bit(case, seed):
     rng = np.random.default_rng(1000 + seed)
     if case == "random-constant-frame":
@@ -303,6 +305,15 @@ def test_apply_L_on_a_constant_frame_equals_the_general_path_bit_for_bit(case, s
         # exact zeros of both signs, where products and sums of zeros meet
         pts[rng.random(pts.shape) < 0.2] = 0.0
         pts[rng.random(pts.shape) < 0.1] = -0.0
+    elif case == "negative-zero-density-gradient":
+        # d(-x^2) = -2x is -0.0 at x = +0.0, where the general path adds
+        # +0.0 to X_j rho / rho and to the drift and the short path does not
+        diff = _random_constant_frame(seed, sign=-1.0)
+        pts = rng.uniform(-1.0, 1.0, size=(int(rng.integers(2, 40)), diff.dim))
+        pts[rng.random(pts.shape) < 0.3] = 0.0
+        pts[0] = 0.0
+        grad_rho = diff.measure_density.grad_at(pts)
+        assert np.any((grad_rho == 0.0) & np.signbit(grad_rho))
     else:
         diff = hl.make_geometry("euclidean-radial", m=int(case.rsplit("-", 1)[1]))
         pts = rng.uniform(0.1, 2.0, size=(int(rng.integers(2, 40)), 1))
@@ -318,3 +329,4 @@ def test_apply_L_on_a_constant_frame_equals_the_general_path_bit_for_bit(case, s
         del diff.constant_frame
     assert set(entry[1]) == {"C", "G"}
     assert _same_bits(short, general)
+

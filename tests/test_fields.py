@@ -484,6 +484,63 @@ def test_a_blocked_pass_evaluates_frame_values_on_its_blocks_only(monkeypatch):
     assert rows == [7, 7, 7, 7, 7, 7, 7, 7, 2, 2]
 
 
+# (nodes per axis) of a bump's support box on the n=12 Heisenberg grid, and
+# its row blocks at BLOCK_ROWS = 7
+SUPPORT_SHAPES = {"one-row-tail": ((3, 3, 4), [7, 7, 7, 7, 8]),
+                  "two-row-tail": ((2, 3, 5), [7, 7, 7, 7, 2]),
+                  "single-row": ((1, 1, 1), [2])}
+
+
+def _curvature_case(shape):
+    """Fresh (geometry, W, grid, bump) on a 12^3 Heisenberg grid, the bump a
+    random quadratic times a tensor bump whose box holds exactly the nodes
+    ``shape`` (from the lattice's 8th node on each axis, clear of the
+    excision), so that no memo entry carries over between calls."""
+    geo = hl.make_geometry("heisenberg", m=1)
+    w = hl.make_weight(geo, "koranyi-gauge")
+    grid = hl.default_grid(geo, w, bounds=[(-2, 2)] * 3, n=12)
+    box = [(lo + 7 * h, lo + (7 + k) * h)
+           for (lo, _), h, k in zip(grid.bounds, grid.spacing, shape)]
+    poly = random_polynomial(3, 2, np.random.default_rng(sum(shape)))
+    f = SupportedField(ProductField(poly, tensor_bump(box)))
+    return geo, ComposeField(power_map(0.5), w.psi), grid, f
+
+
+def _gamma_w_and_curvature(shape):
+    geo, W, grid, f = _curvature_case(shape)
+    assert len(f.rows_at(grid.points)[0]) == np.prod(shape)
+    return (hl.gamma_w(geo, W, f, grid.points).tobytes(),
+            check_curvature(geo, W, f, 0.0, grid), check_curvature(geo, W, f, 1e4, grid))
+
+
+@pytest.mark.parametrize("case", SUPPORT_SHAPES)
+def test_blocked_gamma_w_equals_the_default_block_size_bit_for_bit(monkeypatch, case):
+    shape, blocks = SUPPORT_SHAPES[case]
+    default = _gamma_w_and_curvature(shape)
+    monkeypatch.setattr(fields, "BLOCK_ROWS", 7)
+    assert _gamma_w_and_curvature(shape) == default
+    # the bump's pass really ends in the tail under test
+    geo, W, grid, f = _curvature_case(shape)
+    sizes = []
+    monkeypatch.setattr(hl.calculus, "blockwise", lambda fn, p: fields.blockwise(
+        lambda b: sizes.append(len(b)) or fn(b), p))
+    hl.gamma_w(geo, W, f, grid.points)
+    assert sizes[-len(blocks):] == blocks
+
+
+def test_a_curvature_check_evaluates_frame_values_on_blocks_only(monkeypatch):
+    monkeypatch.setattr(fields, "BLOCK_ROWS", 7)
+    geo, W, grid, f = _curvature_case(SUPPORT_SHAPES["one-row-tail"][0])
+    rows = []
+    coeff_values = VectorField.coeff_values
+    monkeypatch.setattr(VectorField, "coeff_values",
+                        lambda self, p: rows.append(len(p)) or coeff_values(self, p))
+    check_curvature(geo, W, f, 0.0, grid)
+    # L(W^2) on the grid's blocks, then the bump's 36 rows as 7 + 7 + 7 + 7 + 8
+    assert max(rows) <= fields.BLOCK_ROWS + 1
+    assert rows[-10:] == [7, 7, 7, 7, 7, 7, 7, 7, 8, 8]
+
+
 def _pointwise_results():
     """Every blocked pass on small grids, each from freshly built objects so
     that no per-(grid, weight) memo carries over between calls."""
