@@ -1,10 +1,9 @@
 """Batch front-end: parse a JSON run configuration, run its operation, emit reports.
 
 Exit codes: 0 = all checks pass, 1 = a verified violation beyond tolerance
-(re-checked once at halved spacing before being reported; a corpus re-check
-that fails stops at its first violating bump, since only its exit code is
-kept), 2 = usage or configuration error.  CSV output uses '.' decimals, LF
-line endings and a header row; identical config and seed give
+(re-checked once at halved spacing on the violating test functions
+themselves), 2 = usage or configuration error.  CSV output uses '.' decimals,
+LF line endings and a header row; identical config and seed give
 byte-identical output.
 """
 
@@ -25,10 +24,9 @@ from .catalog import (GEOMETRIES, WEIGHTS, GeometrySpec, Weight, _is_bounds, _is
                       _is_number, make_geometry, make_weight)
 from .conditions import check_curvature, check_suffcond, qcond_report
 from .errors import DegenerateInputError, NumericError, PreconditionError, UsageError
-from .fields import ComposeField, ScalarField, power_map, value_in_blocks
+from .fields import ComposeField, ScalarField, SupportedField, power_map, value_in_blocks
 from .grid import Grid, default_grid
-from .testfunctions import (bump_corpus, iter_bump_corpus, iter_polynomial_bump_corpus,
-                            polynomial_bump_corpus)
+from .testfunctions import bump_corpus, polynomial_bump_corpus
 
 SCHEMA_VERSION = 1
 RATIO_TOL = 1e-6
@@ -136,8 +134,6 @@ def _build_grid(geo: GeometrySpec, weight, grid_cfg: dict, psi_range, refine: in
         lo_last = 0.02 * hi if geo.name in ("hyperbolic", "halfspace-euclidean",
                                             "euclidean-radial") else -hi
         bounds = [(-hi, hi)] * (geo.dim - 1) + [(lo_last, hi)]
-        if geo.dim == 1:
-            bounds = [(lo_last, hi)]
     n = grid_cfg.get("n")
     if n is None:
         n = 64 if geo.dim <= 2 else 48
@@ -161,22 +157,13 @@ def _build_grid(geo: GeometrySpec, weight, grid_cfg: dict, psi_range, refine: in
                          f"{e}") from None
 
 
-def _one_by_one(corpus: list):
-    """The bumps of ``corpus`` in order, each taken out of the list as it is
-    handed on, so a bump, its sub-array and every memo entry on that array
-    go as soon as the caller drops it after its check.  A verdict-only
-    re-check draws its bumps lazily instead, and stops at its first
-    violating bump."""
-    corpus.reverse()
-    while corpus:
-        yield corpus.pop()
-
-
 @dataclass
 class RunResult:
     exit_code: int
     summary: dict
     rows: list
+    # (index, base field) of each violating bump, which run's re-check re-measures
+    violators: list = field(default_factory=list, repr=False)
 
 
 @dataclass
@@ -193,20 +180,40 @@ class _Context:
     params: dict
     seed: int
     size: int
-    verdict_only: bool = False  # only the exit code is kept (see _dispatch)
+    paired: list | None = None  # in a re-check, the bumps to measure again (see _dispatch)
+    violators: list = field(default_factory=list)  # (index, base field) of each failing bump
 
-    def bumps(self, size: int, lazy: bool = False):
-        """Corpus bumps in parameters.psi_range, by default the middle 70% of
-        psi's range on the grid: a list, or, ``lazy``, a generator that
-        draws each bump as the caller takes it."""
-        psi_range = self.cfg.parameters.get("psi_range")
-        if psi_range is None:
-            vals = value_in_blocks(self.weight.psi, self.grid.points)
-            lo, hi = float(np.min(vals)), float(np.max(vals))
-            span = hi - lo
-            psi_range = (lo + 0.15 * span, hi - 0.15 * span)
-        build = iter_bump_corpus if lazy else bump_corpus
-        return build(self.weight.psi, self.grid, size, self.seed, tuple(psi_range))
+    def bumps(self, size: int, polynomial: bool = False):
+        """(index, bump) pairs in index order.  A first pass draws ``size``
+        corpus bumps, polynomial ones or bumps in parameters.psi_range (by
+        default the middle 70% of psi's range on the grid), and takes each
+        out of the list as it hands it on, so a bump, its sub-array and every
+        memo entry on that array go once the caller drops it after its check.
+        A re-check draws none: it rebuilds the ``paired`` bumps on its grid,
+        in order, up to the first that a handler adds to ``violators``."""
+        if self.paired is not None:
+            for i, base in self.paired:
+                f = SupportedField(base)
+                if not self.grid.supports(f):
+                    raise PreconditionError(f"violating bump {i} touches the grid boundary "
+                                            f"or an excised region at halved spacing")
+                yield i, f
+                if self.violators:  # a handler found it failing again
+                    return
+            return
+        if polynomial:
+            corpus = polynomial_bump_corpus(self.grid, size, self.seed)
+        else:
+            psi_range = self.cfg.parameters.get("psi_range")
+            if psi_range is None:
+                vals = value_in_blocks(self.weight.psi, self.grid.points)
+                lo, hi = float(np.min(vals)), float(np.max(vals))
+                span = hi - lo
+                psi_range = (lo + 0.15 * span, hi - 0.15 * span)
+            corpus = bump_corpus(self.weight.psi, self.grid, size, self.seed, tuple(psi_range))
+        corpus.reverse()
+        for i in range(len(corpus)):
+            yield i, corpus.pop()
 
 
 # Each handler returns (passed, summary, rows); _dispatch puts the operation
@@ -231,16 +238,13 @@ def _suffcond(ctx: _Context):
 
 def _curvature(ctx: _Context):
     gam, tol = ctx.params["gamma"], ctx.params["tol"]
-    bumps = (iter_polynomial_bump_corpus(ctx.grid, ctx.size, ctx.seed) if ctx.verdict_only
-             else _one_by_one(polynomial_bump_corpus(ctx.grid, ctx.size, ctx.seed)))
-    defects = []
-    for f in bumps:
-        defects.append(check_curvature(ctx.geo, ctx.W, f, gam, ctx.grid))
-        if ctx.verdict_only and defects[-1] < -tol:
-            break
-    worst = min(defects)
-    return (worst >= -tol, {"gamma": gam, "worst_defect": worst},
-            [{"index": i, "min_defect": d} for i, d in enumerate(defects)])
+    rows = []
+    for i, f in ctx.bumps(ctx.size, polynomial=True):
+        rows.append({"index": i, "min_defect": check_curvature(ctx.geo, ctx.W, f, gam, ctx.grid)})
+        if rows[-1]["min_defect"] < -tol:
+            ctx.violators.append((i, f.base))
+    worst = min(row["min_defect"] for row in rows)
+    return worst >= -tol, {"gamma": gam, "worst_defect": worst}, rows
 
 
 def _sweep(report: str, on_multiplier: bool = False):
@@ -251,20 +255,18 @@ def _sweep(report: str, on_multiplier: bool = False):
     def handler(ctx: _Context):
         make = getattr(ineq, report)
         lead = (ctx.geo, ctx.W if on_multiplier else ctx.weight)
-        bumps = (ctx.bumps(ctx.size, lazy=True) if ctx.verdict_only
-                 else _one_by_one(ctx.bumps(ctx.size)))
-        reports = []
-        for f in bumps:
+        reports, rows = [], []
+        for i, f in ctx.bumps(ctx.size):
             reports.append(make(*lead, f=f, grid=ctx.grid, **ctx.params))
-            if ctx.verdict_only and not reports[-1].passes(RATIO_TOL):
-                break
+            rows.append({"index": i, **reports[-1].row()})
+            if not reports[-1].passes(RATIO_TOL):
+                ctx.violators.append((i, f.base))
         ratios = [rep.ratio for rep in reports if rep.ratio is not None]
         worst = max(ratios) if ratios else None
-        return (all(rep.passes(RATIO_TOL) for rep in reports),
+        return (not ctx.violators,
                 {"alpha": float(ctx.cfg.parameters.get("alpha", 0.0)), "Q": ctx.Q,
                  "inequality": reports[0].inequality_id,
-                 "constant": reports[0].constant_used, "worst_ratio": worst},
-                [{"index": i, **rep.row()} for i, rep in enumerate(reports)])
+                 "constant": reports[0].constant_used, "worst_ratio": worst}, rows)
 
     return handler
 
@@ -284,7 +286,7 @@ def _evolve(ctx: _Context):
     # one row per sample as it arrives: no trajectory array is ever held
     rows = [{"t": float(t), "l2_norm": float(np.sqrt(np.sum(w * s ** 2))),
              "mass": float(np.sum(w * s))}
-            for t, s in trajectory(ctx.geo, ctx.bumps(1)[0], ctx.grid,
+            for t, s in trajectory(ctx.geo, next(ctx.bumps(1))[1], ctx.grid,
                                    ctx.params["t_max"], ctx.params["dt"])]
     return True, {"samples": len(rows)}, rows
 
@@ -292,14 +294,16 @@ def _evolve(ctx: _Context):
 def _subcommutation(ctx: _Context):
     from .semigroup import subcommutation_check  # imports scipy
     grid, W, p = ctx.grid, ctx.W, ctx.params
-    f0 = ctx.bumps(1)[0]
+    i, f0 = next(ctx.bumps(1))
     defect = subcommutation_check(ctx.geo, W, f0, grid, p["t_max"], p["dt"],
                                   gamma=p["gamma"])
     h2 = float(np.max(grid.spacing)) ** 2
     scale = float(np.max(W.value_at(grid.points) ** 2 * f0.value_at(grid.points) ** 2))
     threshold = -(p["C1"] * h2 + p["C2"] * p["dt"]) * max(scale, 1e-300)
+    if defect < threshold:
+        ctx.violators.append((i, f0.base))
     return (defect >= threshold, {"min_defect": defect, "threshold": threshold},
-            [{"index": 0, "min_defect": defect, "threshold": threshold}])
+            [{"index": i, "min_defect": defect, "threshold": threshold}])
 
 
 @dataclass(frozen=True)
@@ -360,11 +364,11 @@ _SECTIONS = {
 }
 
 
-def _dispatch(cfg: RunConfig, refine: int = 1, *, verdict_only: bool = False) -> RunResult:
-    """One pass of ``cfg`` on its grid refined ``refine`` times.  In a
-    ``verdict_only`` pass a corpus sweep or curvature check draws its bumps
-    one at a time and stops at the first that fails, so its summary and rows
-    cover only the bumps it checked."""
+def _dispatch(cfg: RunConfig, refine: int = 1, paired: list | None = None) -> RunResult:
+    """One pass of ``cfg`` on its grid refined ``refine`` times.  Given
+    ``paired``, a first pass's ``violators``, the pass draws no corpus: it
+    measures those bumps again on its grid, in index order, up to the first
+    that still fails, and its summary and rows cover only those it checked."""
     op = cfg.operation
     entry = _OPERATIONS[op]
     geo = make_geometry(cfg.geometry["name"], **cfg.geometry.get("params", {}))
@@ -387,25 +391,25 @@ def _dispatch(cfg: RunConfig, refine: int = 1, *, verdict_only: bool = False) ->
     if entry.needs_Q:
         params["Q"] = Q
     ctx = _Context(cfg, geo, weight, grid, W, Q, params, int(cfg.corpus.get("seed", 0)),
-                   int(cfg.corpus.get("size", 20)), verdict_only)
+                   int(cfg.corpus.get("size", 20)), paired)
     passed, summary, rows = entry.handler(ctx)
     summary = {"operation": op, **summary}
     summary.setdefault("verdict", "pass" if passed else "violation")
-    return RunResult(0 if passed else 1, summary, rows)
+    return RunResult(0 if passed else 1, summary, rows, ctx.violators)
 
 
 def run(cfg: RunConfig, refine: bool = False) -> RunResult:
-    """Execute a config; violations are re-checked once at halved spacing.
-    Only the re-check's exit code is kept when it fails too, so a corpus
-    re-check draws its bumps one at a time and stops at the first violating
-    one; a re-check that passes returns all of its rows.
-    A float overflow or invalid value raises ``FloatingPointError`` rather
-    than printing a numpy warning; code that expects one sets its own
-    ``np.errstate``."""
+    """Execute a config; a violation is re-checked once at halved spacing on
+    the first pass's violators (see _dispatch; an operation without bumps
+    simply runs again).  A re-check that passes is returned, its rows the
+    violators' under their first-pass indices; one that fails returns the
+    first pass with a note.  A float overflow or invalid value raises
+    ``FloatingPointError`` rather than printing a numpy warning; code that
+    expects one sets its own ``np.errstate``."""
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         result = _dispatch(cfg, refine=2 if refine else 1)
         if result.exit_code == 1 and not refine:
-            rechecked = _dispatch(cfg, refine=2, verdict_only=True)
+            rechecked = _dispatch(cfg, refine=2, paired=result.violators)
             if rechecked.exit_code == 0:
                 rechecked.summary["note"] = "violation resolved at halved spacing"
                 return rechecked
@@ -418,16 +422,12 @@ def _format_cell(v) -> str:
         return "true" if v else "false"
     if isinstance(v, float):
         return format(v, ".12g")
-    if isinstance(v, dict):
-        return json.dumps(v, sort_keys=True)
     return str(v)
 
 
 def write_rows(rows, path: str, fmt: str = "csv") -> None:
-    if not rows:
-        with open(path, "w", newline="\n") as fh:
-            fh.write("")
-        return
+    """Write a run's rows, of which there is at least one, as CSV under the
+    first row's keys, or as JSON lines."""
     if fmt == "csv":
         keys = list(rows[0].keys())
         lines = [",".join(keys)]

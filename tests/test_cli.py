@@ -182,6 +182,30 @@ def test_json_lines_format(tmp_path):
     assert row["verdict"] == "exact"
 
 
+def test_csv_cells_give_floats_12_digits_and_booleans_in_lower_case(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    cfg = write_config(tmp_path, dict(SMALL_QCOND, operation="suffcond"))
+    assert main(["run", "--config", cfg, "--out", str(out)]) in (0, 1)
+    summary = json.loads(capsys.readouterr().out)
+    header, row = out.read_text().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["passed"] == ("true" if summary["verdict"] == "pass" else "false")
+    assert cells["inf_value"] == format(summary["inf_value"], ".12g")
+    assert len(cells["inf_value"].lstrip("-").replace(".", "").split("e")[0]) <= 12
+
+
+def test_write_rows_rejects_an_unknown_format(tmp_path):
+    from hardylab import cli
+
+    with pytest.raises(UsageError, match="unknown output format 'xml'"):
+        cli.write_rows([{"index": 0}], str(tmp_path / "r.xml"), "xml")
+
+
+def test_no_command_prints_the_usage_and_exits_2(capsys):
+    assert main([]) == 2
+    assert capsys.readouterr().out.startswith("usage: hardylab")
+
+
 LISTING = (
     "geometries:\n"
     "  euclidean(m): coordinate frame, Lebesgue measure, Q_hom = m\n"
@@ -531,6 +555,16 @@ def test_grid_failing_to_allocate_exits_2_with_one_line_naming_grid_n(tmp_path, 
     assert err.startswith("error: grid.n gives ") and err.count("\n") == 1
 
 
+def test_a_platform_that_reports_no_memory_size_bounds_the_grid_by_an_index(monkeypatch):
+    from hardylab import cli
+
+    def unknown(name):
+        raise ValueError(f"unrecognized configuration name {name!r}")
+
+    monkeypatch.setattr(cli.os, "sysconf", unknown)
+    assert cli._memory_bytes() == np.iinfo(np.intp).max
+
+
 def _far_bounds(name: str, bound: float) -> dict:
     """bench/configs/<name>.json on 16 nodes per axis with every axis at
     [-bound, bound]."""
@@ -645,12 +679,12 @@ def test_corpus_bumps_default_to_the_middle_70_percent_of_psi(monkeypatch):
 
     seen = []
     monkeypatch.setattr(cli, "bump_corpus", lambda psi, grid, size, seed, psi_range:
-                        seen.append(psi_range))
+                        seen.append(psi_range) or [])
     cfg = RunConfig.from_json(json.dumps(dict(SMALL_HARDY, parameters={"alpha": 1.0})))
     geo = cli.make_geometry("euclidean", m=2)
     weight = cli.make_weight(geo, "euclid-norm")
     grid = hl.default_grid(geo, weight, bounds=[(-2, 2)] * 2, n=16)
-    cli._Context(cfg, geo, weight, grid, weight.psi, 2.0, {}, 0, 1).bumps(1)
+    list(cli._Context(cfg, geo, weight, grid, weight.psi, 2.0, {}, 0, 1).bumps(1))
     vals = weight.psi.value_at(grid.points)
     lo, hi = float(np.min(vals)), float(np.max(vals))
     assert seen == [pytest.approx((lo + 0.15 * (hi - lo), hi - 0.15 * (hi - lo)))]
@@ -660,56 +694,72 @@ def test_violation_resolved_at_halved_spacing_reports_the_recheck(monkeypatch):
     from hardylab import cli
 
     calls = []
+    violators = [(0, "base of bump 0")]
 
-    def dispatch(cfg, refine=1, verdict_only=False):
-        calls.append((refine, verdict_only))
+    def dispatch(cfg, refine=1, paired=None):
+        calls.append((refine, paired))
         code = 1 if len(calls) == 1 else 0
         return cli.RunResult(code, {"verdict": "violation" if code else "pass"},
-                             [{"index": 0, "refine": refine}])
+                             [{"index": 0, "refine": refine}], violators if code else [])
 
     monkeypatch.setattr(cli, "_dispatch", dispatch)
     result = cli.run(RunConfig.from_json(json.dumps(SMALL_HARDY)))
-    assert calls == [(1, False), (2, True)] and result.exit_code == 0
+    assert calls == [(1, None), (2, violators)] and result.exit_code == 0
     assert result.summary == {"verdict": "pass", "note": "violation resolved at halved spacing"}
     assert result.rows == [{"index": 0, "refine": 2}]
 
 
 # -- the halved-spacing re-check -------------------------------------------------
-# When the re-check fails too, run keeps only its exit code, so it draws its
-# bumps one at a time and stops at its first violating one; the first pass,
-# --refine and a re-check that passes check every bump.
+# The re-check measures the first pass's violating bumps again, rebuilt on the
+# finer grid from their base fields, in index order, and stops at the first
+# that still fails; it draws no corpus.  The first pass and --refine check
+# every bump.
 
-def _counting(monkeypatch, owner, name):
-    """Wrap ``owner.<name>`` to record the node count of each call's grid."""
+def _measured(monkeypatch, owner, name):
+    """Wrap ``owner.<name>`` to record, for each call, its grid's node count
+    and its bump's base field (keyword f, else the third argument)."""
     real, calls = getattr(owner, name), []
 
-    def counted(*args, **kwargs):
-        grid = kwargs.get("grid") or args[-1]
-        calls.append(grid.n_nodes)
+    def measured(*args, **kwargs):
+        grid = next(a for a in (*args, *kwargs.values()) if isinstance(a, hl.Grid))
+        calls.append((grid.n_nodes, (kwargs.get("f") or args[2]).base))
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(owner, name, counted)
+    monkeypatch.setattr(owner, name, measured)
     return calls
 
 
+def _fine_bases(calls):
+    """The bases measured on the finer of the two grids in ``calls``, and
+    the bases measured on the coarser one."""
+    coarse, fine = sorted({n for n, _ in calls})
+    return [b for n, b in calls if n == fine], [b for n, b in calls if n == coarse]
+
+
 VIOLATION = _bench_config("eu2-hardy-violation", 32)  # 3 bumps; the first violates
-RESOLVED = {  # a violation of the grid: worst ratio 1.097 at n = 96, 0.798 at n = 192
-    "schema": 1, "geometry": {"name": "euclidean", "params": {"m": 2}},
-    "weight": {"name": "euclid-norm"}, "operation": "hardy",
-    "parameters": {"alpha": 200.0, "psi_range": [0.2, 0.8]},
-    "grid": {"bounds": [[-2, 2], [-2, 2]], "n": 96, "excision_radius": 0.05},
-    "corpus": {"seed": 7, "size": 4}}
+
+
+def _alpha_200(seed, n=64, **parameters):
+    """A violation the grid makes: the weighted Hardy inequality holds at
+    alpha = 200, yet bumps on coarse grids can fail it.  A parameter given
+    as None is left out."""
+    parameters = {"alpha": 200.0, "psi_range": [0.2, 0.8], **parameters}
+    return {"schema": 1, "geometry": {"name": "euclidean", "params": {"m": 2}},
+            "weight": {"name": "euclid-norm"}, "operation": "hardy",
+            "parameters": {k: v for k, v in parameters.items() if v is not None},
+            "grid": {"bounds": [[-2, 2], [-2, 2]], "n": n, "excision_radius": 0.05},
+            "corpus": {"seed": seed, "size": 4}}
 
 
 def test_a_persisting_violation_rechecks_up_to_its_first_violating_bump(monkeypatch):
     from hardylab import cli
 
-    reports = _counting(monkeypatch, cli.ineq, "hardy_report")
+    reports = _measured(monkeypatch, cli.ineq, "hardy_report")
     result = run(RunConfig.from_json(json.dumps(VIOLATION)))
     assert result.exit_code == 1
     assert result.summary["note"] == "violation persists at halved spacing"
-    coarse, fine = sorted(set(reports))
-    assert reports == [coarse] * 3 + [fine]  # the first fine bump already fails
+    fine, coarse = _fine_bases(reports)
+    assert len(coarse) == 3 and fine == coarse[:1]  # the first bump fails again
     assert [row["index"] for row in result.rows] == [0, 1, 2]
 
 
@@ -721,86 +771,116 @@ def test_a_persisting_curvature_violation_rechecks_up_to_its_first_violating_bum
                "weight": {"name": "euclid-norm"}, "operation": "curvature",
                "parameters": {"p": 0.5, "gamma": 0.5},
                "grid": {"bounds": [[-2, 2], [-2, 2]], "n": 32}, "corpus": {"seed": 9, "size": 4}}
-    checks = _counting(monkeypatch, cli, "check_curvature")
+    checks = _measured(monkeypatch, cli, "check_curvature")
     result = run(RunConfig.from_json(json.dumps(payload)))
     assert result.exit_code == 1
     assert result.summary["note"] == "violation persists at halved spacing"
-    coarse, fine = sorted(set(checks))
-    assert checks == [coarse] * 4 + [fine]
+    fine, coarse = _fine_bases(checks)
+    first = [row["index"] for row in result.rows if row["min_defect"] < -1e-8][0]
+    assert len(coarse) == 4 and fine == [coarse[first]]
     assert len(result.rows) == 4
 
 
-def test_a_resolved_violation_returns_every_recheck_row(monkeypatch):
+@pytest.mark.parametrize("seed, code, note, rechecked", [
+    pytest.param(3, 0, "violation resolved at halved spacing", [0, 2, 3], id="seed-3-resolves"),
+    pytest.param(7, 1, "violation persists at halved spacing", [1], id="seed-7-persists"),
+])
+def test_the_alpha_200_violation_is_rechecked_on_its_own_bumps(monkeypatch, seed, code, note,
+                                                               rechecked):
+    """Seed 3's three violators have ratios 0.975, 0.821 and 0.673 at halved
+    spacing, so the run resolves; seed 7's first violator goes 2.120 -> 1.048
+    on the same bump and stops the re-check."""
     from hardylab import cli
 
-    cfg = RunConfig.from_json(json.dumps(RESOLVED))
+    reports = _measured(monkeypatch, cli.ineq, "hardy_report")
+    result = run(RunConfig.from_json(json.dumps(_alpha_200(seed))))
+    assert result.exit_code == code and result.summary["note"] == note
+    fine, coarse = _fine_bases(reports)
+    assert len(coarse) == 4 and fine == [coarse[i] for i in rechecked]
+    if code == 0:  # the paired rows, each under its first-pass index
+        assert [row["index"] for row in result.rows] == rechecked
+        assert result.summary["worst_ratio"] == max(row["ratio"] for row in result.rows)
+        assert result.summary["worst_ratio"] == pytest.approx(0.9754, abs=1e-4)
+        assert result.summary["verdict"] == "pass"
+    else:  # the first pass
+        assert [row["index"] for row in result.rows] == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("payload", [
+    pytest.param(VIOLATION, id="persisting"),
+    pytest.param(_alpha_200(3), id="resolved"),
+    pytest.param(_alpha_200(3, n=32, psi_range=None), id="resolved-without-psi-range"),
+])
+def test_a_recheck_draws_no_corpus(monkeypatch, payload):
+    """Only the first pass draws bumps, places boxes or reads psi's range, so
+    a config without psi_range re-checks bumps in the first pass's annuli."""
+    from hardylab import cli, testfunctions
+
+    cfg = RunConfig.from_json(json.dumps(payload))
+    drawn = []
+    for owner, name in [(cli, "bump_corpus"), (testfunctions, "_interior_box"),
+                        (cli, "value_in_blocks")]:
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, real=real, name=name:
+                            drawn.append(name) or real(*a))
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        first, listed = cli._dispatch(cfg), cli._dispatch(cfg, refine=2)
-    assert first.exit_code == 1 and listed.exit_code == 0
-    reports = _counting(monkeypatch, cli.ineq, "hardy_report")
-    result = run(cfg)
-    assert result.exit_code == 0
-    assert result.summary == {**listed.summary, "note": "violation resolved at halved spacing"}
-    assert result.rows == listed.rows and len(result.rows) == 4
-    coarse, fine = sorted(set(reports))
-    assert reports == [coarse] * 4 + [fine] * 4
+        assert cli._dispatch(cfg).exit_code == 1
+    assert "bump_corpus" in drawn
+    assert ("value_in_blocks" in drawn) == ("psi_range" not in payload["parameters"])
+    in_first_pass = list(drawn)
+    reports = _measured(monkeypatch, cli.ineq, "hardy_report")
+    run(cfg)
+    assert drawn == in_first_pass * 2  # the first pass of run, and nothing more
+    fine, coarse = _fine_bases(reports)
+    assert fine and all(any(b is c for c in coarse) for b in fine)
+
+
+def test_a_subcommutation_recheck_reuses_its_initial_bump(monkeypatch):
+    from hardylab import semigroup
+
+    payload = {"schema": 1, "geometry": {"name": "euclidean", "params": {"m": 2}},
+               "weight": {"name": "euclid-norm"}, "operation": "subcommutation",
+               "parameters": {"gamma": 100.0, "C1": 0.0, "C2": 0.0},
+               "grid": {"bounds": [[-2, 2], [-2, 2]], "n": 16}, "corpus": {"seed": 1}}
+    checks = _measured(monkeypatch, semigroup, "subcommutation_check")
+    result = run(RunConfig.from_json(json.dumps(payload)))
+    assert result.exit_code == 1
+    assert result.summary["note"] == "violation persists at halved spacing"
+    fine, coarse = _fine_bases(checks)
+    assert len(coarse) == 1 and fine == coarse
+
+
+def test_a_violator_the_finer_grid_does_not_support_is_a_usage_error(tmp_path, capsys,
+                                                                      monkeypatch):
+    """A bump clear of the excision on the coarse grid's nodes can touch it
+    on the finer grid's, so the re-check checks each rebuilt bump's support."""
+    from hardylab import cli
+    from hardylab.errors import PreconditionError
+
+    cfg = RunConfig.from_json(json.dumps(_alpha_200(3)))
+    geo = cli.make_geometry("euclidean", m=2)
+    psi = cli.make_weight(geo, "euclid-norm").psi
+    touching = hl.radial_bump(psi, 0.0, 0.5)  # its support holds the excised disc
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        with pytest.raises(PreconditionError, match="bump 2 touches the grid boundary"):
+            cli._dispatch(cfg, refine=2, paired=[(2, touching)])
+    real = cli._dispatch
+    monkeypatch.setattr(cli, "_dispatch", lambda cfg, refine=1, paired=None: real(
+        cfg, refine, paired and [(2, touching)]))
+    assert main(["run", "--config", write_config(tmp_path, _alpha_200(3))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: violating bump 2 touches the grid boundary or an excised "
+                            "region at halved spacing\n")
 
 
 def test_refine_reports_every_bump_on_the_fine_grid(monkeypatch):
     from hardylab import cli
 
-    reports = _counting(monkeypatch, cli.ineq, "hardy_report")
+    reports = _measured(monkeypatch, cli.ineq, "hardy_report")
     result = run(RunConfig.from_json(json.dumps(VIOLATION)), refine=True)
     assert result.exit_code == 1 and "note" not in result.summary
-    assert len(result.rows) == 3 and len(reports) == 3 and len(set(reports)) == 1
-
-
-def _recheck_corpus(monkeypatch, *tail):
-    """The re-check's bumps: its real first bump, then each of ``tail`` in
-    turn, a function of the grid giving a bump, or an exception to raise."""
-    from hardylab import cli
-
-    real = cli.iter_bump_corpus
-
-    def drawn(psi, grid, n, seed, psi_range):
-        yield next(real(psi, grid, n, seed, psi_range))
-        for item in tail:
-            if isinstance(item, Exception):
-                raise item
-            yield item(grid)
-
-    monkeypatch.setattr(cli, "iter_bump_corpus", drawn)
-
-
-def _on_the_boundary(grid):
-    """A bump whose report raises: its support touches the grid boundary."""
-    from hardylab.fields import SupportedField
-
-    return SupportedField(hl.tensor_bump(grid.bounds))
-
-
-PLACE = UsageError("could not place the requested corpus inside the grid")
-
-
-# Behaviour changes of the early stop: what the re-check would raise after its
-# first violating bump no longer turns exit 1 into exit 2, and in a re-check
-# whose bumps pass so far a report's error comes before the corpus's.
-@pytest.mark.parametrize("tail", [pytest.param((PLACE,), id="could-not-place"),
-                                  pytest.param((_on_the_boundary,), id="report-error")])
-def test_what_follows_the_first_violating_recheck_bump_is_never_reached(
-        tmp_path, capsys, monkeypatch, tail):
-    _recheck_corpus(monkeypatch, *tail)
-    assert main(["run", "--config", write_config(tmp_path, VIOLATION)]) == 1
-    out, err = capsys.readouterr()
-    assert json.loads(out)["note"] == "violation persists at halved spacing" and err == ""
-
-
-def test_a_passing_recheck_reports_an_error_before_the_corpus_gives_out(
-        tmp_path, capsys, monkeypatch):
-    _recheck_corpus(monkeypatch, _on_the_boundary, PLACE)
-    assert main(["run", "--config", write_config(tmp_path, RESOLVED)]) == 2
-    assert capsys.readouterr().err == ("error: test function support touches the grid "
-                                       "boundary or an excised region\n")
+    assert len(result.rows) == 3 and len(reports) == 3 and len({n for n, _ in reports}) == 1
 
 
 def _small_euclidean(operation, parameters, n, excision, seed, size):
@@ -810,30 +890,31 @@ def _small_euclidean(operation, parameters, n, excision, seed, size):
             "corpus": {"seed": seed, "size": size}}
 
 
-# The same changes on configs a random search over small euclidean(2) grids
-# found: each one's coarse pass violates, and its re-check, run on the list
-# path, raises ``listed``.
-@pytest.mark.parametrize("payload,listed,code,err", [
+# Configs a random search over small euclidean(2) grids found: each one's
+# coarse pass violates, and a corpus drawn at halved spacing raises ``drawn``.
+# The re-check draws none, so its outcome comes from the violators alone: on
+# the coarsest grids a violator can touch an excision between the coarse nodes.
+@pytest.mark.parametrize("payload,drawn,code,err", [
     pytest.param(_small_euclidean("hardy", {"psi_range": [0.1, 1.1], "Q": 100.0}, 12, 0.5,
                                   511, 5),
-                 "could not place", 1, "", id="could-not-place-after-a-violation"),
+                 "could not place", 2, "error: violating bump 0 touches the grid boundary "
+                 "or an excised region at halved spacing\n", id="first-violator-unsupported"),
     pytest.param(_small_euclidean("hardy", {"psi_range": [0.05, 0.65], "alpha": 400.0,
                                             "Q": 14.0}, 10, 0.01, 666, 5),
-                 "every right-side term is 0", 1, "", id="report-error-after-a-violation"),
+                 "every right-side term is 0", 1, "", id="first-violator-persists"),
     pytest.param(_small_euclidean("weighted-log-hardy", {"psi_range": [0.1, 1.1],
                                                          "alpha": -300.0, "Q": 2.5},
                                   12, 0.5, 355, 2),
-                 "could not place", 2, "error: support crosses the level set {psi = 1}\n",
-                 id="report-error-before-the-corpus-gives-out"),
+                 "could not place", 2, "error: violating bump 1 touches the grid boundary "
+                 "or an excised region at halved spacing\n", id="only-violator-unsupported"),
 ])
-def test_recheck_behaviour_changes_on_found_configs(tmp_path, capsys, payload, listed, code,
-                                                    err):
+def test_recheck_outcomes_on_found_configs(tmp_path, capsys, payload, drawn, code, err):
     from hardylab import cli
 
     cfg = RunConfig.from_json(json.dumps(payload))
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         assert cli._dispatch(cfg).exit_code == 1
-        with pytest.raises(Exception, match=listed):
+        with pytest.raises(Exception, match=drawn):
             cli._dispatch(cfg, refine=2)
     assert main(["run", "--config", write_config(tmp_path, payload)]) == code
     out, got = capsys.readouterr()
@@ -943,6 +1024,12 @@ def test_best_constant_at_Q_plus_alpha_2_exits_2_before_the_search(tmp_path, cap
     assert searched == []
 
 
+def test_an_integer_Q_is_reported_as_a_float(tmp_path, capsys):
+    payload = dict(SMALL_HARDY, parameters={"Q": 3, "alpha": 1.0, "psi_range": [0.5, 1.6]})
+    assert main(["run", "--config", write_config(tmp_path, payload)]) in (0, 1)
+    assert '"Q": 3.0' in capsys.readouterr().out
+
+
 def test_Q_plus_alpha_2_up_to_rounding_exits_2(tmp_path, capsys):
     # 2.3 + -0.3 is 1.9999999999999998, which an exact == 2 test lets through
     payload = dict(SMALL_HARDY, parameters={"Q": 2.3, "alpha": -0.3, "psi_range": [0.5, 1.6]})
@@ -974,6 +1061,15 @@ def loads_scipy(code: str, *args: str) -> bool:
     proc = subprocess.run([sys.executable, "-c", probe, *args], env=env,
                           capture_output=True, text=True, check=True)
     return proc.stdout.strip().splitlines()[-1] == "True"
+
+
+def test_the_cli_module_runs_as_a_script():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hl.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "hardylab.cli", "list"], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout == list_catalog()
 
 
 def test_importing_the_package_and_cli_leaves_scipy_out():
